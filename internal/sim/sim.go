@@ -95,11 +95,14 @@ type Config struct {
 	// synthetically (see internal/workload), which stays accurate without
 	// the directory's memory overhead.
 	Coherence bool
-	// EventQueue selects the discrete-event queue implementation. The
-	// default (eventq.Calendar) is the fast bucket queue; eventq.Heap is
-	// the binary-heap oracle used by differential and golden tests. Both
-	// dispatch events in the identical deterministic order, so results do
-	// not depend on this choice.
+	// EventQueue selects the discrete-event queue implementation: the
+	// default eventq.Calendar bucket queue, or the eventq.Heap binary heap
+	// that differential and golden tests use as the oracle. Both dispatch
+	// events in the identical deterministic order, so results do not
+	// depend on this choice; speed does, and neither wins everywhere. In
+	// perfbench (CPU time per op, 3 alternating pairs, 2-core x86-64
+	// host), the heap was ~9% faster on the CG.C/IntelUMA8 sweep and the
+	// calendar ~7% faster on the SP.C/AMDNUMA48 curve.
 	EventQueue eventq.Kind
 	// CancelEvery is the cancellation-check period: Run polls ctx.Done()
 	// every CancelEvery dispatched events, so a cancellation is honored
@@ -249,7 +252,11 @@ func (e *CanceledError) Unwrap() error { return e.cause }
 //
 // Configuration errors are reported as a *ConfigError (matching
 // ErrBadConfig) naming every invalid field at once.
+//
+// Run takes ownership of streams: whatever the outcome, it stops every
+// stream implementing trace.Stopper before returning.
 func Run(ctx context.Context, cfg Config, streams []trace.Stream) (Result, error) {
+	defer trace.StopAll(streams...)
 	cfg.applyDefaults()
 	if err := cfg.validate(len(streams)); err != nil {
 		return Result{}, err
@@ -319,7 +326,6 @@ func Run(ctx context.Context, cfg Config, streams []trace.Stream) (Result, error
 	default:
 		q.Run()
 	}
-	defer trace.StopAll(streams...)
 
 	if canceled {
 		dropped := q.Drain()

@@ -2,8 +2,8 @@ package sim
 
 import (
 	"context"
-
 	"testing"
+	"time"
 
 	"repro/internal/cache"
 	"repro/internal/machine"
@@ -60,6 +60,45 @@ func TestRunConfigValidation(t *testing.T) {
 	bad.MSHRs = 0
 	if _, err := Run(context.Background(), Config{Spec: bad, Threads: 1, Cores: 1}, singleStream(nil)); err == nil {
 		t.Error("invalid machine accepted")
+	}
+}
+
+// TestRunStopsStreamsOnError checks that a Run rejected before its event
+// loop still stops its Gen streams, so no generator goroutine is left
+// blocked holding its buffers.
+func TestRunStopsStreamsOnError(t *testing.T) {
+	badMachine := testSpec()
+	badMachine.MSHRs = 0
+	cases := []struct {
+		name string
+		cfg  Config
+	}{
+		{"bad-cores", Config{Spec: testSpec(), Threads: 4, Cores: 999}},
+		{"bad-machine", Config{Spec: badMachine, Threads: 4, Cores: 1}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			exited := make(chan struct{}, tc.cfg.Threads)
+			streams := make([]trace.Stream, tc.cfg.Threads)
+			for i := range streams {
+				streams[i] = trace.Gen(func(emit func(trace.Ref) bool) {
+					defer func() { exited <- struct{}{} }()
+					for a := uint64(0); emit(trace.Ref{Addr: a * 64}); a++ {
+					}
+				})
+			}
+			if _, err := Run(context.Background(), tc.cfg, streams); err == nil {
+				t.Fatal("invalid config accepted")
+			}
+			deadline := time.After(10 * time.Second)
+			for i := range streams {
+				select {
+				case <-exited:
+				case <-deadline:
+					t.Fatalf("%d of %d generators still running after Run returned", len(streams)-i, len(streams))
+				}
+			}
+		})
 	}
 }
 

@@ -239,59 +239,85 @@ func (c *counting) Next() (Ref, bool) {
 	return r, ok
 }
 
-// Gen adapts a push-style generator function into a pull-style Stream using
-// a bounded buffer refilled on demand. The generator is invoked lazily in
-// chunks: gen receives an emit callback and must return when emit reports
-// false. This supports kernels whose access patterns are easiest to express
-// as straight-line code (e.g. nested loops over a grid).
+// Gen adapts a push-style generator function into a pull-style Stream. gen
+// receives an emit callback and must return when emit reports false. This
+// supports kernels whose access patterns are easiest to express as
+// straight-line code (e.g. nested loops over a grid).
+//
+// The generator runs on its own goroutine, double-buffered: each stream
+// owns exactly two buffers of genChunk refs. The producer fills one while
+// the consumer drains the other; filled buffers are handed over on an
+// unbuffered channel, and the consumer returns a drained buffer before it
+// receives the next one. A stream therefore holds at most 2×genChunk refs
+// however far ahead the generator could run, and allocates nothing after
+// it starts. Stop is observed only at chunk boundaries, so a stopped
+// generator returns within genChunk further refs.
 func Gen(gen func(emit func(Ref) bool)) Stream {
 	g := &genStream{
-		ch:   make(chan []Ref, 4),
+		full: make(chan []Ref),
+		// Capacity 2 holds both buffers, so returning one never blocks.
+		free: make(chan []Ref, 2),
 		stop: make(chan struct{}),
 	}
+	g.free <- make([]Ref, 0, genChunk)
+	g.free <- make([]Ref, 0, genChunk)
 	//simcheck:allow(detlint) generator goroutine hands chunks over a synchronized channel; the consumer sees refs in emit order regardless of scheduling
-	go func() {
-		defer close(g.ch)
-		buf := make([]Ref, 0, genChunk)
-		flush := func() bool {
-			if len(buf) == 0 {
-				return true
-			}
-			chunk := make([]Ref, len(buf))
-			copy(chunk, buf)
-			buf = buf[:0]
-			select {
-			case g.ch <- chunk:
-				return true
-			case <-g.stop:
-				return false
-			}
-		}
-		gen(func(r Ref) bool {
-			buf = append(buf, r)
-			if len(buf) == genChunk {
-				return flush()
-			}
-			select {
-			case <-g.stop:
-				return false
-			default:
-				return true
-			}
-		})
-		flush()
-	}()
+	go g.produce(gen)
 	return g
 }
 
-const genChunk = 4096
+// genChunk is the number of refs per buffer: 16 KiB at 16 bytes per Ref.
+const genChunk = 1024
 
 type genStream struct {
-	ch    chan []Ref
+	full  chan []Ref // producer → consumer, unbuffered; closed when gen returns
+	free  chan []Ref // consumer → producer, drained buffers
 	stop  chan struct{}
 	chunk []Ref
 	pos   int
 	done  bool
+}
+
+// produce runs gen, filling one buffer at a time and handing each over
+// when it is full. It closes g.full when gen returns.
+func (g *genStream) produce(gen func(emit func(Ref) bool)) {
+	defer close(g.full)
+	buf := <-g.free
+	stopped := false
+	// send hands buf over, or reports false once Stop has been called.
+	send := func() bool {
+		select {
+		case g.full <- buf:
+			return true
+		case <-g.stop:
+			return false
+		}
+	}
+	gen(func(r Ref) bool {
+		if stopped {
+			return false
+		}
+		buf = append(buf, r)
+		if len(buf) < genChunk {
+			return true
+		}
+		if stopped = !send(); stopped {
+			return false
+		}
+		// Take the other buffer back. It is normally waiting, since the
+		// consumer returns a drained buffer before it receives the next;
+		// Stop's drain returns none, so watch stop too.
+		select {
+		case buf = <-g.free:
+			return true
+		case <-g.stop:
+			stopped = true
+			return false
+		}
+	})
+	if !stopped && len(buf) > 0 {
+		send()
+	}
 }
 
 func (g *genStream) Next() (Ref, bool) {
@@ -304,25 +330,31 @@ func (g *genStream) Next() (Ref, bool) {
 		if g.done {
 			return Ref{}, false
 		}
-		chunk, ok := <-g.ch
+		if g.chunk != nil {
+			g.free <- g.chunk[:0]
+		}
+		chunk, ok := <-g.full
 		if !ok {
 			g.done = true
+			g.chunk = nil
 			return Ref{}, false
 		}
 		g.chunk, g.pos = chunk, 0
 	}
 }
 
-// Stop terminates the backing generator goroutine of a Gen stream early.
-// It is safe to call multiple times and on fully drained streams.
+// Stop terminates the backing generator goroutine of a Gen stream early
+// and waits for it to return. It is safe to call multiple times and on
+// fully drained streams.
 func (g *genStream) Stop() {
 	select {
 	case <-g.stop:
 	default:
 		close(g.stop)
 	}
-	// Drain so the producer is never blocked on send.
-	for range g.ch {
+	// Drain so the producer is never blocked on send; the range ends
+	// when the producer has returned.
+	for range g.full {
 	}
 	g.done = true
 	g.chunk = nil

@@ -3,6 +3,7 @@ package trace
 import (
 	"testing"
 	"testing/quick"
+	"time"
 )
 
 func TestFromSliceAndCollect(t *testing.T) {
@@ -207,35 +208,92 @@ func TestGenStream(t *testing.T) {
 	}
 }
 
+// TestGenStreamStopEarly stops a Gen stream in each state its producer can
+// be in and checks that the generator returns within a bounded number of
+// refs, that Next then reports exhaustion, and that a second Stop is
+// harmless.
 func TestGenStreamStopEarly(t *testing.T) {
-	produced := make(chan int, 1)
-	s := Gen(func(emit func(Ref) bool) {
-		n := 0
-		for i := 0; i < 1_000_000; i++ {
-			if !emit(Ref{Addr: uint64(i)}) {
-				break
+	cases := []struct {
+		name string
+		read int // refs consumed before Stop
+	}{
+		// The producer has filled the first buffer and is parked handing
+		// it over.
+		{"never-read", 0},
+		// The consumer is partway through the first buffer; the producer
+		// is filling or handing over the second.
+		{"mid-chunk", 10},
+		// The consumer has drained the first buffer but not returned it,
+		// so the producer holds the filled second one and waits for the
+		// first to come back.
+		{"after-one-chunk", genChunk},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			const total = 1_000_000
+			produced := make(chan int, 1)
+			s := Gen(func(emit func(Ref) bool) {
+				n := 0
+				for i := 0; i < total; i++ {
+					if !emit(Ref{Addr: uint64(i)}) {
+						break
+					}
+					n++
+				}
+				produced <- n
+			})
+			for i := 0; i < tc.read; i++ {
+				r, ok := s.Next()
+				if !ok {
+					t.Fatal("stream ended early")
+				}
+				if r.Addr != uint64(i) {
+					t.Fatalf("ref %d addr %d", i, r.Addr)
+				}
 			}
-			n++
-		}
-		produced <- n
-	})
-	// Consume a few then stop.
-	for i := 0; i < 10; i++ {
-		if _, ok := s.Next(); !ok {
-			t.Fatal("stream ended early")
-		}
+			StopAll(s)
+			select {
+			case n := <-produced:
+				// Stop is seen at the next chunk boundary, so the producer
+				// runs at most two buffers past what was consumed.
+				if n > tc.read+2*genChunk {
+					t.Errorf("generator produced %d refs after %d were read", n, tc.read)
+				}
+			case <-time.After(10 * time.Second):
+				t.Fatal("generator did not return after Stop")
+			}
+			if _, ok := s.Next(); ok {
+				t.Error("stopped stream yielded a ref")
+			}
+			StopAll(s)
+			if _, ok := s.Next(); ok {
+				t.Error("stream yielded a ref after a second Stop")
+			}
+		})
 	}
-	StopAll(s)
-	n := <-produced
-	if n >= 1_000_000 {
-		t.Errorf("generator ran to completion despite Stop (produced %d)", n)
+}
+
+// TestGenStreamAllocsBounded pins the double buffering: a Gen stream's
+// allocations do not grow with its length.
+func TestGenStreamAllocsBounded(t *testing.T) {
+	drain := func(n int) float64 {
+		return testing.AllocsPerRun(5, func() {
+			s := Gen(func(emit func(Ref) bool) {
+				for i := 0; i < n; i++ {
+					if !emit(Ref{Addr: uint64(i) * 64}) {
+						return
+					}
+				}
+			})
+			if got := Count(s); got != n {
+				t.Fatalf("drained %d refs, want %d", got, n)
+			}
+		})
 	}
-	// After stop the stream reports exhaustion.
-	if _, ok := s.Next(); ok {
-		t.Error("stopped stream yielded a ref")
+	short, long := drain(16<<10), drain(1<<20)
+	if short != long {
+		t.Errorf("allocs per drained stream: %v for 16K refs, %v for 1M refs; want equal", short, long)
 	}
-	// Stop is idempotent.
-	StopAll(s)
 }
 
 func TestWorkSpec(t *testing.T) {
