@@ -2,16 +2,33 @@ package cache
 
 import "testing"
 
+// benchPatterns are the cyclic address sweeps the Access benchmarks replay
+// against a 256 KiB, 8-way cache of 64 B lines (4096 lines).
+var benchPatterns = []struct {
+	name  string
+	lines uint64 // distinct lines swept in order, then repeated
+}{
+	// The working set is half the capacity: after the first sweep every
+	// access hits, so this times the lookup alone.
+	{"hit", 2048},
+	// A sweep 24x the capacity: under LRU every access misses and evicts,
+	// so this times the lookup plus the fill.
+	{"thrash", 100000},
+}
+
 func benchCache(b *testing.B, policy Policy) {
-	c, err := New(Config{Name: "b", Size: 256 << 10, Line: 64, Ways: 8, Latency: 10, Policy: policy})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		// Mixed pattern: stride with periodic reuse.
-		c.Access(uint64(i%100000) * 64)
+	for _, p := range benchPatterns {
+		b.Run(p.name, func(b *testing.B) {
+			c, err := New(Config{Name: "b", Size: 256 << 10, Line: 64, Ways: 8, Latency: 10, Policy: policy})
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				c.Access(uint64(i) % p.lines * 64)
+			}
+		})
 	}
 }
 

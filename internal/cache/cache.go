@@ -4,16 +4,17 @@
 // quantity whose contention behaviour the paper studies.
 //
 // The simulator is single-threaded (discrete-event), so caches are not
-// safe for concurrent use and require no locking. Coherence traffic is not
-// modeled: the paper's workloads partition their data between threads, and
-// the observations of interest (LLC miss counts roughly independent of the
-// number of active cores) hold without invalidation effects.
+// safe for concurrent use and require no locking. Coherence is modeled only
+// as invalidation: when sim.Config.Coherence is set, the engine's directory
+// calls Invalidate to drop other sockets' copies of a written line. The
+// invalidation messages themselves add no traffic or latency.
 package cache
 
 import (
 	"fmt"
 	"math/bits"
 	"math/rand"
+	"slices"
 )
 
 // Policy selects a replacement policy.
@@ -81,14 +82,21 @@ func (s Stats) MissRatio() float64 {
 }
 
 // Cache is one set-associative cache level.
+//
+// Each way is one slot of tags, sets*ways long. A slot holds the resident
+// line plus one, so 0 marks an invalid way and a lookup reads one array.
+// Under LRU, lastUse holds the tick of each way's last reference. It is 0
+// exactly on the invalid ways, because the tick is at least 1 once any
+// access has happened. Invalidate and Flush must keep that invariant: the
+// LRU fill then finds the first invalid way, or else the least recently
+// used one, as the first way with the smallest lastUse.
 type Cache struct {
 	cfg      Config
 	sets     int
 	setMask  uint64
 	lineBits uint
-	tags     []uint64 // sets*ways entries
-	valid    []bool
-	lastUse  []uint64 // LRU timestamps
+	tags     []uint64 // line+1 per way; 0 is an invalid way
+	lastUse  []uint64 // LRU timestamps; 0 is an invalid way
 	plru     []uint64 // per-set PLRU tree bits
 	tick     uint64
 	rng      *rand.Rand
@@ -97,8 +105,10 @@ type Cache struct {
 
 // New validates cfg and constructs the cache.
 func New(cfg Config) (*Cache, error) {
-	if cfg.Line == 0 || bits.OnesCount64(cfg.Line) != 1 {
-		return nil, fmt.Errorf("cache %s: line size %d must be a power of two", cfg.Name, cfg.Line)
+	// A 1-byte line would make every address a line, and the largest one
+	// would wrap its tag (line+1) to the invalid 0.
+	if cfg.Line < 2 || bits.OnesCount64(cfg.Line) != 1 {
+		return nil, fmt.Errorf("cache %s: line size %d must be a power of two of at least 2", cfg.Name, cfg.Line)
 	}
 	if cfg.Ways <= 0 {
 		return nil, fmt.Errorf("cache %s: ways %d must be positive", cfg.Name, cfg.Ways)
@@ -119,7 +129,6 @@ func New(cfg Config) (*Cache, error) {
 		setMask:  sets - 1,
 		lineBits: uint(bits.TrailingZeros64(cfg.Line)),
 		tags:     make([]uint64, int(sets)*cfg.Ways),
-		valid:    make([]bool, int(sets)*cfg.Ways),
 	}
 	switch cfg.Policy {
 	case LRU:
@@ -159,21 +168,55 @@ func (c *Cache) Access(addr uint64) bool {
 }
 
 // touch performs the lookup/fill. prefetch suppresses demand counters.
+//
+//simcheck:hotpath
 func (c *Cache) touch(addr uint64, prefetch bool) bool {
 	line := c.lineOf(addr)
+	tag := line + 1
 	set := int(line & c.setMask)
 	base := set * c.cfg.Ways
+	tags := c.tags[base : base+c.cfg.Ways]
 	if !prefetch {
 		c.stats.Accesses++
 	} else {
 		c.stats.Prefetches++
 	}
-	c.tick++
 
-	for w := 0; w < c.cfg.Ways; w++ {
-		i := base + w
-		if c.valid[i] && c.tags[i] == line {
-			c.noteUse(set, w)
+	if c.cfg.Policy == LRU {
+		c.tick++
+		lastUse := c.lastUse[base : base+len(tags)]
+		for w, t := range tags {
+			if t == tag {
+				lastUse[w] = c.tick
+				return true
+			}
+		}
+		if !prefetch {
+			c.stats.Misses++
+		}
+		// The first way with the smallest lastUse: the first invalid way,
+		// else the least recently used. The scan has no early exit, so the
+		// compiler turns the comparison into conditional moves; the order
+		// of the timestamps defeats branch prediction.
+		victim, oldest := 0, ^uint64(0)
+		for w, u := range lastUse {
+			if u < oldest {
+				victim, oldest = w, u
+			}
+		}
+		if oldest != 0 {
+			c.stats.Evictions++
+		}
+		tags[victim] = tag
+		lastUse[victim] = c.tick
+		return false
+	}
+
+	for w, t := range tags {
+		if t == tag {
+			if c.cfg.Policy == PLRU {
+				c.plru[set] = plruTouch(c.plru[set], c.cfg.Ways, w)
+			}
 			return true
 		}
 	}
@@ -181,123 +224,95 @@ func (c *Cache) touch(addr uint64, prefetch bool) bool {
 		c.stats.Misses++
 	}
 	// Fill: pick an invalid way first, else evict per policy.
-	victim := -1
-	for w := 0; w < c.cfg.Ways; w++ {
-		if !c.valid[base+w] {
-			victim = w
-			break
-		}
-	}
+	victim := slices.Index(tags, 0)
 	if victim < 0 {
 		victim = c.victim(set)
 		c.stats.Evictions++
 	}
-	i := base + victim
-	c.tags[i] = line
-	c.valid[i] = true
-	c.noteUse(set, victim)
+	tags[victim] = tag
+	if c.cfg.Policy == PLRU {
+		c.plru[set] = plruTouch(c.plru[set], c.cfg.Ways, victim)
+	}
 	return false
 }
 
 // Contains reports whether addr's line is resident without updating
 // replacement state or counters.
 func (c *Cache) Contains(addr uint64) bool {
+	return c.way(addr) >= 0
+}
+
+// way returns the slot in tags holding addr's line, or -1.
+func (c *Cache) way(addr uint64) int {
 	line := c.lineOf(addr)
 	base := int(line&c.setMask) * c.cfg.Ways
-	for w := 0; w < c.cfg.Ways; w++ {
-		if c.valid[base+w] && c.tags[base+w] == line {
-			return true
-		}
+	if w := slices.Index(c.tags[base:base+c.cfg.Ways], line+1); w >= 0 {
+		return base + w
 	}
-	return false
+	return -1
 }
 
 // Invalidate removes addr's line from the cache if present, returning
 // whether a copy was dropped. Used by the coherence directory to model
 // cross-socket invalidations; counters are not affected.
 func (c *Cache) Invalidate(addr uint64) bool {
-	line := c.lineOf(addr)
-	base := int(line&c.setMask) * c.cfg.Ways
-	for w := 0; w < c.cfg.Ways; w++ {
-		if c.valid[base+w] && c.tags[base+w] == line {
-			c.valid[base+w] = false
-			return true
-		}
+	i := c.way(addr)
+	if i < 0 {
+		return false
 	}
-	return false
+	c.tags[i] = 0
+	if c.lastUse != nil {
+		c.lastUse[i] = 0
+	}
+	return true
 }
 
 // Flush invalidates the whole cache, leaving counters intact.
 func (c *Cache) Flush() {
-	for i := range c.valid {
-		c.valid[i] = false
-	}
+	clear(c.tags)
+	clear(c.lastUse)
 }
 
 // ResetStats zeroes the access counters.
 func (c *Cache) ResetStats() { c.stats = Stats{} }
 
-// noteUse updates replacement metadata after way w of set was referenced.
-func (c *Cache) noteUse(set, w int) {
-	switch c.cfg.Policy {
-	case LRU:
-		c.lastUse[set*c.cfg.Ways+w] = c.tick
-	case PLRU:
-		c.plruTouch(set, w)
-	}
-}
-
-// victim selects the way to evict from a full set.
+// victim selects the way to evict from a full set under PLRU or Random;
+// LRU picks its victim inside touch.
 func (c *Cache) victim(set int) int {
-	switch c.cfg.Policy {
-	case LRU:
-		base := set * c.cfg.Ways
-		best, bestUse := 0, c.lastUse[base]
-		for w := 1; w < c.cfg.Ways; w++ {
-			if u := c.lastUse[base+w]; u < bestUse {
-				best, bestUse = w, u
-			}
-		}
-		return best
-	case PLRU:
-		return c.plruVictim(set)
-	case Random:
-		return c.rng.Intn(c.cfg.Ways)
+	if c.cfg.Policy == PLRU {
+		return plruVictim(c.plru[set], c.cfg.Ways)
 	}
-	return 0
+	return c.rng.Intn(c.cfg.Ways)
 }
 
-// plruTouch flips the tree bits on the path to way w to point away from it.
-func (c *Cache) plruTouch(set, w int) {
-	ways := c.cfg.Ways
-	bitsState := c.plru[set]
+// plruTouch returns the tree bits of a set of ways after way w was
+// referenced: every bit on the path to w points away from it.
+func plruTouch(state uint64, ways, w int) uint64 {
 	node := 0 // root of implicit binary tree over ways
 	lo, hi := 0, ways
 	for hi-lo > 1 {
 		mid := (lo + hi) / 2
 		if w < mid {
 			// Went left: point the bit right (away from w).
-			bitsState |= 1 << uint(node)
+			state |= 1 << uint(node)
 			node = 2*node + 1
 			hi = mid
 		} else {
-			bitsState &^= 1 << uint(node)
+			state &^= 1 << uint(node)
 			node = 2*node + 2
 			lo = mid
 		}
 	}
-	c.plru[set] = bitsState
+	return state
 }
 
-// plruVictim follows the tree bits to the pseudo-LRU way.
-func (c *Cache) plruVictim(set int) int {
-	ways := c.cfg.Ways
-	bitsState := c.plru[set]
+// plruVictim follows the tree bits of a set of ways to the pseudo-LRU way.
+func plruVictim(state uint64, ways int) int {
 	node := 0
 	lo, hi := 0, ways
 	for hi-lo > 1 {
 		mid := (lo + hi) / 2
-		if bitsState&(1<<uint(node)) != 0 {
+		if state&(1<<uint(node)) != 0 {
 			// Bit points right.
 			node = 2*node + 2
 			lo = mid

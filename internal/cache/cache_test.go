@@ -1,6 +1,8 @@
 package cache
 
 import (
+	"math/bits"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -22,6 +24,7 @@ func small(t *testing.T, policy Policy) *Cache {
 func TestNewValidation(t *testing.T) {
 	bad := []Config{
 		{Size: 512, Line: 0, Ways: 2},                       // zero line
+		{Size: 512, Line: 1, Ways: 2},                       // 1-byte line
 		{Size: 512, Line: 48, Ways: 2},                      // non-pow2 line
 		{Size: 512, Line: 64, Ways: 0},                      // zero ways
 		{Size: 500, Line: 64, Ways: 2},                      // size not divisible
@@ -421,4 +424,234 @@ func TestHierarchyInvalidate(t *testing.T) {
 	if h.Invalidate(0) {
 		t.Error("no copies should remain")
 	}
+}
+
+// A miss after an invalidation refills the invalidated way, even when
+// another way is older, and evicts nothing.
+func TestLRUInvalidatedMiddleWayIsRefilled(t *testing.T) {
+	// One set of 4 ways; line i lives at address 64*i.
+	c := mustNew(t, Config{Name: "t", Size: 256, Line: 64, Ways: 4, Latency: 1})
+	for line := uint64(0); line < 4; line++ {
+		c.Access(line * 64)
+	}
+	if !c.Invalidate(2 * 64) {
+		t.Fatal("Invalidate missed a resident line")
+	}
+	if c.Access(4 * 64) {
+		t.Fatal("access to a new line hit")
+	}
+	if got := c.way(4 * 64); got != 2 {
+		t.Errorf("new line filled way %d, want the invalidated way 2", got)
+	}
+	if ev := c.Stats().Evictions; ev != 0 {
+		t.Errorf("evictions = %d, want 0: the refill replaced an invalid way", ev)
+	}
+	for _, line := range []uint64{0, 1, 3} {
+		if !c.Contains(line * 64) {
+			t.Errorf("line %d was dropped by the refill", line)
+		}
+	}
+	// The set is full again, so the next miss evicts the LRU line 0.
+	c.Access(5 * 64)
+	if c.Contains(0) || c.way(5*64) != 0 {
+		t.Error("the next miss did not replace the LRU way 0")
+	}
+	if ev := c.Stats().Evictions; ev != 1 {
+		t.Errorf("evictions = %d, want 1", ev)
+	}
+}
+
+// refCache is the reference model for FuzzCacheDifferential: the earlier
+// Cache algorithm, which kept validity in an array of its own and made
+// three passes over a set on a miss (the lookup, a search for the first
+// invalid way, the LRU victim scan).
+type refCache struct {
+	cfg      Config
+	setMask  uint64
+	lineBits uint
+	tags     []uint64
+	valid    []bool
+	lastUse  []uint64
+	plru     []uint64
+	tick     uint64
+	rng      *rand.Rand
+	stats    Stats
+}
+
+func newRefCache(cfg Config) *refCache {
+	sets := cfg.Size / (cfg.Line * uint64(cfg.Ways))
+	n := int(sets) * cfg.Ways
+	return &refCache{
+		cfg:      cfg,
+		setMask:  sets - 1,
+		lineBits: uint(bits.TrailingZeros64(cfg.Line)),
+		tags:     make([]uint64, n),
+		valid:    make([]bool, n),
+		lastUse:  make([]uint64, n),
+		plru:     make([]uint64, sets),
+		rng:      rand.New(rand.NewSource(cfg.Seed)),
+	}
+}
+
+func (m *refCache) Access(addr uint64) bool {
+	hit := m.touch(addr, false)
+	if !hit && m.cfg.NextLinePrefetch {
+		m.touch((addr>>m.lineBits+1)<<m.lineBits, true)
+	}
+	return hit
+}
+
+func (m *refCache) touch(addr uint64, prefetch bool) bool {
+	line := addr >> m.lineBits
+	set := int(line & m.setMask)
+	base := set * m.cfg.Ways
+	if !prefetch {
+		m.stats.Accesses++
+	} else {
+		m.stats.Prefetches++
+	}
+	m.tick++
+	for w := 0; w < m.cfg.Ways; w++ {
+		if m.valid[base+w] && m.tags[base+w] == line {
+			m.noteUse(set, w)
+			return true
+		}
+	}
+	if !prefetch {
+		m.stats.Misses++
+	}
+	victim := -1
+	for w := 0; w < m.cfg.Ways; w++ {
+		if !m.valid[base+w] {
+			victim = w
+			break
+		}
+	}
+	if victim < 0 {
+		victim = m.victim(set)
+		m.stats.Evictions++
+	}
+	m.tags[base+victim] = line
+	m.valid[base+victim] = true
+	m.noteUse(set, victim)
+	return false
+}
+
+func (m *refCache) noteUse(set, w int) {
+	switch m.cfg.Policy {
+	case LRU:
+		m.lastUse[set*m.cfg.Ways+w] = m.tick
+	case PLRU:
+		m.plru[set] = plruTouch(m.plru[set], m.cfg.Ways, w)
+	}
+}
+
+func (m *refCache) victim(set int) int {
+	switch m.cfg.Policy {
+	case LRU:
+		base := set * m.cfg.Ways
+		best, bestUse := 0, m.lastUse[base]
+		for w := 1; w < m.cfg.Ways; w++ {
+			if u := m.lastUse[base+w]; u < bestUse {
+				best, bestUse = w, u
+			}
+		}
+		return best
+	case PLRU:
+		return plruVictim(m.plru[set], m.cfg.Ways)
+	}
+	return m.rng.Intn(m.cfg.Ways)
+}
+
+func (m *refCache) Contains(addr uint64) bool {
+	line := addr >> m.lineBits
+	base := int(line&m.setMask) * m.cfg.Ways
+	for w := 0; w < m.cfg.Ways; w++ {
+		if m.valid[base+w] && m.tags[base+w] == line {
+			return true
+		}
+	}
+	return false
+}
+
+func (m *refCache) Invalidate(addr uint64) bool {
+	line := addr >> m.lineBits
+	base := int(line&m.setMask) * m.cfg.Ways
+	for w := 0; w < m.cfg.Ways; w++ {
+		if m.valid[base+w] && m.tags[base+w] == line {
+			m.valid[base+w] = false
+			return true
+		}
+	}
+	return false
+}
+
+func (m *refCache) Flush() { clear(m.valid) }
+
+// diffWays are the associativities FuzzCacheDifferential covers: direct
+// mapped, the smallest set with a choice, a non-power-of-two set (LRU and
+// Random only) and the widest preset's.
+var diffWays = []int{1, 2, 10, 16}
+
+// FuzzCacheDifferential replays one operation stream against Cache and the
+// reference model and requires the same hit/miss sequence, the same Stats
+// after every operation and the same resident lines. Each operation is 3
+// bytes: a kind (Flush, ResetStats, Invalidate or, mostly, Access) and a
+// little-endian address that wraps over three times the cache's capacity.
+func FuzzCacheDifferential(f *testing.F) {
+	r := rand.New(rand.NewSource(1))
+	for _, pol := range []Policy{LRU, PLRU, Random} {
+		for wi := range diffWays {
+			for _, prefetch := range []bool{false, true} {
+				ops := make([]byte, 3*600)
+				r.Read(ops)
+				f.Add(uint8(pol), uint8(wi), prefetch, r.Int63(), ops)
+			}
+		}
+	}
+	f.Fuzz(func(t *testing.T, polSel, waysSel uint8, prefetch bool, seed int64, ops []byte) {
+		const sets, line = 4, 64
+		ways := diffWays[int(waysSel)%len(diffWays)]
+		cfg := Config{
+			Name: "d", Size: sets * line * uint64(ways), Line: line, Ways: ways, Latency: 1,
+			Policy: Policy(polSel % 3), Seed: seed, NextLinePrefetch: prefetch,
+		}
+		c, err := New(cfg)
+		if err != nil {
+			if cfg.Policy == PLRU {
+				return // PLRU rejects non-power-of-two ways
+			}
+			t.Fatal(err)
+		}
+		m := newRefCache(cfg)
+		span := uint64(3 * sets * ways) // lines the addresses cover
+		for i := 0; i+3 <= len(ops); i += 3 {
+			addr := (uint64(ops[i+1]) | uint64(ops[i+2])<<8) % (span * line)
+			switch k := ops[i]; {
+			case k == 0:
+				c.Flush()
+				m.Flush()
+			case k == 1:
+				c.ResetStats()
+				m.stats = Stats{}
+			case k < 16:
+				if got, want := c.Invalidate(addr), m.Invalidate(addr); got != want {
+					t.Fatalf("op %d: Invalidate(%d) = %v, model %v", i/3, addr, got, want)
+				}
+			default:
+				if got, want := c.Access(addr), m.Access(addr); got != want {
+					t.Fatalf("op %d: Access(%d) hit = %v, model %v", i/3, addr, got, want)
+				}
+			}
+			if c.Stats() != m.stats {
+				t.Fatalf("op %d: stats %+v, model %+v", i/3, c.Stats(), m.stats)
+			}
+			// One line past the span: a prefetch can fill it.
+			for l := uint64(0); l <= span; l++ {
+				if got, want := c.Contains(l*line), m.Contains(l*line); got != want {
+					t.Fatalf("op %d: Contains(line %d) = %v, model %v", i/3, l, got, want)
+				}
+			}
+		}
+	})
 }

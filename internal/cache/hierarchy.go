@@ -6,10 +6,7 @@ package cache
 // by placing the same *Cache pointer in several hierarchies.
 type Hierarchy struct {
 	levels []*Cache
-	// MemLatency is the flat latency charged on a full miss in addition to
-	// the per-level hit latencies; the memory-controller queueing delay is
-	// modeled separately by internal/memctrl.
-	stats HierarchyStats
+	stats  HierarchyStats
 }
 
 // HierarchyStats aggregates per-hierarchy outcomes (the per-level counters
@@ -57,6 +54,8 @@ func (h *Hierarchy) LLC() *Cache {
 // on a miss, the line is allocated there (inclusive fill) before probing the
 // next level. The returned Result carries the accumulated latency and
 // whether the access must go off-chip.
+//
+//simcheck:hotpath
 func (h *Hierarchy) Access(addr uint64) Result {
 	h.stats.Accesses++
 	res := Result{HitLevel: -1}
