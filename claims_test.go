@@ -186,7 +186,7 @@ func TestClaimMM1QueueOccupancy(t *testing.T) {
 		warmup  = horizon / 10
 	)
 	for _, rho := range []float64{0.3, 0.5, 0.7} {
-		q := eventq.New(eventq.Calendar)
+		q := new(eventq.Queue)
 		mc, err := memctrl.New(memctrl.Config{
 			Name: "mm1", Channels: 1, Banks: 1,
 			RowBytes: rowSize, LineBytes: 64,

@@ -198,14 +198,13 @@ var (
 // benchmarks lists the tracked set: one end-to-end sweep per machine
 // preset (the larger NUMA machines at reduced scale and coarse core
 // counts so the whole suite stays under a minute per preset) plus the
-// event-queue micro-benchmarks in both backends.
+// event-queue micro-benchmark.
 func benchmarks(ctx context.Context) []namedBench {
 	return []namedBench{
 		{"FullRun/IntelUMA8@0.25", fullRun(ctx, machine.IntelUMA8(), 0.25, 1)},
 		{"FullRun/IntelNUMA24@0.05", fullRun(ctx, machine.IntelNUMA24(), 0.05, 8)},
 		{"FullRun/AMDNUMA48@0.02", fullRun(ctx, machine.AMDNUMA48(), 0.02, 16)},
-		{"EventQueue/Calendar", queueBench(eventq.Calendar)},
-		{"EventQueue/Heap", queueBench(eventq.Heap)},
+		{"EventQueue", queueBench},
 	}
 }
 
@@ -240,23 +239,21 @@ func fullRun(ctx context.Context, spec machine.Spec, scale float64, step int) fu
 	}
 }
 
-// queueBench benchmarks steady-state schedule+dispatch through one event
-// queue backend, the simulator's innermost loop.
-func queueBench(kind eventq.Kind) func(b *testing.B) {
-	return func(b *testing.B) {
-		q := eventq.New(kind)
-		fn := func() {}
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			q.After(uint64(i%449), fn)
-			if q.Len() >= 64 {
-				for q.Len() > 0 {
-					q.Step()
-				}
+// queueBench benchmarks steady-state schedule+dispatch through the event
+// queue, the simulator's innermost loop.
+func queueBench(b *testing.B) {
+	q := new(eventq.Queue)
+	fn := func() {}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		q.After(uint64(i%449), fn)
+		if q.Len() >= 64 {
+			for q.Len() > 0 {
+				q.Step()
 			}
 		}
-		for q.Len() > 0 {
-			q.Step()
-		}
+	}
+	for q.Len() > 0 {
+		q.Step()
 	}
 }

@@ -2,68 +2,55 @@ package eventq
 
 import "testing"
 
-func benchKinds(b *testing.B, f func(b *testing.B, q Interface)) {
-	b.Helper()
-	for _, k := range []Kind{Calendar, Heap} {
-		k := k
-		b.Run(k.String(), func(b *testing.B) {
-			f(b, New(k))
-		})
-	}
-}
-
 func BenchmarkScheduleAndRun(b *testing.B) {
-	benchKinds(b, func(b *testing.B, q Interface) {
-		fn := func() {}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			q.At(uint64(i), fn)
-			if q.Len() > 1024 {
-				for q.Len() > 0 {
-					q.Step()
-				}
+	q := new(Queue)
+	fn := func() {}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		q.At(uint64(i), fn)
+		if q.Len() > 1024 {
+			for q.Len() > 0 {
+				q.Step()
 			}
 		}
-	})
+	}
 }
 
 func BenchmarkNestedChain(b *testing.B) {
 	// Each event schedules the next: the simulator's common pattern.
-	benchKinds(b, func(b *testing.B, q Interface) {
-		n := 0
-		var next func()
-		next = func() {
-			if n < b.N {
-				n++
-				q.After(3, next)
-			}
+	q := new(Queue)
+	n := 0
+	var next func()
+	next = func() {
+		if n < b.N {
+			n++
+			q.After(3, next)
 		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		q.After(1, next)
-		q.Run()
-	})
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	q.After(1, next)
+	q.Run()
 }
 
 // BenchmarkMixedHorizon mimics the engine's event mix: many short-latency
 // events plus an occasional long quantum-scale jump, against a standing
 // population.
 func BenchmarkMixedHorizon(b *testing.B) {
-	benchKinds(b, func(b *testing.B, q Interface) {
-		fn := func() {}
-		for i := 0; i < 512; i++ {
-			q.After(uint64(i%311), fn)
+	q := new(Queue)
+	fn := func() {}
+	for i := 0; i < 512; i++ {
+		q.After(uint64(i%311), fn)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		d := uint64(i % 449)
+		if i%64 == 0 {
+			d = 50000 // quantum-scale outlier
 		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			d := uint64(i % 449)
-			if i%64 == 0 {
-				d = 50000 // quantum-scale outlier
-			}
-			q.After(d, fn)
-			q.Step()
-		}
-	})
+		q.After(d, fn)
+		q.Step()
+	}
 }

@@ -5,19 +5,8 @@ import (
 	"testing/quick"
 )
 
-// kinds runs a subtest against every queue implementation.
-func kinds(t *testing.T, f func(t *testing.T, newQ func() Interface)) {
-	t.Helper()
-	for _, k := range []Kind{Calendar, Heap} {
-		k := k
-		t.Run(k.String(), func(t *testing.T) {
-			f(t, func() Interface { return New(k) })
-		})
-	}
-}
-
 func TestOrderingByTime(t *testing.T) {
-	kinds(t, func(t *testing.T, newQ func() Interface) {
+	impls(t, func(t *testing.T, newQ func() queue) {
 		q := newQ()
 		var order []int
 		q.At(30, func() { order = append(order, 3) })
@@ -37,7 +26,7 @@ func TestOrderingByTime(t *testing.T) {
 }
 
 func TestFIFOTieBreak(t *testing.T) {
-	kinds(t, func(t *testing.T, newQ func() Interface) {
+	impls(t, func(t *testing.T, newQ func() queue) {
 		q := newQ()
 		var order []int
 		for i := 0; i < 10; i++ {
@@ -54,7 +43,7 @@ func TestFIFOTieBreak(t *testing.T) {
 }
 
 func TestAfterAndNestedScheduling(t *testing.T) {
-	kinds(t, func(t *testing.T, newQ func() Interface) {
+	impls(t, func(t *testing.T, newQ func() queue) {
 		q := newQ()
 		var times []uint64
 		q.After(10, func() {
@@ -71,7 +60,7 @@ func TestAfterAndNestedScheduling(t *testing.T) {
 }
 
 func TestPastSchedulingClamped(t *testing.T) {
-	kinds(t, func(t *testing.T, newQ func() Interface) {
+	impls(t, func(t *testing.T, newQ func() queue) {
 		q := newQ()
 		ran := false
 		q.At(100, func() {
@@ -91,7 +80,7 @@ func TestPastSchedulingClamped(t *testing.T) {
 }
 
 func TestStepEmpty(t *testing.T) {
-	kinds(t, func(t *testing.T, newQ func() Interface) {
+	impls(t, func(t *testing.T, newQ func() queue) {
 		if newQ().Step() {
 			t.Error("Step on empty queue returned true")
 		}
@@ -99,7 +88,7 @@ func TestStepEmpty(t *testing.T) {
 }
 
 func TestRunUntil(t *testing.T) {
-	kinds(t, func(t *testing.T, newQ func() Interface) {
+	impls(t, func(t *testing.T, newQ func() queue) {
 		q := newQ()
 		var ran []uint64
 		for _, tm := range []uint64{5, 10, 15, 20} {
@@ -121,7 +110,7 @@ func TestRunUntil(t *testing.T) {
 }
 
 func TestRunUntilHonorsNestedWithinBound(t *testing.T) {
-	kinds(t, func(t *testing.T, newQ func() Interface) {
+	impls(t, func(t *testing.T, newQ func() queue) {
 		q := newQ()
 		var ran []uint64
 		q.At(5, func() {
@@ -135,7 +124,7 @@ func TestRunUntilHonorsNestedWithinBound(t *testing.T) {
 }
 
 func TestRunWhile(t *testing.T) {
-	kinds(t, func(t *testing.T, newQ func() Interface) {
+	impls(t, func(t *testing.T, newQ func() queue) {
 		q := newQ()
 		count := 0
 		for i := 0; i < 10; i++ {
@@ -151,7 +140,7 @@ func TestRunWhile(t *testing.T) {
 // Property: events always run in non-decreasing time order regardless of
 // scheduling order.
 func TestMonotoneClockProperty(t *testing.T) {
-	kinds(t, func(t *testing.T, newQ func() Interface) {
+	impls(t, func(t *testing.T, newQ func() queue) {
 		f := func(times []uint16) bool {
 			q := newQ()
 			var ran []uint64
@@ -173,62 +162,109 @@ func TestMonotoneClockProperty(t *testing.T) {
 	})
 }
 
-// TestCalendarSparseFarFuture exercises the direct-search path: a few
-// events separated by gaps much larger than the calendar year.
-func TestCalendarSparseFarFuture(t *testing.T) {
+// TestFarPath exercises the far heap: sparse events separated by gaps
+// much larger than the window, same-time ties among them, and a clock
+// that jumps straight from one far event to the next.
+func TestFarPath(t *testing.T) {
 	var q Queue
 	var ran []uint64
-	for _, tm := range []uint64{1, 1 << 20, 1 << 30, 1 << 40} {
-		tm := tm
-		q.At(tm, func() { ran = append(ran, tm) })
-	}
-	q.Run()
-	if len(ran) != 4 {
-		t.Fatalf("ran %d events", len(ran))
-	}
-	for i := 1; i < len(ran); i++ {
-		if ran[i] < ran[i-1] {
-			t.Fatalf("out of order: %v", ran)
-		}
-	}
-}
-
-// TestCalendarResizeKeepsOrder drives the population through grow and
-// shrink cycles while checking pop order.
-func TestCalendarResizeKeepsOrder(t *testing.T) {
-	var q Queue
-	var last uint64
-	popped := 0
-	// Grow: thousands of pending events force multiple doublings.
-	for i := 0; i < 5000; i++ {
-		tm := uint64((i * 7919) % 100000)
+	times := []uint64{1 << 40, 1, 1 << 20, 1 << 30, 1 << 20, span, 1 << 40}
+	for i, tm := range times {
+		i, tm := i, tm
 		q.At(tm, func() {
-			if q.Now() < last {
-				t.Fatalf("clock went backwards: %d < %d", q.Now(), last)
+			if q.Now() != tm {
+				t.Errorf("event %d ran at %d, want %d", i, q.Now(), tm)
 			}
-			last = q.Now()
-			popped++
+			ran = append(ran, uint64(i))
 		})
 	}
-	// Shrink: drain fully (resize-down happens as n falls).
+	if far := len(q.far.items); far != 6 {
+		t.Fatalf("far heap holds %d events, want 6 (all but t=1)", far)
+	}
 	q.Run()
-	if popped != 5000 {
-		t.Fatalf("popped %d/5000", popped)
+	want := []uint64{1, 5, 2, 4, 3, 0, 6}
+	for i := range want {
+		if i >= len(ran) || ran[i] != want[i] {
+			t.Fatalf("dispatch order %v, want %v", ran, want)
+		}
+	}
+	if q.Len() != 0 || len(q.far.items) != 0 {
+		t.Errorf("pending after run: len=%d far=%d", q.Len(), len(q.far.items))
 	}
 }
 
-// TestZeroAllocSteadyState pins the tentpole's zero-allocation contract:
-// once warmed up, scheduling and dispatching events allocates nothing, for
-// both implementations — including when the dispatch loop runs with
-// cancellation checks enabled (RunChecked with a non-blocking Done-channel
-// probe, exactly what a context-carrying sim.Run does).
+// TestFarToNearTie pins the migration invariant: an event that took the
+// far path pops before a later near-path schedule for the same cycle.
+func TestFarToNearTie(t *testing.T) {
+	var q Queue
+	var order []string
+	const due = span + 5
+	q.At(due, func() { order = append(order, "A") })
+	if len(q.far.items) != 1 {
+		t.Fatalf("A should take the far path; far heap holds %d", len(q.far.items))
+	}
+	q.RunUntil(10)
+	if len(q.far.items) != 0 {
+		t.Fatalf("advancing the clock to 10 left A in the far heap")
+	}
+	q.At(due, func() { order = append(order, "B") })
+	q.Run()
+	if len(order) != 2 || order[0] != "A" || order[1] != "B" {
+		t.Errorf("order = %v, want [A B]", order)
+	}
+	if q.Now() != due {
+		t.Errorf("now = %d, want %d", q.Now(), due)
+	}
+}
+
+// TestWheelWrapAround runs a population across many windows — scattered
+// schedules over ~100 spans plus chains whose delays straddle the window
+// edge — and requires the reference heap's exact dispatch order.
+func TestWheelWrapAround(t *testing.T) {
+	run := func(q queue) []uint64 {
+		var out []uint64
+		for i := 0; i < 5000; i++ {
+			tm := uint64((i * 7919) % 100000)
+			id := uint64(i)
+			q.At(tm, func() { out = append(out, id, q.Now()) })
+		}
+		for c, d := range []uint64{span - 1, span, span + 1, 3 * span / 2} {
+			id, hops := uint64(10000+c), 200
+			var hop func()
+			hop = func() {
+				out = append(out, id, q.Now())
+				if hops--; hops > 0 {
+					q.After(d, hop)
+				}
+			}
+			q.After(d, hop)
+		}
+		q.Run()
+		return out
+	}
+	got, want := run(new(Queue)), run(new(refQueue))
+	if len(got) != 2*(5000+4*200) {
+		t.Fatalf("dispatched %d events, want %d", len(got)/2, 5000+4*200)
+	}
+	diffRecords(t, "wrap-around", got, want)
+}
+
+// TestZeroAllocSteadyState pins the zero-allocation contract: once warmed
+// up, scheduling and dispatching events allocates nothing, on the wheel and
+// on the far heap alike (every 64th event is a quantum-scale outlier) —
+// including when the dispatch loop runs with cancellation checks enabled
+// (RunChecked with a non-blocking Done-channel probe, exactly what a
+// context-carrying sim.Run does).
 func TestZeroAllocSteadyState(t *testing.T) {
-	kinds(t, func(t *testing.T, newQ func() Interface) {
+	impls(t, func(t *testing.T, newQ func() queue) {
 		q := newQ()
 		fn := func() {}
-		// Warm up: grow internal storage to steady-state size.
-		for i := 0; i < 4096; i++ {
-			q.After(uint64(i%257), fn)
+		// Warm up: every slot and the far heap reach steady-state capacity.
+		for i := 0; i < 4*span; i++ {
+			q.After(uint64(i%span), fn)
+		}
+		for i := 0; i < 64; i++ {
+			q.After(50000, fn)
 		}
 		q.Run()
 		// The check closure mirrors sim.Run's cancellation probe: a
@@ -249,7 +285,11 @@ func TestZeroAllocSteadyState(t *testing.T) {
 		} {
 			avg := testing.AllocsPerRun(100, func() {
 				for i := 0; i < 64; i++ {
-					q.After(uint64(i%257), fn)
+					d := uint64(i % 257)
+					if i == 0 {
+						d = 50000 // quantum-scale outlier: the far path
+					}
+					q.After(d, fn)
 				}
 				drive()
 			})
@@ -264,7 +304,7 @@ func TestZeroAllocSteadyState(t *testing.T) {
 // every `every` events, and a false return stops dispatch within that
 // window, leaving the remaining events pending.
 func TestRunChecked(t *testing.T) {
-	kinds(t, func(t *testing.T, newQ func() Interface) {
+	impls(t, func(t *testing.T, newQ func() queue) {
 		q := newQ()
 		ran := 0
 		for i := 0; i < 100; i++ {
@@ -292,7 +332,7 @@ func TestRunChecked(t *testing.T) {
 // TestDrain verifies drain-on-cancel: pending events are discarded without
 // running, the count is reported, and the queue remains usable.
 func TestDrain(t *testing.T) {
-	kinds(t, func(t *testing.T, newQ func() Interface) {
+	impls(t, func(t *testing.T, newQ func() queue) {
 		q := newQ()
 		ran := 0
 		for i := 0; i < 50; i++ {

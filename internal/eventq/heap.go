@@ -1,149 +1,69 @@
 package eventq
 
-// HeapQueue is the binary-heap event queue: O(log n) insert and pop with no
-// assumptions about the time distribution. It is kept as the fallback
-// implementation and as the oracle the calendar queue is differentially
-// tested against. The sift operations are hand-written over the event slice
-// (rather than container/heap) so scheduling does not box events into
-// interfaces — the steady state allocates nothing.
-//
-// The zero value is ready to use.
-type HeapQueue struct {
-	now        uint64
-	seq        uint64
-	dispatched uint64
-	items      []event
+// event is one far-future callback. seq breaks same-time ties in FIFO
+// scheduling order.
+type event struct {
+	t   uint64
+	seq uint64
+	fn  func()
 }
 
-// Now returns the current simulated time in cycles.
-func (q *HeapQueue) Now() uint64 { return q.now }
-
-// Len returns the number of pending events.
-func (q *HeapQueue) Len() int { return len(q.items) }
-
-// Dispatched returns the number of events executed so far.
-func (q *HeapQueue) Dispatched() uint64 { return q.dispatched }
-
-// At schedules fn to run at absolute time t. Scheduling in the past (t <
-// Now) is clamped to Now, which keeps zero-latency interactions safe.
-func (q *HeapQueue) At(t uint64, fn func()) {
-	if t < q.now {
-		t = q.now
+// before reports whether e runs before other: earlier time first, earlier
+// scheduling order among equal times.
+func (e event) before(other event) bool {
+	if e.t != other.t {
+		return e.t < other.t
 	}
-	q.seq++
-	q.items = append(q.items, event{t: t, seq: q.seq, fn: fn})
-	q.siftUp(len(q.items) - 1)
+	return e.seq < other.seq
 }
 
-// After schedules fn to run d cycles from now.
-func (q *HeapQueue) After(d uint64, fn func()) {
-	q.At(q.now+d, fn)
+// farHeap is the binary min-heap of events beyond the wheel's window,
+// ordered by (t, seq). The sift operations are hand-written over the event
+// slice (rather than container/heap) so scheduling does not box events
+// into interfaces, and the slice keeps its high-water capacity, so the
+// steady state allocates nothing.
+type farHeap struct {
+	seq   uint64
+	items []event
 }
 
-func (q *HeapQueue) siftUp(i int) {
+// push adds fn at time t behind every earlier push for the same time.
+//
+//simcheck:hotpath
+func (h *farHeap) push(t uint64, fn func()) {
+	h.seq++
+	//simcheck:allow(hotpath) high-water heap store: pop shrinks items to items[:last] and keeps the backing array, so append stops allocating once the far population has peaked — TestZeroAllocSteadyState pins this with quantum-scale outliers
+	h.items = append(h.items, event{t: t, seq: h.seq, fn: fn})
+	i := len(h.items) - 1
 	for i > 0 {
 		parent := (i - 1) / 2
-		if !q.items[i].before(q.items[parent]) {
+		if !h.items[i].before(h.items[parent]) {
 			break
 		}
-		q.items[i], q.items[parent] = q.items[parent], q.items[i]
+		h.items[i], h.items[parent] = h.items[parent], h.items[i]
 		i = parent
 	}
 }
 
-func (q *HeapQueue) siftDown(i int) {
-	n := len(q.items)
-	for {
+// pop removes and returns the earliest event; the heap must be non-empty.
+func (h *farHeap) pop() event {
+	ev := h.items[0]
+	last := len(h.items) - 1
+	h.items[0] = h.items[last]
+	h.items[last] = event{}
+	h.items = h.items[:last]
+	for i := 0; ; {
 		least := i
-		if l := 2*i + 1; l < n && q.items[l].before(q.items[least]) {
+		if l := 2*i + 1; l < last && h.items[l].before(h.items[least]) {
 			least = l
 		}
-		if r := 2*i + 2; r < n && q.items[r].before(q.items[least]) {
+		if r := 2*i + 2; r < last && h.items[r].before(h.items[least]) {
 			least = r
 		}
 		if least == i {
-			return
+			return ev
 		}
-		q.items[i], q.items[least] = q.items[least], q.items[i]
+		h.items[i], h.items[least] = h.items[least], h.items[i]
 		i = least
 	}
-}
-
-// pop removes and returns the root (earliest) event.
-func (q *HeapQueue) pop() event {
-	ev := q.items[0]
-	last := len(q.items) - 1
-	q.items[0] = q.items[last]
-	q.items[last] = event{}
-	q.items = q.items[:last]
-	if last > 0 {
-		q.siftDown(0)
-	}
-	return ev
-}
-
-// Step pops and runs the earliest event, advancing the clock to its time.
-// It reports whether an event was run.
-func (q *HeapQueue) Step() bool {
-	if len(q.items) == 0 {
-		return false
-	}
-	ev := q.pop()
-	q.now = ev.t
-	q.dispatched++
-	ev.fn()
-	return true
-}
-
-// Run executes events until the queue is empty.
-func (q *HeapQueue) Run() {
-	for q.Step() {
-	}
-}
-
-// RunUntil executes events with time <= t, then advances the clock to t.
-// Events scheduled during execution are honored if they fall within t.
-func (q *HeapQueue) RunUntil(t uint64) {
-	for len(q.items) > 0 && q.items[0].t <= t {
-		q.Step()
-	}
-	if q.now < t {
-		q.now = t
-	}
-}
-
-// RunWhile executes events while cond() returns true and events remain.
-func (q *HeapQueue) RunWhile(cond func() bool) {
-	for cond() && q.Step() {
-	}
-}
-
-// RunChecked executes events until the queue is empty, consulting cont
-// every `every` dispatched events and stopping when it returns false.
-func (q *HeapQueue) RunChecked(every uint64, cont func() bool) {
-	if every == 0 {
-		q.Run()
-		return
-	}
-	for {
-		for i := uint64(0); i < every; i++ {
-			if !q.Step() {
-				return
-			}
-		}
-		if !cont() {
-			return
-		}
-	}
-}
-
-// Drain discards every pending event and returns the number dropped. The
-// item storage is retained for reuse.
-func (q *HeapQueue) Drain() int {
-	n := len(q.items)
-	for i := range q.items {
-		q.items[i] = event{}
-	}
-	q.items = q.items[:0]
-	return n
 }

@@ -17,8 +17,9 @@ import (
 	"fmt"
 )
 
-// Clock is the subset of the event queue the controller needs. It is
-// satisfied by *eventq.Queue.
+// Clock is the subset of the event queue the controller needs. The
+// simulator passes its one *eventq.Queue; keeping the dependency this
+// narrow lets the controller be driven by anything with a clock.
 type Clock interface {
 	Now() uint64
 	After(d uint64, fn func())

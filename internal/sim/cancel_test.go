@@ -6,7 +6,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/eventq"
 	"repro/internal/telemetry"
 )
 
@@ -113,13 +112,11 @@ func TestCancellationDoesNotPerturbCounters(t *testing.T) {
 func TestNewConfigOptions(t *testing.T) {
 	spec := testSpec()
 	cfg, err := NewConfig(spec,
-		WithThreads(4), WithCores(2), WithQuantum(1000),
-		WithEventQueue(eventq.Heap), WithCancelEvery(128))
+		WithThreads(4), WithCores(2), WithQuantum(1000), WithCancelEvery(128))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cfg.Threads != 4 || cfg.Cores != 2 || cfg.Quantum != 1000 ||
-		cfg.EventQueue != eventq.Heap || cfg.CancelEvery != 128 {
+	if cfg.Threads != 4 || cfg.Cores != 2 || cfg.Quantum != 1000 || cfg.CancelEvery != 128 {
 		t.Errorf("options not applied: %+v", cfg)
 	}
 	// Defaults fill untouched fields.

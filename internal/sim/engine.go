@@ -47,7 +47,7 @@ type core struct {
 type engine struct {
 	cfg     Config
 	m       *machine.Machine
-	q       eventq.Interface
+	q       *eventq.Queue
 	threads []*thread
 	cores   []*core
 	// l1Latency is subtracted from hit latencies: first-level hits are
@@ -83,7 +83,7 @@ type engine struct {
 	reqFree []*memReq
 }
 
-func newEngine(cfg Config, m *machine.Machine, q eventq.Interface) *engine {
+func newEngine(cfg Config, m *machine.Machine, q *eventq.Queue) *engine {
 	e := &engine{
 		cfg:             cfg,
 		m:               m,

@@ -3,10 +3,8 @@ package sim
 import (
 	"context"
 	"math/rand"
-	"reflect"
 	"testing"
 
-	"repro/internal/eventq"
 	"repro/internal/trace"
 )
 
@@ -42,42 +40,6 @@ func randomStreams(seed int64, threads, refsEach int) []trace.Stream {
 		streams[t] = trace.FromSlice(refs)
 	}
 	return streams
-}
-
-// TestCalendarHeapIdenticalResults is the engine-level differential test:
-// the full Result (every counter, per-thread and per-controller) must be
-// identical whichever event-queue backend dispatched the run.
-func TestCalendarHeapIdenticalResults(t *testing.T) {
-	for _, spec := range []struct {
-		name string
-		mk   func() Config
-	}{
-		{"numa", func() Config { return Config{Spec: testSpec(), Threads: 4, Cores: 4} }},
-		{"uma-bus", func() Config { return Config{Spec: umaSpec(), Threads: 4, Cores: 2} }},
-		{"oversubscribed", func() Config { return Config{Spec: testSpec(), Threads: 8, Cores: 2, Quantum: 500} }},
-		{"interleave", func() Config { return Config{Spec: testSpec(), Threads: 4, Cores: 4, Placement: Interleave} }},
-	} {
-		t.Run(spec.name, func(t *testing.T) {
-			for seed := int64(1); seed <= 5; seed++ {
-				cal := spec.mk()
-				cal.EventQueue = eventq.Calendar
-				resCal, err := Run(context.Background(), cal, randomStreams(seed, cal.Threads, 3000))
-				if err != nil {
-					t.Fatal(err)
-				}
-				hp := spec.mk()
-				hp.EventQueue = eventq.Heap
-				resHeap, err := Run(context.Background(), hp, randomStreams(seed, hp.Threads, 3000))
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !reflect.DeepEqual(resCal, resHeap) {
-					t.Fatalf("seed %d: calendar and heap results diverge:\ncalendar: %+v\nheap:     %+v",
-						seed, resCal, resHeap)
-				}
-			}
-		})
-	}
 }
 
 // TestDispatchLoopAllocationBound pins the zero-alloc contract end to end:

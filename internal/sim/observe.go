@@ -3,7 +3,6 @@ package sim
 import (
 	"strconv"
 
-	"repro/internal/eventq"
 	"repro/internal/telemetry"
 )
 
@@ -17,8 +16,8 @@ type ObserveConfig struct {
 	// the paper's 5 µs at the machine's clock (or 10000 cycles when the
 	// spec has no clock).
 	Interval uint64
-	// Tracer, when non-nil, receives structured run events: run lifecycle,
-	// sampler summary and calendar-queue resizes.
+	// Tracer, when non-nil, receives structured run events: run lifecycle
+	// and sampler summary.
 	Tracer *telemetry.Tracer
 	// Registry, when non-nil, is updated live at every sample (gauges for
 	// in-flight requests and per-controller utilization, a counter of
@@ -184,7 +183,7 @@ func (o *observer) start() {
 // event and would otherwise round the makespan up to the next sampling
 // boundary. When done is non-nil, cont is consulted every `every`
 // dispatched events — the same bounded-latency cancellation contract as
-// eventq.RunChecked — and drive reports false if it stopped because cont
+// eventq.Queue.RunChecked — and drive reports false if it stopped because cont
 // did.
 func (o *observer) drive(maxCycles, every uint64, done <-chan struct{}, cont func() bool) bool {
 	q := o.e.q
@@ -270,18 +269,4 @@ func (o *observer) sample() {
 	}
 
 	e.q.After(o.interval, o.sampleFn)
-}
-
-// attachQueueTracing logs calendar-queue resizes through the tracer. The
-// hook lives on the queue's cold resize path, so tracing adds no cost to
-// steady-state dispatch.
-func attachQueueTracing(q eventq.Interface, tracer *telemetry.Tracer) {
-	cal, ok := q.(*eventq.Queue)
-	if !ok || !tracer.Enabled() {
-		return
-	}
-	cal.OnResize = func(buckets int, width uint64, pending int) {
-		tracer.Emit("eventq.resize",
-			"cycles", cal.Now(), "buckets", buckets, "width", width, "pending", pending)
-	}
 }

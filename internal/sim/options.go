@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"strings"
 
-	"repro/internal/eventq"
 	"repro/internal/machine"
 )
 
@@ -88,9 +87,6 @@ func WithMaxCycles(cycles uint64) Option { return func(c *Config) { c.MaxCycles 
 // WithCoherence enables the MESI-style invalidation directory.
 func WithCoherence(on bool) Option { return func(c *Config) { c.Coherence = on } }
 
-// WithEventQueue selects the discrete-event queue implementation.
-func WithEventQueue(k eventq.Kind) Option { return func(c *Config) { c.EventQueue = k } }
-
 // WithObserve attaches the in-run telemetry layer (nil disables it).
 func WithObserve(o *ObserveConfig) Option { return func(c *Config) { c.Observe = o } }
 
@@ -156,9 +152,6 @@ func (cfg *Config) validate(nStreams int) error {
 	}
 	if cfg.Placement > Interleave {
 		fields = append(fields, FieldError{"Placement", fmt.Sprintf("unknown policy %d", cfg.Placement)})
-	}
-	if cfg.EventQueue > eventq.Heap {
-		fields = append(fields, FieldError{"EventQueue", fmt.Sprintf("unknown kind %d", cfg.EventQueue)})
 	}
 	if nStreams >= 0 && nStreams != cfg.Threads {
 		fields = append(fields, FieldError{"Streams", fmt.Sprintf("%d streams for %d threads", nStreams, cfg.Threads)})

@@ -95,15 +95,6 @@ type Config struct {
 	// synthetically (see internal/workload), which stays accurate without
 	// the directory's memory overhead.
 	Coherence bool
-	// EventQueue selects the discrete-event queue implementation: the
-	// default eventq.Calendar bucket queue, or the eventq.Heap binary heap
-	// that differential and golden tests use as the oracle. Both dispatch
-	// events in the identical deterministic order, so results do not
-	// depend on this choice; speed does, and neither wins everywhere. In
-	// perfbench (CPU time per op, 3 alternating pairs, 2-core x86-64
-	// host), the heap was ~9% faster on the CG.C/IntelUMA8 sweep and the
-	// calendar ~7% faster on the SP.C/AMDNUMA48 curve.
-	EventQueue eventq.Kind
 	// CancelEvery is the cancellation-check period: Run polls ctx.Done()
 	// every CancelEvery dispatched events, so a cancellation is honored
 	// within that many events. 0 defaults to DefaultCancelEvery. The check
@@ -262,7 +253,7 @@ func Run(ctx context.Context, cfg Config, streams []trace.Stream) (Result, error
 		return Result{}, err
 	}
 
-	q := eventq.New(cfg.EventQueue)
+	q := new(eventq.Queue)
 	m, err := machine.Build(cfg.Spec, q)
 	if err != nil {
 		return Result{}, err
@@ -277,7 +268,6 @@ func Run(ctx context.Context, cfg Config, streams []trace.Stream) (Result, error
 	var obs *observer
 	if cfg.Observe != nil {
 		obs = newObserver(e, cfg.Observe)
-		attachQueueTracing(q, cfg.Observe.Tracer)
 		cfg.Observe.Tracer.Emit("run.start",
 			"machine", cfg.Spec.Name, "threads", cfg.Threads, "cores", cfg.Cores,
 			"placement", cfg.Placement.String(), "sample_interval", obs.interval)
