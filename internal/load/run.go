@@ -141,7 +141,11 @@ func Run(ctx context.Context, cfg Config) ([]Record, error) {
 		records = make([]Record, 0, len(cfg.Schedule))
 	)
 	start := time.Now()
-	timer := time.NewTimer(0)
+	// Created stopped: a timer that had already fired would leave a
+	// stale tick in its channel (go 1.22 timer semantics) and release the
+	// first wait early, dispatching ahead of schedule.
+	timer := time.NewTimer(time.Hour)
+	timer.Stop()
 	defer timer.Stop()
 	dispatched := 0
 	var runErr error
