@@ -89,3 +89,71 @@ func TestGoldenTableII(t *testing.T) {
 	experiments.RenderTableII(&buf, d, specs)
 	checkGolden(t, "tableII_IntelUMA8.txt", buf.Bytes())
 }
+
+// studyTune is the scale of the Section V study fixtures (sensitivity,
+// controller ablation, oversubscription): every CG.C run is cut to one
+// iteration, so the three fixtures run in seconds.
+var studyTune = workload.Tuning{RefScale: 0.01}
+
+// fig4Tune is the Fig. 4 fixture scale. The sampled runs are cheap even at
+// a quarter of the full iteration counts, and this much of each run keeps
+// bursty and non-bursty verdicts and non-trivial tail fits in the fixture.
+var fig4Tune = workload.Tuning{RefScale: 0.25}
+
+func TestGoldenFig4(t *testing.T) {
+	if testing.Short() {
+		t.Skip("golden artifacts skipped in -short mode")
+	}
+	r := experiments.NewRunner(fig4Tune)
+	series, err := r.Fig4(context.Background(), machine.IntelNUMA24())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	experiments.RenderFig4(&buf, series)
+	checkGolden(t, "fig4_IntelNUMA24.txt", buf.Bytes())
+}
+
+func TestGoldenOversubscription(t *testing.T) {
+	if testing.Short() {
+		t.Skip("golden artifacts skipped in -short mode")
+	}
+	spec := machine.IntelUMA8()
+	r := experiments.NewRunner(studyTune)
+	points, err := r.Oversubscription(context.Background(), spec, "CG", workload.C)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	experiments.RenderOversubscription(&buf, spec, "CG", workload.C, points)
+	checkGolden(t, "oversubscription_IntelUMA8.txt", buf.Bytes())
+}
+
+func TestGoldenSensitivity(t *testing.T) {
+	if testing.Short() {
+		t.Skip("golden artifacts skipped in -short mode")
+	}
+	spec := machine.IntelUMA8()
+	r := experiments.NewRunner(studyTune)
+	points, err := r.Sensitivity(context.Background(), spec, "CG", workload.C)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	experiments.RenderSensitivity(&buf, spec, "CG", workload.C, points)
+	checkGolden(t, "sensitivity_IntelUMA8.txt", buf.Bytes())
+}
+
+func TestGoldenAblationController(t *testing.T) {
+	if testing.Short() {
+		t.Skip("golden artifacts skipped in -short mode")
+	}
+	r := experiments.NewRunner(studyTune)
+	res, err := r.AblationController(context.Background(), machine.IntelUMA8())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	experiments.RenderAblationController(&buf, res)
+	checkGolden(t, "ablation_controller_IntelUMA8.txt", buf.Bytes())
+}
