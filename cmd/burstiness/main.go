@@ -1,7 +1,7 @@
 // Command burstiness profiles the off-chip memory traffic of one workload
-// with the paper's 5 µs sampler and reports the burst-size distribution:
-// CCDF points (the paper's Fig. 4 log-log plot data), the power-law tail
-// fit, and the bursty/non-bursty classification.
+// in the paper's 5 µs LLC-miss windows and reports the burst-size
+// distribution: CCDF points (the paper's Fig. 4 log-log plot data), the
+// power-law tail fit, and the bursty/non-bursty classification.
 //
 // Usage:
 //
@@ -19,7 +19,6 @@ import (
 	"repro/internal/burst"
 	"repro/internal/cli"
 	"repro/internal/machine"
-	"repro/internal/sampler"
 	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/viz"
@@ -48,33 +47,26 @@ func main() {
 		fatal(err)
 	}
 	if *micros == 0 {
-		*micros = float64(sampler.DefaultWindowMicros) / machine.CacheScale
+		*micros = float64(burst.DefaultWindowMicros) / machine.CacheScale
 	}
-	s, err := sampler.NewMicros(*micros, spec.ClockGHz)
-	if err != nil {
-		fatal(err)
+	window := burst.WindowCycles(*micros, spec.ClockGHz)
+	if window == 0 {
+		fatal(fmt.Errorf("-window %gus is shorter than one cycle", *micros))
 	}
 	threads := spec.TotalCores()
-	cfg, err := sim.NewConfig(spec,
-		sim.WithThreads(threads),
-		sim.WithCores(threads),
-		sim.WithMissHook(s.Hook()))
-	if err != nil {
-		fatal(err)
-	}
 	ctx, stopSignals := cli.SignalContext(context.Background())
 	defer stopSignals()
-	res, err := sim.Run(ctx, cfg, wl.Streams(threads))
+	res, err := sim.Run(ctx, sim.Config{Spec: spec, MissWindow: window}, wl.Streams(threads))
 	if err != nil {
 		fatal(err)
 	}
-	s.PadTo(res.Makespan)
+	windows := res.MissWindows
 
 	fmt.Printf("# %s %s.%s: %d threads, %d cores, %gus windows (%d cycles)\n",
-		spec.Name, wl.Name(), wl.Class(), threads, threads, *micros, s.WindowCycles())
-	fmt.Printf("# %d off-chip requests over %d windows\n", s.Total(), len(s.Windows()))
+		spec.Name, wl.Name(), wl.Class(), threads, threads, *micros, window)
+	fmt.Printf("# %d off-chip requests over %d windows\n", res.OffChipRequests, len(windows))
 
-	a, err := burst.Analyze(s.Windows())
+	a, err := burst.Analyze(windows)
 	if errors.Is(err, burst.ErrNoTraffic) {
 		fmt.Println("no off-chip traffic: working set fully cached")
 		return
@@ -90,11 +82,10 @@ func main() {
 	fmt.Printf("tail fit         alpha=%.2f R2=%.2f (x >= %.0f, %d points)\n",
 		a.Tail.Alpha, a.Tail.R2, a.TailXmin, a.Tail.N)
 	fmt.Printf("verdict          %s\n", a.Classify())
-	_ = res
 
 	if *hurst {
-		series := make([]float64, len(s.Windows()))
-		for i, c := range s.Windows() {
+		series := make([]float64, len(windows))
+		for i, c := range windows {
 			series[i] = float64(c)
 		}
 		if h, err := stats.Hurst(series); err == nil {

@@ -5,8 +5,9 @@
 // produce non-bursty traffic. That observation is what licenses the M/M/1
 // model for large problems.
 //
-// This example attaches the 5 µs sampler to CG runs across all five NPB
-// problem classes and prints each class's burst profile and verdict.
+// This example counts LLC misses per 5 µs window in CG runs across all
+// five NPB problem classes and prints each class's burst profile and
+// verdict.
 package main
 
 import (
@@ -19,7 +20,6 @@ import (
 
 	"repro/internal/burst"
 	"repro/internal/machine"
-	"repro/internal/sampler"
 	"repro/internal/sim"
 	"repro/internal/workload"
 )
@@ -27,6 +27,8 @@ import (
 func main() {
 	spec := machine.IntelNUMA24() // the paper's Fig. 4 machine
 	threads := spec.TotalCores()
+	// 5 us of real-machine time, scaled with the machine's capacity scale.
+	window := burst.WindowCycles(float64(burst.DefaultWindowMicros)/machine.CacheScale, spec.ClockGHz)
 
 	tw := tabwriter.NewWriter(os.Stdout, 0, 4, 2, ' ', 0)
 	fmt.Fprintln(tw, "class\tfootprint\toff-chip lines\tbusy windows\tmax burst\ttail slope\tverdict")
@@ -43,23 +45,17 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		// 5 us of real-machine time, scaled with the machine's capacity scale.
-		s, err := sampler.NewMicros(float64(sampler.DefaultWindowMicros)/machine.CacheScale, spec.ClockGHz)
-		if err != nil {
-			log.Fatal(err)
-		}
 		res, err := sim.Run(context.Background(), sim.Config{
-			Spec:     spec,
-			Threads:  threads,
-			Cores:    threads,
-			MissHook: s.Hook(),
+			Spec:       spec,
+			Threads:    threads,
+			Cores:      threads,
+			MissWindow: window,
 		}, wl.Streams(threads))
 		if err != nil {
 			log.Fatal(err)
 		}
-		s.PadTo(res.Makespan)
 
-		a, err := burst.Analyze(s.Windows())
+		a, err := burst.Analyze(res.MissWindows)
 		if errors.Is(err, burst.ErrNoTraffic) {
 			fmt.Fprintf(tw, "CG.%s\t%.1f MB\t0\t0%%\t-\t-\tfully cached\n",
 				class, float64(wl.FootprintBytes())/(1<<20))

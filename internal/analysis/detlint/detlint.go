@@ -42,7 +42,7 @@ func init() { simdir.Register(Name) }
 // artifacts. internal/experiments, internal/cli and internal/telemetry are
 // deliberately outside — they host the (checked-elsewhere) concurrency and
 // wall-clock code.
-const DefaultPackages = `(^|/)internal/(sim|eventq|memctrl|core|interconnect|cache|workload|counters|trace|machine|burst|mmq|stats|sampler)($|/)`
+const DefaultPackages = `(^|/)internal/(sim|eventq|memctrl|core|interconnect|cache|workload|counters|trace|machine|burst|mmq|stats)($|/)`
 
 var Analyzer = &analysis.Analyzer{
 	Name: Name,

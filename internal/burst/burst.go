@@ -1,6 +1,6 @@
 // Package burst analyzes the burstiness of off-chip memory traffic from
-// windowed miss counts (internal/sampler), reproducing the paper's Fig. 4
-// methodology: the distribution of burst sizes (number of requested cache
+// windowed miss counts (sim.Result.MissWindows), reproducing the paper's
+// Fig. 4 methodology: the distribution of burst sizes (number of requested cache
 // lines) is plotted as a log-log CCDF, and a long (power-law-like) tail
 // marks bursty traffic while its absence marks the saturated, non-bursty
 // traffic of large problem sizes.
@@ -19,6 +19,16 @@ import (
 
 	"repro/internal/stats"
 )
+
+// DefaultWindowMicros is the paper's LLC-miss sampling period (section
+// III-B2).
+const DefaultWindowMicros = 5
+
+// WindowCycles converts a sampling window of micros microseconds into
+// cycles of a clockGHz clock, truncating toward zero.
+func WindowCycles(micros, clockGHz float64) uint64 {
+	return uint64(micros * clockGHz * 1000)
+}
 
 // Burst is a maximal run of consecutive non-empty sampling windows.
 type Burst struct {

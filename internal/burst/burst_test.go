@@ -8,6 +8,17 @@ import (
 	"testing/quick"
 )
 
+func TestWindowCycles(t *testing.T) {
+	// 5 us at 2.66 GHz = 13300 cycles (the paper's Intel NUMA setting).
+	if got := WindowCycles(DefaultWindowMicros, 2.66); got != 13300 {
+		t.Errorf("window = %d cycles, want 13300", got)
+	}
+	// Sub-cycle windows truncate to zero, which sim reads as "off".
+	if got := WindowCycles(0.0001, 1); got != 0 {
+		t.Errorf("window = %d cycles, want 0", got)
+	}
+}
+
 func TestExtractBasic(t *testing.T) {
 	windows := []uint64{0, 3, 5, 0, 0, 2, 0, 7, 1, 1}
 	bursts := Extract(windows)

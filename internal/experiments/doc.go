@@ -16,7 +16,7 @@
 //     simulations.
 //
 //   - Deduplication (singleflight): a run is identified by its key
-//     (machine, program, class, cores, scale). Concurrent requests for the
+//     (machine, program, class, cores, scale, variant). Concurrent requests for the
 //     same not-yet-cached key block on one underlying simulation; exactly
 //     one sim.Run executes per key for the lifetime of the Runner, no
 //     matter how many goroutines race on it. This also closes the classic
@@ -73,8 +73,9 @@
 // Each table/figure driver builds its whole measurement plan up front and
 // submits it through RunAll/SweepAsync, so independent runs overlap up to
 // the Jobs bound while shared runs (e.g. the CG.C sweep feeding Fig. 3,
-// Fig. 5 and Table IV) execute once. Sampled or variant-machine runs that
-// cannot be cached (Fig. 4's miss hook, the sensitivity study's mutated
-// specs) go through RunConfig, which bypasses the cache but still respects
-// the worker-pool bound.
+// Fig. 5 and Table IV) execute once. There is one run path: Fig. 4's
+// miss-window runs, the sensitivity study's mutated machines and the
+// oversubscribed thread counts are RunItems too. Their keys carry a
+// Variant digest of the spec, thread count and miss window, so they are
+// cached, deduplicated and journaled like the paper's preset runs.
 package experiments

@@ -4,13 +4,11 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sync"
 
 	"repro/internal/burst"
 	"repro/internal/core"
 	"repro/internal/machine"
 	"repro/internal/memctrl"
-	"repro/internal/sampler"
 	"repro/internal/sim"
 	"repro/internal/workload"
 )
@@ -178,108 +176,52 @@ type Fig4Series struct {
 	Verdict  burst.Verdict
 }
 
-// Fig4 runs each program+class with the 5 µs LLC-miss sampler attached and
-// analyzes burst sizes. The paper uses 24 threads on 24 cores of the Intel
-// NUMA machine. Sampled runs are not cacheable (the miss hook is not part
-// of the cache key), but the nine subjects still execute concurrently
-// under the worker-pool bound and the series come back in the paper's
-// order.
+// Fig4 runs each program+class with all cores active, counting LLC misses
+// per 5 µs window, and analyzes burst sizes. The paper uses 24 threads on
+// 24 cores of the Intel NUMA machine. The nine subjects are one plan, so
+// they run concurrently, cached and journaled like any other runs, and
+// the series come back in the paper's order.
 func (r *Runner) Fig4(ctx context.Context, spec machine.Spec) ([]Fig4Series, error) {
-	subjects := []struct {
+	// The paper samples every 5 µs of real-machine time. Our machines and
+	// problem classes are scaled down by machine.CacheScale, which
+	// compresses phase durations by roughly the same factor, so the
+	// equivalent sampling window scales with them.
+	window := burst.WindowCycles(float64(burst.DefaultWindowMicros)/machine.CacheScale, spec.ClockGHz)
+	if window == 0 {
+		return nil, fmt.Errorf("experiments: %s clock %g GHz gives a zero-cycle miss window", spec.Name, spec.ClockGHz)
+	}
+	var plan []RunItem
+	for _, subj := range []struct {
 		program string
 		classes []workload.Class
 	}{
 		{"CG", []workload.Class{workload.S, workload.W, workload.A, workload.B, workload.C}},
 		{"x264", []workload.Class{workload.SimSmall, workload.SimMedium, workload.SimLarge, workload.Native}},
-	}
-	type subject struct {
-		program string
-		class   workload.Class
-	}
-	var order []subject
-	for _, subj := range subjects {
+	} {
 		for _, class := range subj.classes {
-			order = append(order, subject{subj.program, class})
+			plan = append(plan, RunItem{Spec: spec, Program: subj.program, Class: class,
+				Cores: spec.TotalCores(), MissWindow: window})
 		}
 	}
-	series := make([]Fig4Series, len(order))
-	err := parallelEach(len(order), func(i int) error {
-		subj := order[i]
-		s, err := r.runSampled(ctx, spec, subj.program, subj.class)
-		if err != nil {
-			return err
-		}
-		a, err := burst.Analyze(s.Windows())
+	results, err := r.RunAll(ctx, plan)
+	if err != nil {
+		return nil, err
+	}
+	series := make([]Fig4Series, len(plan))
+	for i, res := range results {
+		series[i] = Fig4Series{Program: plan[i].Program, Class: plan[i].Class}
+		a, err := burst.Analyze(res.MissWindows)
 		if errors.Is(err, burst.ErrNoTraffic) {
 			// Fully cached run: report an empty bursty profile.
-			series[i] = Fig4Series{Program: subj.program, Class: subj.class, Verdict: burst.Bursty}
-			return nil
+			series[i].Verdict = burst.Bursty
+			continue
 		}
 		if err != nil {
-			return err
+			return nil, err
 		}
-		series[i] = Fig4Series{
-			Program:  subj.program,
-			Class:    subj.class,
-			Analysis: a,
-			Verdict:  a.Classify(),
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
+		series[i].Analysis, series[i].Verdict = a, a.Classify()
 	}
 	return series, nil
-}
-
-// parallelEach runs fn(0..n-1) concurrently and returns the first error in
-// index order after all calls settle. The worker-pool bound applies inside
-// fn's simulations, not here, so waiters cost nothing.
-func parallelEach(n int, fn func(i int) error) error {
-	errs := make([]error, n)
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			errs[i] = fn(i)
-		}(i)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// runSampled executes one run with the paper's 5 µs sampler attached.
-// Sampled runs are not cached (the hook is not part of the cache key) but
-// still count against the worker-pool bound via RunConfig.
-func (r *Runner) runSampled(ctx context.Context, spec machine.Spec, program string, class workload.Class) (*sampler.Sampler, error) {
-	// The paper samples every 5 µs of real-machine time. Our machines and
-	// problem classes are scaled down by machine.CacheScale, which
-	// compresses phase durations by roughly the same factor, so the
-	// equivalent sampling window scales with them.
-	micros := float64(sampler.DefaultWindowMicros) / machine.CacheScale
-	s, err := sampler.NewMicros(micros, spec.ClockGHz)
-	if err != nil {
-		return nil, err
-	}
-	threads := spec.TotalCores()
-	res, err := r.RunConfig(ctx, sim.Config{
-		Spec:     spec,
-		Threads:  threads,
-		Cores:    threads,
-		MissHook: s.Hook(),
-	}, program, class)
-	if err != nil {
-		return nil, err
-	}
-	// Count quiet trailing windows toward the busy fraction.
-	s.PadTo(res.Makespan)
-	return s, nil
 }
 
 // ---------------------------------------------------------------------------
@@ -461,35 +403,23 @@ type AblationControllerResult struct {
 	CoresUsed int
 }
 
-// AblationController runs CG.C at full core count under both disciplines
-// (the paper lists service discipline among the model extensions).
+// AblationController runs CG.C at one and at all cores under both
+// disciplines (the paper lists service discipline among the model
+// extensions). The four runs are one plan.
 func (r *Runner) AblationController(ctx context.Context, spec machine.Spec) (AblationControllerResult, error) {
-	runBoth := func(disc memctrl.Discipline) (base, full sim.Result, err error) {
+	var plan []RunItem
+	for _, disc := range []memctrl.Discipline{memctrl.FCFS, memctrl.FRFCFS} {
 		s := spec
 		s.MC.Discipline = disc
-		threads := s.TotalCores()
-		for _, cores := range []int{1, threads} {
-			res, rerr := r.RunConfig(ctx, sim.Config{Spec: s, Threads: threads, Cores: cores}, "CG", workload.C)
-			if rerr != nil {
-				return base, full, rerr
-			}
-			if cores == 1 {
-				base = res
-			} else {
-				full = res
-			}
+		for _, cores := range []int{1, s.TotalCores()} {
+			plan = append(plan, RunItem{Spec: s, Program: "CG", Class: workload.C, Cores: cores})
 		}
-		return base, full, nil
 	}
-
-	fcBase, fcFull, err := runBoth(memctrl.FCFS)
+	runs, err := r.RunAll(ctx, plan)
 	if err != nil {
 		return AblationControllerResult{}, err
 	}
-	frBase, frFull, err := runBoth(memctrl.FRFCFS)
-	if err != nil {
-		return AblationControllerResult{}, err
-	}
+	fcBase, fcFull, frBase, frFull := runs[0], runs[1], runs[2], runs[3]
 	res := AblationControllerResult{
 		Machine:   spec.Name,
 		OmegaFCFS: core.Omega(float64(fcFull.TotalCycles), float64(fcBase.TotalCycles)),

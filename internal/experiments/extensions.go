@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/machine"
-	"repro/internal/sim"
 	"repro/internal/workload"
 )
 
@@ -28,30 +27,27 @@ type OversubPoint struct {
 }
 
 // Oversubscription runs program.class on all cores of the machine with
-// thread counts of 1x, 2x and 4x the cores. The three factors execute
-// concurrently (thread count is not part of the run cache key, so these
-// go through the uncached RunConfig path).
+// thread counts of 1x, 2x and 4x the cores, as one plan.
 func (r *Runner) Oversubscription(ctx context.Context, spec machine.Spec, program string, class workload.Class) ([]OversubPoint, error) {
 	cores := spec.TotalCores()
 	factors := []int{1, 2, 4}
+	plan := make([]RunItem, len(factors))
+	for i, f := range factors {
+		plan[i] = RunItem{Spec: spec, Program: program, Class: class, Cores: cores, Threads: cores * f}
+	}
+	runs, err := r.RunAll(ctx, plan)
+	if err != nil {
+		return nil, err
+	}
 	points := make([]OversubPoint, len(factors))
-	err := parallelEach(len(factors), func(i int) error {
-		threads := cores * factors[i]
-		res, err := r.RunConfig(ctx, sim.Config{Spec: spec, Threads: threads, Cores: cores}, program, class)
-		if err != nil {
-			return err
-		}
+	for i, res := range runs {
 		points[i] = OversubPoint{
-			Threads:     threads,
+			Threads:     plan[i].Threads,
 			Factor:      float64(factors[i]),
 			TotalCycles: res.TotalCycles,
 			SyncStall:   res.SyncStallCycles,
 			Makespan:    res.Makespan,
 		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
 	}
 	return points, nil
 }
@@ -80,7 +76,8 @@ type SensitivityPoint struct {
 }
 
 // Sensitivity measures program.class contention at full core count across
-// parameter variants of the base machine.
+// parameter variants of the base machine. Each variant keys by its own
+// content, so a variant equal to the base machine shares its runs.
 func (r *Runner) Sensitivity(ctx context.Context, spec machine.Spec, program string, class workload.Class) ([]SensitivityPoint, error) {
 	variants := []struct {
 		label  string
@@ -97,53 +94,29 @@ func (r *Runner) Sensitivity(ctx context.Context, spec machine.Spec, program str
 			s.Levels[len(s.Levels)-1].NextLinePrefetch = true
 		}},
 	}
-	points := make([]SensitivityPoint, len(variants))
-	err := parallelEach(len(variants), func(i int) error {
+	// One plan: each variant's single-core baseline and full-machine run.
+	plan := make([]RunItem, 0, 2*len(variants))
+	for _, v := range variants {
 		s := spec
 		// A Spec copy still shares the Levels backing array; clone it so a
-		// mutator writing a level (prefetch) can't race the other variants'
-		// concurrent reads.
+		// mutator writing a level (prefetch) leaves the base spec intact.
 		s.Levels = append([]machine.CacheLevel(nil), spec.Levels...)
-		variants[i].mutate(&s)
-		omega, err := r.omegaFullMachine(ctx, s, program, class)
-		if err != nil {
-			return err
-		}
-		points[i] = SensitivityPoint{Label: variants[i].label, Omega: omega}
-		return nil
-	})
+		v.mutate(&s)
+		plan = append(plan,
+			RunItem{Spec: s, Program: program, Class: class, Cores: 1},
+			RunItem{Spec: s, Program: program, Class: class, Cores: s.TotalCores()})
+	}
+	runs, err := r.RunAll(ctx, plan)
 	if err != nil {
 		return nil, err
 	}
-	return points, nil
-}
-
-// omegaFullMachine measures ω(totalCores) directly (bypassing the cache:
-// variant machines share a name with the baseline). The base and full runs
-// execute concurrently under the worker-pool bound.
-func (r *Runner) omegaFullMachine(ctx context.Context, spec machine.Spec, program string, class workload.Class) (float64, error) {
-	threads := spec.TotalCores()
-	var base, full sim.Result
-	err := parallelEach(2, func(i int) error {
-		cores := 1
-		if i == 1 {
-			cores = threads
-		}
-		res, err := r.RunConfig(ctx, sim.Config{Spec: spec, Threads: threads, Cores: cores}, program, class)
-		if err != nil {
-			return err
-		}
-		if i == 0 {
-			base = res
-		} else {
-			full = res
-		}
-		return nil
-	})
-	if err != nil {
-		return 0, err
+	points := make([]SensitivityPoint, len(variants))
+	for i, v := range variants {
+		base, full := runs[2*i], runs[2*i+1]
+		points[i] = SensitivityPoint{Label: v.label,
+			Omega: core.Omega(float64(full.TotalCycles), float64(base.TotalCycles))}
 	}
-	return core.Omega(float64(full.TotalCycles), float64(base.TotalCycles)), nil
+	return points, nil
 }
 
 // RenderSensitivity prints the variants.

@@ -53,8 +53,8 @@ func TestWorkerPanicIsolated(t *testing.T) {
 	if !errors.As(err, &wp) {
 		t.Fatalf("err is %T, want *WorkerPanicError", err)
 	}
-	if wp.Key.Cores != 3 {
-		t.Errorf("panic attributed to cores=%d, want 3", wp.Key.Cores)
+	if wp.Key.Cores != 3 || wp.Threads != 8 {
+		t.Errorf("panic attributed to cores=%d threads=%d, want 3 and 8", wp.Key.Cores, wp.Threads)
 	}
 	if !strings.Contains(string(wp.Stack), "invoke") {
 		t.Errorf("panic stack does not reach the worker frame:\n%s", wp.Stack)
@@ -320,7 +320,7 @@ func TestRunCanceledInQueue(t *testing.T) {
 	r.Metrics = telemetry.NewRegistry()
 	block := make(chan struct{})
 	release := make(chan struct{})
-	r.simulate = func(context.Context, machine.Spec, string, workload.Class, int) (sim.Result, error) {
+	r.simulate = func(context.Context, RunItem) (sim.Result, error) {
 		close(block)
 		<-release
 		return sim.Result{TotalCycles: 1}, nil

@@ -177,7 +177,7 @@ func (r *Runner) appendJournal(key RunKey, res sim.Result) {
 		}
 		if r.Tracer.Enabled() {
 			r.Tracer.Emit("runner.journal_error",
-				"machine", key.Machine, "program", key.Program,
+				"machine", key.Machine, "program", key.Program, "class", string(key.Class),
 				"cores", key.Cores, "error", err.Error())
 		}
 		r.Progressf("WARN journal write failed for %s %s.%s n=%d: %v\n",

@@ -2,6 +2,9 @@ package experiments
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -81,8 +84,9 @@ type Runner struct {
 	completed int // simulations finished
 
 	// simulate is the underlying run function; tests override it to count
-	// and fake executions. nil means (*Runner).simulateRun.
-	simulate func(ctx context.Context, spec machine.Spec, program string, class workload.Class, cores int) (sim.Result, error)
+	// and fake executions. nil means (*Runner).simulateRun. The item's
+	// Threads is always resolved (non-zero).
+	simulate func(ctx context.Context, it RunItem) (sim.Result, error)
 }
 
 // FaultPoint names a place where Runner.FaultFn can inject a failure.
@@ -109,6 +113,8 @@ var ErrWorkerPanic = errors.New("experiments: worker panicked")
 type WorkerPanicError struct {
 	// Key identifies the run whose worker panicked.
 	Key RunKey
+	// Threads is the run's program thread count.
+	Threads int
 	// Value is the recovered panic value.
 	Value any
 	// Stack is the worker goroutine's stack at the panic site.
@@ -117,8 +123,7 @@ type WorkerPanicError struct {
 
 // Error implements error.
 func (e *WorkerPanicError) Error() string {
-	return fmt.Sprintf("experiments: worker panicked running %s %s.%s n=%d: %v",
-		e.Key.Machine, e.Key.Program, e.Key.Class, e.Key.Cores, e.Value)
+	return fmt.Sprintf("experiments: worker panicked running %s: %v", e.Key.label(e.Threads), e.Value)
 }
 
 // Is reports a match against the ErrWorkerPanic sentinel.
@@ -132,15 +137,64 @@ type inflightRun struct {
 	err  error
 }
 
-// RunKey identifies one cached simulation: program.class on a machine at
-// one active-core count under one workload scale. It is the cache key,
-// the resume-journal key and the fault-injection coordinate.
+// RunKey identifies one cached simulation by content: program.class on a
+// machine at one active-core count under one workload scale, plus a
+// Variant digest of everything else that shapes the run. It is the cache
+// key, the resume-journal key and the fault-injection coordinate; Hash is
+// its content address.
 type RunKey struct {
 	Machine string         `json:"machine"`
 	Program string         `json:"program"`
 	Class   workload.Class `json:"class"`
 	Cores   int            `json:"cores"`
 	Scale   float64        `json:"scale"`
+	// Variant is empty for the paper's protocol (one thread per core, no
+	// miss windows) on an unmodified preset machine. Otherwise it is the
+	// hex SHA-256 of the canonical JSON of the machine spec, the thread
+	// count and the miss window, so a mutated machine that keeps its
+	// preset's name never shares the preset's results.
+	Variant string `json:"variant,omitempty"`
+}
+
+// Hash returns the key's content address: the hex SHA-256 of its
+// canonical JSON encoding (fixed field order, the encoding the persistent
+// cache and the journal use). Identical runs hash identically across
+// processes and restarts.
+func (k RunKey) Hash() string { return sha256JSON(k) }
+
+// sha256JSON returns the hex SHA-256 of v's JSON encoding.
+func sha256JSON(v any) string {
+	b, err := json.Marshal(v)
+	if err != nil {
+		// Keys and machine specs are plain data; Marshal cannot fail.
+		panic(err)
+	}
+	sum := sha256.Sum256(b)
+	return hex.EncodeToString(sum[:])
+}
+
+// label names the run in progress lines and errors. Runs beyond the
+// paper's protocol on a preset also show their thread count and the
+// start of their variant digest.
+func (k RunKey) label(threads int) string {
+	s := fmt.Sprintf("%s %s.%s n=%d", k.Machine, k.Program, k.Class, k.Cores)
+	if k.Variant != "" {
+		s += fmt.Sprintf(" threads=%d variant=%.12s", threads, k.Variant)
+	}
+	return s
+}
+
+// attrs returns the run's identifying tracer attributes — machine,
+// program, class, cores, threads and, when set, variant — followed by
+// extra.
+func (k RunKey) attrs(threads int, extra ...any) []any {
+	a := make([]any, 0, 12+len(extra))
+	a = append(a, "machine", k.Machine, "program", k.Program, "class", string(k.Class),
+		"cores", k.Cores, "threads", threads)
+	if k.Variant != "" {
+		a = append(a, "variant", k.Variant)
+	}
+	return append(a, extra...)
 }
 
 // RunItem identifies one simulation of a measurement plan: program.class
@@ -150,6 +204,44 @@ type RunItem struct {
 	Program string
 	Class   workload.Class
 	Cores   int
+	// Threads is the number of program threads; 0 means one per machine
+	// core, the paper's protocol.
+	Threads int
+	// MissWindow, when non-zero, counts the run's off-chip requests per
+	// window of this many cycles into sim.Result.MissWindows; 0 means off.
+	MissWindow uint64
+}
+
+// presetSpecs holds every machine preset by name. Built once, it lets
+// the key check a spec against its preset without rebuilding the preset
+// per run.
+var presetSpecs = func() map[string]machine.Spec {
+	specs := make(map[string]machine.Spec)
+	for _, name := range machine.Names() {
+		specs[name], _ = machine.ByName(name)
+	}
+	return specs
+}()
+
+// keyOf returns the content address of one run at this runner's scale.
+// A thread count equal to the machine's cores keys like the default 0.
+func (r *Runner) keyOf(it RunItem) RunKey {
+	key := RunKey{Machine: it.Spec.Name, Program: it.Program, Class: it.Class, Cores: it.Cores, Scale: r.Tuning.RefScale}
+	threads := it.Threads
+	if threads == it.Spec.TotalCores() {
+		threads = 0
+	}
+	if threads == 0 && it.MissWindow == 0 {
+		if preset, ok := presetSpecs[it.Spec.Name]; ok && it.Spec.Equal(preset) {
+			return key
+		}
+	}
+	key.Variant = sha256JSON(struct {
+		Spec       machine.Spec `json:"spec"`
+		Threads    int          `json:"threads"`
+		MissWindow uint64       `json:"miss_window"`
+	}{it.Spec, threads, it.MissWindow})
+	return key
 }
 
 // NewRunner returns a Runner with the given workload tuning.
@@ -183,21 +275,30 @@ func (r *Runner) workers() chan struct{} {
 // waiting for a worker slot, waiting on a coalesced run, or mid-simulation
 // (the sim event loop polls ctx every sim.DefaultCancelEvery events).
 func (r *Runner) Run(ctx context.Context, spec machine.Spec, program string, class workload.Class, cores int) (sim.Result, error) {
-	key := RunKey{Machine: spec.Name, Program: program, Class: class, Cores: cores, Scale: r.Tuning.RefScale}
+	return r.run(ctx, RunItem{Spec: spec, Program: program, Class: class, Cores: cores})
+}
+
+// run serves one item through the cache, the singleflight layer, the
+// worker pool and the journal — the one path every run takes.
+func (r *Runner) run(ctx context.Context, it RunItem) (sim.Result, error) {
+	if it.Threads == 0 {
+		it.Threads = it.Spec.TotalCores()
+	}
+	key := r.keyOf(it)
 
 	c := r.claim(key)
 	if c.outcome != "" {
-		r.report(c.outcome, spec, program, class, cores, 0, 0, c.res)
+		r.report(c.outcome, key, it.Threads, 0, 0, c.res)
 		return c.res, nil
 	}
 	if !c.owner {
 		// Another goroutine is already simulating this key: wait for it
 		// rather than duplicating the run or blocking the whole cache.
-		return r.waitShared(ctx, key, c.fl, spec, program, class, cores)
+		return r.waitShared(ctx, key, it.Threads, c.fl)
 	}
 	fl := c.fl
 
-	fl.res, fl.err = r.execute(ctx, key, spec, program, class, cores)
+	fl.res, fl.err = r.execute(ctx, key, it)
 
 	r.settle(key, fl)
 	close(fl.done)
@@ -255,20 +356,19 @@ func (r *Runner) settle(key RunKey, fl *inflightRun) {
 
 // waitShared blocks on another caller's in-flight simulation of key
 // until it settles or ctx is canceled.
-func (r *Runner) waitShared(ctx context.Context, key RunKey, fl *inflightRun, spec machine.Spec, program string, class workload.Class, cores int) (sim.Result, error) {
+func (r *Runner) waitShared(ctx context.Context, key RunKey, threads int, fl *inflightRun) (sim.Result, error) {
 	dspan := r.startSpanDedupWait(ctx)
 	start := time.Now()
 	select {
 	case <-fl.done:
 	case <-ctx.Done():
 		dspan.End("canceled", true)
-		r.noteCanceled(ctx, key, "dedup-wait")
-		return sim.Result{}, fmt.Errorf("experiments: run %s %s.%s n=%d: %w",
-			key.Machine, key.Program, key.Class, key.Cores, ctx.Err())
+		r.noteCanceled(ctx, key, threads, "dedup-wait")
+		return sim.Result{}, fmt.Errorf("experiments: run %s: %w", key.label(threads), ctx.Err())
 	}
 	dspan.End()
 	if fl.err == nil {
-		r.report(outcomeDedup, spec, program, class, cores, time.Since(start), 0, fl.res)
+		r.report(outcomeDedup, key, threads, time.Since(start), 0, fl.res)
 	}
 	return fl.res, fl.err
 }
@@ -284,7 +384,7 @@ const (
 // execute performs one simulation under the worker-pool bound and reports
 // progress. Worker panics (including panics from FaultFn) are confined to
 // this run and surface as *WorkerPanicError.
-func (r *Runner) execute(ctx context.Context, key RunKey, spec machine.Spec, program string, class workload.Class, cores int) (sim.Result, error) {
+func (r *Runner) execute(ctx context.Context, key RunKey, it RunItem) (sim.Result, error) {
 	enqueued := time.Now()
 	qspan := r.startSpanQueueWait(ctx)
 	sem := r.workers()
@@ -292,9 +392,8 @@ func (r *Runner) execute(ctx context.Context, key RunKey, spec machine.Spec, pro
 	case sem <- struct{}{}:
 	case <-ctx.Done():
 		qspan.End("canceled", true)
-		r.noteCanceled(ctx, key, "queue-wait")
-		return sim.Result{}, fmt.Errorf("experiments: run %s %s.%s n=%d: %w",
-			key.Machine, key.Program, key.Class, key.Cores, ctx.Err())
+		r.noteCanceled(ctx, key, it.Threads, "queue-wait")
+		return sim.Result{}, fmt.Errorf("experiments: run %s: %w", key.label(it.Threads), ctx.Err())
 	}
 	qspan.End()
 	defer func() { <-sem }()
@@ -306,13 +405,13 @@ func (r *Runner) execute(ctx context.Context, key RunKey, spec machine.Spec, pro
 
 	start := time.Now()
 	xspan := r.startSpanExecute(ctx)
-	res, err := r.invoke(ctx, key, spec, program, class, cores)
-	if err == nil {
-		xspan.End("machine", key.Machine, "program", key.Program,
-			"class", string(key.Class), "cores", key.Cores)
-	} else {
-		xspan.End("machine", key.Machine, "program", key.Program,
-			"class", string(key.Class), "cores", key.Cores, "error", err.Error())
+	res, err := r.invoke(ctx, key, it)
+	if xspan.Active() {
+		attrs := key.attrs(it.Threads, "config_hash", key.Hash())
+		if err != nil {
+			attrs = append(attrs, "error", err.Error())
+		}
+		xspan.End(attrs...)
 	}
 
 	r.progMu.Lock()
@@ -320,11 +419,11 @@ func (r *Runner) execute(ctx context.Context, key RunKey, spec machine.Spec, pro
 	r.progMu.Unlock()
 	switch {
 	case err == nil:
-		r.report(outcomeSim, spec, program, class, cores, queueWait, time.Since(start), res)
+		r.report(outcomeSim, key, it.Threads, queueWait, time.Since(start), res)
 	case errors.Is(err, ErrWorkerPanic):
-		r.notePanic(key, err)
+		r.notePanic(key, it.Threads, err)
 	case errors.Is(err, sim.ErrCanceled) || errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
-		r.noteCanceled(ctx, key, "simulate")
+		r.noteCanceled(ctx, key, it.Threads, "simulate")
 	}
 	return res, err
 }
@@ -372,11 +471,11 @@ func (r *Runner) startSpanExecute(ctx context.Context) telemetry.Span {
 // below — the fault hook, workload construction or the simulator — is
 // recovered into a *WorkerPanicError carrying the stack, leaving every
 // other worker (and the runner itself) untouched.
-func (r *Runner) invoke(ctx context.Context, key RunKey, spec machine.Spec, program string, class workload.Class, cores int) (res sim.Result, err error) {
+func (r *Runner) invoke(ctx context.Context, key RunKey, it RunItem) (res sim.Result, err error) {
 	defer func() {
 		if v := recover(); v != nil {
 			res = sim.Result{}
-			err = &WorkerPanicError{Key: key, Value: v, Stack: debug.Stack()}
+			err = &WorkerPanicError{Key: key, Threads: it.Threads, Value: v, Stack: debug.Stack()}
 		}
 	}()
 	if f := r.FaultFn; f != nil {
@@ -388,43 +487,36 @@ func (r *Runner) invoke(ctx context.Context, key RunKey, spec machine.Spec, prog
 	if simulate == nil {
 		simulate = r.simulateRun
 	}
-	return simulate(ctx, spec, program, class, cores)
+	return simulate(ctx, it)
 }
 
 // noteCanceled records one canceled run on the tracer and metrics. When
 // the context carries a request span, its trace ID is attached so a 499
 // in the server log is joinable to the cancellation checkpoint that
 // observed it.
-func (r *Runner) noteCanceled(ctx context.Context, key RunKey, where string) {
+func (r *Runner) noteCanceled(ctx context.Context, key RunKey, threads int, where string) {
 	if r.Metrics != nil {
 		r.Metrics.Counter("runner_canceled_total").Inc()
 	}
 	if r.Tracer.Enabled() {
+		attrs := key.attrs(threads, "where", where)
 		if sc, ok := telemetry.SpanFromContext(ctx); ok {
-			r.Tracer.Emit("runner.canceled",
-				"machine", key.Machine, "program", key.Program, "class", string(key.Class),
-				"cores", key.Cores, "where", where, "trace", sc.Trace.String())
-			return
+			attrs = append(attrs, "trace", sc.Trace.String())
 		}
-		r.Tracer.Emit("runner.canceled",
-			"machine", key.Machine, "program", key.Program, "class", string(key.Class),
-			"cores", key.Cores, "where", where)
+		r.Tracer.Emit("runner.canceled", attrs...)
 	}
 }
 
 // notePanic records one recovered worker panic on the tracer, metrics and
 // the progress stream.
-func (r *Runner) notePanic(key RunKey, err error) {
+func (r *Runner) notePanic(key RunKey, threads int, err error) {
 	if r.Metrics != nil {
 		r.Metrics.Counter("runner_panic_total").Inc()
 	}
 	if r.Tracer.Enabled() {
-		r.Tracer.Emit("runner.panic",
-			"machine", key.Machine, "program", key.Program, "class", string(key.Class),
-			"cores", key.Cores, "error", err.Error())
+		r.Tracer.Emit("runner.panic", key.attrs(threads, "error", err.Error())...)
 	}
-	r.Progressf("WARN worker panic %s %s.%s n=%d: %v\n",
-		key.Machine, key.Program, key.Class, key.Cores, err)
+	r.Progressf("WARN worker panic %s: %v\n", key.label(threads), err)
 }
 
 // report fans one served run out to the optional sinks: a Progress line
@@ -433,7 +525,7 @@ func (r *Runner) notePanic(key RunKey, err error) {
 // execute-time histogram on Metrics. For dedup the wait parameter is the
 // time spent blocked on the coalesced run; cache and resumed hits carry
 // no timings.
-func (r *Runner) report(outcome string, spec machine.Spec, program string, class workload.Class, cores int, wait, exec time.Duration, res sim.Result) {
+func (r *Runner) report(outcome string, key RunKey, threads int, wait, exec time.Duration, res sim.Result) {
 	ms := func(d time.Duration) float64 { return float64(d.Microseconds()) / 1000 }
 	if r.Metrics != nil {
 		// One literal per outcome keeps every metric name greppable
@@ -451,10 +543,8 @@ func (r *Runner) report(outcome string, spec machine.Spec, program string, class
 		}
 	}
 	if r.Tracer.Enabled() {
-		r.Tracer.Emit("runner.span",
-			"machine", spec.Name, "program", program, "class", string(class),
-			"cores", cores, "outcome", outcome,
-			"queue_wait_ms", ms(wait), "execute_ms", ms(exec))
+		r.Tracer.Emit("runner.span", key.attrs(threads, "outcome", outcome,
+			"queue_wait_ms", ms(wait), "execute_ms", ms(exec))...)
 	}
 
 	r.progMu.Lock()
@@ -463,49 +553,24 @@ func (r *Runner) report(outcome string, spec machine.Spec, program string, class
 		return
 	}
 	if outcome == outcomeCache || outcome == outcomeResumed {
-		fmt.Fprintf(r.Progress, "[%d/%d] run %s %s.%s n=%d [%s]: C=%d misses=%d\n",
-			r.completed, r.submitted, spec.Name, program, class, cores, outcome,
+		fmt.Fprintf(r.Progress, "[%d/%d] run %s [%s]: C=%d misses=%d\n",
+			r.completed, r.submitted, key.label(threads), outcome,
 			res.TotalCycles, res.LLCMisses)
 		return
 	}
-	fmt.Fprintf(r.Progress, "[%d/%d] run %s %s.%s n=%d [%s]: C=%d misses=%d (%.0fms)\n",
-		r.completed, r.submitted, spec.Name, program, class, cores, outcome,
+	fmt.Fprintf(r.Progress, "[%d/%d] run %s [%s]: C=%d misses=%d (%.0fms)\n",
+		r.completed, r.submitted, key.label(threads), outcome,
 		res.TotalCycles, res.LLCMisses, ms(wait+exec))
 }
 
 // simulateRun is the real simulation backend of Run.
-func (r *Runner) simulateRun(ctx context.Context, spec machine.Spec, program string, class workload.Class, cores int) (sim.Result, error) {
-	wl, err := workload.NewTuned(program, class, r.Tuning)
+func (r *Runner) simulateRun(ctx context.Context, it RunItem) (sim.Result, error) {
+	wl, err := workload.NewTuned(it.Program, it.Class, r.Tuning)
 	if err != nil {
 		return sim.Result{}, err
 	}
-	threads := spec.TotalCores()
-	return sim.Run(ctx, sim.Config{Spec: spec, Threads: threads, Cores: cores}, wl.Streams(threads))
-}
-
-// RunConfig executes one simulation with an explicit sim.Config, outside
-// the cache and singleflight layers (variant machines share a preset name,
-// and hooks are not part of the cache key) but still bounded by the worker
-// pool. The config's Threads selects the stream count; zero defaults to
-// the machine's total cores.
-func (r *Runner) RunConfig(ctx context.Context, cfg sim.Config, program string, class workload.Class) (sim.Result, error) {
-	wl, err := workload.NewTuned(program, class, r.Tuning)
-	if err != nil {
-		return sim.Result{}, err
-	}
-	threads := cfg.Threads
-	if threads == 0 {
-		threads = cfg.Spec.TotalCores()
-	}
-	sem := r.workers()
-	select {
-	case sem <- struct{}{}:
-	case <-ctx.Done():
-		return sim.Result{}, fmt.Errorf("experiments: run %s %s.%s: %w",
-			cfg.Spec.Name, program, class, ctx.Err())
-	}
-	defer func() { <-sem }()
-	return sim.Run(ctx, cfg, wl.Streams(threads))
+	cfg := sim.Config{Spec: it.Spec, Threads: it.Threads, Cores: it.Cores, MissWindow: it.MissWindow}
+	return sim.Run(ctx, cfg, wl.Streams(it.Threads))
 }
 
 // RunAll submits a whole measurement plan at once and collects results in
@@ -524,7 +589,7 @@ func (r *Runner) RunAll(ctx context.Context, items []RunItem) ([]sim.Result, err
 		wg.Add(1)
 		go func(i int, it RunItem) {
 			defer wg.Done()
-			results[i], errs[i] = r.Run(ctx, it.Spec, it.Program, it.Class, it.Cores)
+			results[i], errs[i] = r.run(ctx, it)
 		}(i, it)
 	}
 	wg.Wait()
@@ -562,7 +627,7 @@ func (r *Runner) RunStream(ctx context.Context, items []RunItem) <-chan StreamRe
 		wg.Add(1)
 		go func(i int, it RunItem) {
 			defer wg.Done()
-			res, err := r.Run(ctx, it.Spec, it.Program, it.Class, it.Cores)
+			res, err := r.run(ctx, it)
 			//simcheck:allow(chanlint) RunStream's contract is that the caller drains out; a ctx.Done arm here would drop settled frames whose admission tokens the curve handler releases per frame, and cancel already fails remaining items promptly
 			out <- StreamResult{Index: i, Res: res, Err: err}
 		}(i, it)
@@ -574,12 +639,13 @@ func (r *Runner) RunStream(ctx context.Context, items []RunItem) <-chan StreamRe
 	return out
 }
 
-// KeyFor returns the cache key this runner uses for one simulation: the
-// (machine, program, class, cores) coordinate plus the runner's workload
-// scale. It is the content address of a run — the persistent cache, the
-// resume journal and the serving layer's config hashes all key on it.
+// KeyFor returns the cache key this runner uses for one Run: the
+// (machine, program, class, cores) coordinate, the runner's workload
+// scale and the machine's Variant. It is the content address of a run —
+// the persistent cache, the resume journal and the serving layer's
+// config hashes all key on it.
 func (r *Runner) KeyFor(spec machine.Spec, program string, class workload.Class, cores int) RunKey {
-	return RunKey{Machine: spec.Name, Program: program, Class: class, Cores: cores, Scale: r.Tuning.RefScale}
+	return r.keyOf(RunItem{Spec: spec, Program: program, Class: class, Cores: cores})
 }
 
 // Cached returns the cached result for key, if any, without triggering a

@@ -22,8 +22,8 @@ import (
 func countingSim(r *Runner, delay time.Duration) (counts map[RunKey]*int64, mu *sync.Mutex) {
 	counts = make(map[RunKey]*int64)
 	mu = &sync.Mutex{}
-	r.simulate = func(_ context.Context, spec machine.Spec, program string, class workload.Class, cores int) (sim.Result, error) {
-		key := RunKey{Machine: spec.Name, Program: program, Class: class, Cores: cores, Scale: r.Tuning.RefScale}
+	r.simulate = func(_ context.Context, it RunItem) (sim.Result, error) {
+		key := r.keyOf(it)
 		mu.Lock()
 		c, ok := counts[key]
 		if !ok {
@@ -35,14 +35,14 @@ func countingSim(r *Runner, delay time.Duration) (counts map[RunKey]*int64, mu *
 		if delay > 0 {
 			time.Sleep(delay)
 		}
-		if program == "bad" {
+		if it.Program == "bad" {
 			return sim.Result{}, fmt.Errorf("experiments: no such program")
 		}
 		return sim.Result{
-			MachineName: spec.Name,
-			Cores:       cores,
-			TotalCycles: uint64(1000 * cores),
-			LLCMisses:   uint64(10 * cores),
+			MachineName: it.Spec.Name,
+			Cores:       it.Cores,
+			TotalCycles: uint64(1000 * it.Cores),
+			LLCMisses:   uint64(10 * it.Cores),
 		}, nil
 	}
 	return counts, mu
@@ -244,17 +244,16 @@ func TestProgressConcurrent(t *testing.T) {
 	}
 }
 
-// TestRunConfigBounded checks the uncached path still honors the Jobs
-// bound (no more than Jobs simulations at once).
-func TestRunConfigBounded(t *testing.T) {
+// TestRunJobsBounded checks that Run honors the Jobs bound (no more than
+// Jobs simulations at once).
+func TestRunJobsBounded(t *testing.T) {
 	r := NewRunner(workload.Tuning{RefScale: 0.02})
 	r.Jobs = 2
 	spec := machine.IntelUMA8()
 
 	var active, peak int64
 	var mu sync.Mutex
-	// Wrap via the cached path, which shares the same semaphore.
-	r.simulate = func(context.Context, machine.Spec, string, workload.Class, int) (sim.Result, error) {
+	r.simulate = func(context.Context, RunItem) (sim.Result, error) {
 		mu.Lock()
 		active++
 		if active > peak {

@@ -64,8 +64,11 @@ func TestRunOutcomeAnnotations(t *testing.T) {
 		if err := json.Unmarshal([]byte(line), &ev); err != nil {
 			t.Fatalf("bad trace line %q: %v", line, err)
 		}
-		if ev["event"] != "runner.span" || ev["machine"] != "IntelUMA8" {
+		if ev["event"] != "runner.span" || ev["machine"] != "IntelUMA8" || ev["threads"] != float64(8) {
 			t.Errorf("unexpected trace event: %v", ev)
+		}
+		if _, ok := ev["variant"]; ok {
+			t.Errorf("preset run carries a variant: %v", ev)
 		}
 		byOutcome[ev["outcome"].(string)]++
 		if ev["outcome"] == "sim" && ev["execute_ms"].(float64) <= 0 {
@@ -88,23 +91,24 @@ func TestRunOutcomeAnnotations(t *testing.T) {
 }
 
 // TestTelemetryDeterministicAcrossJobs pins the observability half of the
-// runner's determinism contract: observed runs launched concurrently
-// produce byte-identical sampled time series whether one or eight
-// simulations execute at once.
+// determinism contract: observed runs produce byte-identical sampled time
+// series whether they execute one at a time or all at once.
 func TestTelemetryDeterministicAcrossJobs(t *testing.T) {
 	spec := machine.IntelUMA8()
-	timelines := func(jobs int) string {
-		r := NewRunner(workload.Tuning{RefScale: 0.02})
-		r.Jobs = jobs
+	timelines := func(concurrent bool) string {
 		bufs := make([]bytes.Buffer, 4)
 		var wg sync.WaitGroup
 		for i := range bufs {
-			wg.Add(1)
-			go func(i int) {
+			observe := func() {
 				defer wg.Done()
+				wl, err := workload.NewTuned("CG", workload.W, workload.Tuning{RefScale: 0.02})
+				if err != nil {
+					t.Error(err)
+					return
+				}
 				cfg := sim.Config{Spec: spec, Cores: 2 * (i + 1),
 					Observe: &sim.ObserveConfig{Interval: 2000}}
-				res, err := r.RunConfig(context.Background(), cfg, "CG", workload.W)
+				res, err := sim.Run(context.Background(), cfg, wl.Streams(spec.TotalCores()))
 				if err != nil {
 					t.Error(err)
 					return
@@ -112,7 +116,13 @@ func TestTelemetryDeterministicAcrossJobs(t *testing.T) {
 				if err := telemetry.WriteTimelineDat(&bufs[i], res.Telemetry.Series()...); err != nil {
 					t.Error(err)
 				}
-			}(i)
+			}
+			wg.Add(1)
+			if concurrent {
+				go observe()
+			} else {
+				observe()
+			}
 		}
 		wg.Wait()
 		var all strings.Builder
@@ -121,10 +131,10 @@ func TestTelemetryDeterministicAcrossJobs(t *testing.T) {
 		}
 		return all.String()
 	}
-	serial := timelines(1)
-	parallel := timelines(8)
+	serial := timelines(false)
+	parallel := timelines(true)
 	if serial == "" || serial != parallel {
-		t.Errorf("sampled time series differ between -jobs 1 and -jobs 8:\nserial %d bytes, parallel %d bytes",
+		t.Errorf("sampled time series differ between serial and concurrent runs:\nserial %d bytes, parallel %d bytes",
 			len(serial), len(parallel))
 	}
 }
@@ -181,8 +191,37 @@ func TestRunnerRequestScopedSpans(t *testing.T) {
 			t.Errorf("%s parent = %v, want %s", name, ev["parent"], parent.Span)
 		}
 	}
-	if ev := spans["runner.execute"]; ev["program"] != "CG" || ev["cores"] != float64(2) {
+	ev := spans["runner.execute"]
+	if ev["program"] != "CG" || ev["cores"] != float64(2) || ev["threads"] != float64(8) ||
+		ev["config_hash"] != r.KeyFor(spec, "CG", workload.W, 2).Hash() {
 		t.Errorf("runner.execute attrs = %v", ev)
+	}
+	if _, ok := ev["variant"]; ok {
+		t.Errorf("preset run carries a variant: %v", ev)
+	}
+
+	// An oversubscribed run names its thread count and variant, and its
+	// config hash is that of its own key.
+	traceBuf.Reset()
+	over := RunItem{Spec: spec, Program: "CG", Class: workload.W, Cores: 2, Threads: 16}
+	if _, err := r.RunAll(ctx, []RunItem{over}); err != nil {
+		t.Fatal(err)
+	}
+	key := r.keyOf(over)
+	for _, line := range strings.Split(strings.TrimSpace(traceBuf.String()), "\n") {
+		var ev map[string]any
+		if err := json.Unmarshal([]byte(line), &ev); err != nil {
+			t.Fatalf("bad trace line %q: %v", line, err)
+		}
+		if ev["name"] == "runner.queue_wait" {
+			continue
+		}
+		if ev["threads"] != float64(16) || ev["variant"] != key.Variant {
+			t.Errorf("%v %v: threads/variant = %v/%v, want 16/%s", ev["event"], ev["name"], ev["threads"], ev["variant"], key.Variant)
+		}
+		if ev["name"] == "runner.execute" && ev["config_hash"] != key.Hash() {
+			t.Errorf("runner.execute config_hash = %v, want %s", ev["config_hash"], key.Hash())
+		}
 	}
 
 	// Without a span in the context (batch sweeps), no span records.

@@ -2,9 +2,6 @@ package model
 
 import (
 	"context"
-	"crypto/sha256"
-	"encoding/hex"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
@@ -111,7 +108,7 @@ type Prediction struct {
 	Fit *FitInfo
 	// ConfigHash is the content address of the (machine, program, class,
 	// cores, scale) coordinate — the same key the runner cache and the
-	// NDJSON journal use, hashed canonically (ConfigHash).
+	// NDJSON journal use, hashed canonically (experiments.RunKey.Hash).
 	ConfigHash string
 }
 
@@ -201,20 +198,6 @@ func (p *Predictor) key(spec machine.Spec, program string, class workload.Class,
 	return p.runner.KeyFor(spec, program, class, cores)
 }
 
-// ConfigHash returns the canonical content address of one run
-// coordinate: the SHA-256 of the key's canonical JSON encoding (fixed
-// field order, shared with the persistent cache and journal entries).
-// Identical queries hash identically across processes and restarts.
-func ConfigHash(key experiments.RunKey) string {
-	b, err := json.Marshal(key)
-	if err != nil {
-		// RunKey is a fixed struct of scalars; Marshal cannot fail.
-		panic(err)
-	}
-	sum := sha256.Sum256(b)
-	return hex.EncodeToString(sum[:])
-}
-
 // Analytical answers the query from the fitted closed form, or declines
 // with the reason. It never simulates, never blocks on the runner, and
 // costs one read-locked map lookup plus O(sockets) arithmetic — the
@@ -275,7 +258,7 @@ func (p *Predictor) analyticalAt(entry fitEntry, spec machine.Spec, program stri
 		MCUtilization:  analyticalMCUtil(spec, entry.model.Single, cores),
 		Tier:           TierAnalytical,
 		Fit:            &info,
-		ConfigHash:     ConfigHash(p.key(spec, program, class, cores)),
+		ConfigHash:     p.key(spec, program, class, cores).Hash(),
 	}, ""
 }
 
@@ -362,7 +345,7 @@ func (p *Predictor) simPrediction(spec machine.Spec, program string, class workl
 		MakespanCycles: float64(res.Makespan),
 		MCUtilization:  simMCUtil(spec, res),
 		Tier:           TierSimulation,
-		ConfigHash:     ConfigHash(p.key(spec, program, class, cores)),
+		ConfigHash:     p.key(spec, program, class, cores).Hash(),
 	}
 }
 

@@ -21,32 +21,6 @@ func mustSpec(t *testing.T, name string) machine.Spec {
 	return spec
 }
 
-// TestConfigHashStable pins the content address: identical coordinates
-// hash identically, any coordinate change re-hashes, and the output is
-// 64 lowercase hex characters (a SHA-256).
-func TestConfigHashStable(t *testing.T) {
-	key := experiments.RunKey{Machine: "IntelUMA8", Program: "CG", Class: "W", Cores: 4, Scale: 0.1}
-	h1 := model.ConfigHash(key)
-	h2 := model.ConfigHash(key)
-	if h1 != h2 {
-		t.Fatalf("same key hashed differently: %s vs %s", h1, h2)
-	}
-	if len(h1) != 64 || strings.ToLower(h1) != h1 {
-		t.Fatalf("ConfigHash not 64-char lowercase hex: %q", h1)
-	}
-	for _, other := range []experiments.RunKey{
-		{Machine: "IntelNUMA24", Program: "CG", Class: "W", Cores: 4, Scale: 0.1},
-		{Machine: "IntelUMA8", Program: "EP", Class: "W", Cores: 4, Scale: 0.1},
-		{Machine: "IntelUMA8", Program: "CG", Class: "C", Cores: 4, Scale: 0.1},
-		{Machine: "IntelUMA8", Program: "CG", Class: "W", Cores: 5, Scale: 0.1},
-		{Machine: "IntelUMA8", Program: "CG", Class: "W", Cores: 4, Scale: 0.25},
-	} {
-		if model.ConfigHash(other) == h1 {
-			t.Errorf("distinct key %+v collided with %+v", other, key)
-		}
-	}
-}
-
 // TestDeclineReasons walks the analytical tier's refusal ladder: no fit,
 // then a fit rejected by each confidence bound in turn.
 func TestDeclineReasons(t *testing.T) {

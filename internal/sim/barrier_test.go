@@ -103,7 +103,6 @@ func TestBarrierKeepsThreadsInLockstep(t *testing.T) {
 	// different length but identical barrier structure, record miss times,
 	// and check that misses from different threads interleave closely.
 	spec := testSpec()
-	var missTimes []uint64
 	mkStream := func(t int) trace.Stream {
 		var refs []trace.Ref
 		for i := 0; i < 6; i++ {
@@ -115,12 +114,18 @@ func TestBarrierKeepsThreadsInLockstep(t *testing.T) {
 		}
 		return trace.FromSlice(refs)
 	}
-	_, err := Run(context.Background(), Config{
-		Spec: spec, Threads: 4, Cores: 4,
-		MissHook: func(now uint64, core int) { missTimes = append(missTimes, now) },
+	// One-cycle miss windows record every miss's issue time.
+	res, err := Run(context.Background(), Config{
+		Spec: spec, Threads: 4, Cores: 4, MissWindow: 1,
 	}, []trace.Stream{mkStream(0), mkStream(1), mkStream(2), mkStream(3)})
 	if err != nil {
 		t.Fatal(err)
+	}
+	var missTimes []uint64
+	for now, n := range res.MissWindows {
+		for ; n > 0; n-- {
+			missTimes = append(missTimes, uint64(now))
+		}
 	}
 	// 4 threads x 6 iterations x 1 fresh miss (plus cold scratch misses).
 	if len(missTimes) < 24 {

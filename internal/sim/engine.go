@@ -77,6 +77,10 @@ type engine struct {
 	directory     map[uint64]uint16
 	invalidations uint64
 
+	// missWindows counts off-chip requests per Config.MissWindow cycles;
+	// it stays nil when the window is off.
+	missWindows []uint64
+
 	// reqFree is the memReq free list. In-flight requests are bounded by
 	// threads x MSHRs, so the list reaches a small steady-state size and
 	// then no request is ever allocated again.
@@ -471,8 +475,13 @@ func (e *engine) launch(r *memReq) {
 	c, th := r.c, r.th
 	th.outstanding++
 	th.st.OffChip++
-	if e.cfg.MissHook != nil {
-		e.cfg.MissHook(e.q.Now(), c.id)
+	if w := e.cfg.MissWindow; w > 0 {
+		i := e.q.Now() / w
+		if n := uint64(len(e.missWindows)); i >= n {
+			//simcheck:allow(hotpath) MissWindow runs only: the series grows at most once per window of simulated time, amortized over that window's requests
+			e.missWindows = append(e.missWindows, make([]uint64, i+1-n)...)
+		}
+		e.missWindows[i]++
 	}
 
 	r.home = e.homeMC(r.addr, c)
@@ -616,6 +625,20 @@ func (e *engine) hopsFrom(socket, mc int) int {
 		return 0
 	}
 	return best
+}
+
+// missWindowsTo returns the per-window off-chip request counts padded
+// with empty windows through the window holding cycle end-1, so quiet
+// trailing phases count. It is nil when the window is off or empty.
+func (e *engine) missWindowsTo(end uint64) []uint64 {
+	w := e.cfg.MissWindow
+	if w == 0 || end == 0 {
+		return e.missWindows
+	}
+	if n := (end-1)/w + 1; uint64(len(e.missWindows)) < n {
+		e.missWindows = append(e.missWindows, make([]uint64, n-uint64(len(e.missWindows)))...)
+	}
+	return e.missWindows
 }
 
 // result assembles the run counters.

@@ -74,12 +74,6 @@ func WithPageBytes(n uint64) Option { return func(c *Config) { c.PageBytes = n }
 // WithPlacement selects the NUMA page-placement policy.
 func WithPlacement(p Placement) Option { return func(c *Config) { c.Placement = p } }
 
-// WithMissHook installs a callback invoked at every off-chip request with
-// the simulated issue time and the issuing core.
-func WithMissHook(fn func(now uint64, core int)) Option {
-	return func(c *Config) { c.MissHook = fn }
-}
-
 // WithMaxCycles aborts the run when the simulated clock passes the bound
 // (0 means unlimited).
 func WithMaxCycles(cycles uint64) Option { return func(c *Config) { c.MaxCycles = cycles } }

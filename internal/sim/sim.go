@@ -81,10 +81,10 @@ type Config struct {
 	PageBytes uint64
 	// Placement selects the page-placement policy.
 	Placement Placement
-	// MissHook, when non-nil, is invoked at every off-chip request with the
-	// simulated issue time and the issuing core (used by the burstiness
-	// sampler).
-	MissHook func(now uint64, core int)
+	// MissWindow, when non-zero, counts off-chip requests per window of
+	// this many cycles into Result.MissWindows (the burstiness study's
+	// LLC-miss sampler); 0 turns the count off.
+	MissWindow uint64
 	// MaxCycles aborts the run when the simulated clock passes it; 0 means
 	// unlimited.
 	MaxCycles uint64
@@ -180,6 +180,11 @@ type Result struct {
 	// the run — the denominator-free throughput unit benchmark harnesses
 	// report as simulated-events/sec.
 	Events uint64
+	// MissWindows counts the off-chip requests issued in each window of
+	// Config.MissWindow cycles: entry i covers cycles [i*w, (i+1)*w). Quiet
+	// windows count as zero through the one holding cycle Makespan-1. It
+	// is nil when Config.MissWindow is 0.
+	MissWindows []uint64 `json:",omitempty"`
 	// Telemetry holds the sampled time series when the run was observed
 	// (Config.Observe non-nil), nil otherwise. It is deliberately excluded
 	// from JSON so the persistent run cache stays compact and versioned on
@@ -320,6 +325,7 @@ func Run(ctx context.Context, cfg Config, streams []trace.Stream) (Result, error
 	if canceled {
 		dropped := q.Drain()
 		partial := e.result()
+		partial.MissWindows = e.missWindowsTo(partial.Makespan)
 		if obs != nil {
 			partial.Telemetry = obs.rt
 			cfg.Observe.Tracer.Emit("run.cancel",
@@ -344,5 +350,6 @@ func Run(ctx context.Context, cfg Config, streams []trace.Stream) (Result, error
 			"offchip", res.OffChipRequests, "samples", obs.rt.InFlight.Len(),
 			"aborted", res.Aborted)
 	}
+	res.MissWindows = e.missWindowsTo(res.Makespan)
 	return res, nil
 }

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"context"
+	"reflect"
 	"testing"
 	"time"
 
@@ -352,34 +353,65 @@ func TestMaxCyclesAborts(t *testing.T) {
 	}
 }
 
-func TestMissHookMonotone(t *testing.T) {
-	var times []uint64
-	var cores []int
+// TestMissWindowsProperty checks the LLC-miss window series against the
+// run's own counters: the windows sum to OffChipRequests, the series runs
+// through the later of the last miss's window and the window holding cycle
+// Makespan-1, coarser windows are exact sums of finer ones, counting
+// perturbs nothing else, and the series is nil when the window is off.
+func TestMissWindowsProperty(t *testing.T) {
 	spec := testSpec()
-	_, err := Run(context.Background(), Config{
-		Spec: spec, Threads: 2, Cores: 2,
-		MissHook: func(now uint64, core int) {
-			times = append(times, now)
-			cores = append(cores, core)
-		},
-	}, memBoundStreams(2, 50))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(times) != 100 {
-		t.Fatalf("hook fired %d times, want 100", len(times))
-	}
-	for i := 1; i < len(times); i++ {
-		if times[i] < times[i-1] {
-			t.Fatal("hook times not monotone")
+	run := func(threads int, window uint64) Result {
+		t.Helper()
+		res, err := Run(context.Background(), Config{
+			Spec: spec, Threads: threads, Cores: threads, MissWindow: window,
+		}, memBoundStreams(threads, 50))
+		if err != nil {
+			t.Fatal(err)
 		}
+		return res
 	}
-	seen := map[int]bool{}
-	for _, c := range cores {
-		seen[c] = true
-	}
-	if !seen[0] || !seen[1] {
-		t.Errorf("hook cores = %v", seen)
+	for _, threads := range []int{1, 2, 4} {
+		off := run(threads, 0)
+		if off.MissWindows != nil {
+			t.Fatalf("threads=%d: MissWindows = %v with the window off, want nil", threads, off.MissWindows)
+		}
+		fine := run(threads, 10)
+		for _, window := range []uint64{1, 10, 30, 997, 1 << 40} {
+			res := run(threads, window)
+			var sum uint64
+			last := uint64(0)
+			for i, n := range res.MissWindows {
+				sum += n
+				if n > 0 {
+					last = uint64(i)
+				}
+			}
+			if sum != res.OffChipRequests || sum == 0 {
+				t.Errorf("threads=%d window=%d: windows sum to %d, OffChipRequests %d",
+					threads, window, sum, res.OffChipRequests)
+			}
+			if want := max(last, (res.Makespan-1)/window) + 1; uint64(len(res.MissWindows)) != want {
+				t.Errorf("threads=%d window=%d: %d windows, want %d (makespan %d)",
+					threads, window, len(res.MissWindows), want, res.Makespan)
+			}
+			if window%10 == 0 {
+				k := int(window / 10)
+				for i, n := range res.MissWindows {
+					var folded uint64
+					for j := i * k; j < (i+1)*k && j < len(fine.MissWindows); j++ {
+						folded += fine.MissWindows[j]
+					}
+					if n != folded {
+						t.Fatalf("threads=%d window=%d: window %d holds %d, the 10-cycle windows fold to %d",
+							threads, window, i, n, folded)
+					}
+				}
+			}
+			res.MissWindows = nil
+			if !reflect.DeepEqual(res, off) {
+				t.Errorf("threads=%d window=%d: counting miss windows changed the result", threads, window)
+			}
+		}
 	}
 }
 

@@ -25,7 +25,10 @@ func TestGoldenTelemetryArtifacts(t *testing.T) {
 	if testing.Short() {
 		t.Skip("golden artifacts skipped in -short mode")
 	}
-	r := experiments.NewRunner(goldenTune)
+	wl, err := workload.NewTuned("CG", workload.W, goldenTune)
+	if err != nil {
+		t.Fatal(err)
+	}
 	reg := telemetry.NewRegistry()
 	var trace bytes.Buffer
 	cfg := sim.Config{
@@ -37,7 +40,7 @@ func TestGoldenTelemetryArtifacts(t *testing.T) {
 			Registry: reg,
 		},
 	}
-	res, err := r.RunConfig(context.Background(), cfg, "CG", workload.W)
+	res, err := sim.Run(context.Background(), cfg, wl.Streams(cfg.Spec.TotalCores()))
 	if err != nil {
 		t.Fatal(err)
 	}
