@@ -200,14 +200,14 @@ func TestStudiesDedupAndResume(t *testing.T) {
 	spec := machine.IntelUMA8()
 	tune := workload.Tuning{RefScale: 0.01}
 	journal := filepath.Join(t.TempDir(), "studies.ndjson")
-	newRunner := func() (*Runner, *telemetry.Registry) {
+	newRunner := func() *Runner {
 		r := NewRunner(tune)
 		r.Metrics = telemetry.NewRegistry()
 		if _, _, err := r.AttachJournal(journal); err != nil {
 			t.Fatal(err)
 		}
 		t.Cleanup(func() { r.CloseJournal() })
-		return r, r.Metrics
+		return r
 	}
 	render := func(r *Runner) string {
 		var buf bytes.Buffer
@@ -224,7 +224,7 @@ func TestStudiesDedupAndResume(t *testing.T) {
 		return buf.String()
 	}
 
-	r, reg := newRunner()
+	r := newRunner()
 	if _, err := r.Sensitivity(ctx, spec, "CG", workload.C); err != nil {
 		t.Fatal(err)
 	}
@@ -234,7 +234,7 @@ func TestStudiesDedupAndResume(t *testing.T) {
 	if _, err := r.Oversubscription(ctx, spec, "CG", workload.C); err != nil {
 		t.Fatal(err)
 	}
-	if got := reg.Counter("runner_sim_total").Value(); got != 14 {
+	if got := r.Metrics.Counter("runner_sim_total").Value(); got != 14 {
 		t.Errorf("runner_sim_total = %d after the three studies, want 14", got)
 	}
 	want := render(r)
@@ -242,15 +242,15 @@ func TestStudiesDedupAndResume(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	resumed, reg := newRunner()
+	resumed := newRunner()
 	if got := render(resumed); got != want {
 		t.Errorf("resumed output differs:\ngot:\n%s\nwant:\n%s", got, want)
 	}
-	if got := reg.Counter("runner_sim_total").Value(); got != 0 {
+	if got := resumed.Metrics.Counter("runner_sim_total").Value(); got != 0 {
 		t.Errorf("runner_sim_total = %d on resume, want 0", got)
 	}
 	// Nine Fig. 4 subjects plus the sensitivity study's ten distinct runs.
-	if got := reg.Counter("runner_resumed_total").Value(); got != 9+10 {
+	if got := resumed.Metrics.Counter("runner_resumed_total").Value(); got != 9+10 {
 		t.Errorf("runner_resumed_total = %d on resume, want 19", got)
 	}
 }
