@@ -4,6 +4,7 @@ import (
 	"context"
 	"reflect"
 	"testing"
+	"testing/quick"
 	"time"
 
 	"repro/internal/cache"
@@ -412,6 +413,164 @@ func TestMissWindowsProperty(t *testing.T) {
 				t.Errorf("threads=%d window=%d: counting miss windows changed the result", threads, window)
 			}
 		}
+	}
+}
+
+// gapStream is one thread that misses at addr 0, retires gap cycles of work,
+// misses at a distant address, then retires tail cycles on an L1 hit, so the
+// run has a quiet stretch between its two misses and after the last one.
+func gapStream(gap, tail uint32) []trace.Stream {
+	return singleStream([]trace.Ref{
+		{Addr: 0, Kind: trace.Load, Dep: true},
+		{Addr: 1 << 30, Kind: trace.Load, Dep: true, Work: gap},
+		{Addr: 0, Kind: trace.Load, Work: tail},
+	})
+}
+
+// missTimes runs cfg with one-cycle windows and returns each off-chip
+// request's issue cycle, in order.
+func missTimes(t *testing.T, cfg Config, streams []trace.Stream) []uint64 {
+	t.Helper()
+	cfg.MissWindow = 1
+	res, err := Run(context.Background(), cfg, streams)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var times []uint64
+	for now, n := range res.MissWindows {
+		for ; n > 0; n-- {
+			times = append(times, uint64(now))
+		}
+	}
+	return times
+}
+
+// TestMissWindowsBinning checks that window i counts exactly the requests
+// issued in cycles [i*w, (i+1)*w), for windows that do not divide each other.
+func TestMissWindowsBinning(t *testing.T) {
+	// A thread's first miss issues once its leading work retires, which
+	// pins absolute cycles at the window boundaries.
+	for _, work := range []uint32{99, 100, 250} {
+		res, err := Run(context.Background(), Config{
+			Spec: testSpec(), Threads: 1, Cores: 1, MissWindow: 100,
+		}, singleStream([]trace.Ref{{Addr: 0, Kind: trace.Load, Work: work}}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		i := work / 100
+		if uint32(len(res.MissWindows)) <= i || res.MissWindows[i] != 1 {
+			t.Errorf("miss at cycle %d: MissWindows = %v, want it in window %d", work, res.MissWindows, i)
+		}
+	}
+	cfg := Config{Spec: testSpec(), Threads: 2, Cores: 2}
+	times := missTimes(t, cfg, memBoundStreams(2, 30))
+	if len(times) != 60 {
+		t.Fatalf("%d misses recorded, want 60", len(times))
+	}
+	for _, window := range []uint64{7, 100, 997} {
+		cfg.MissWindow = window
+		res, err := Run(context.Background(), cfg, memBoundStreams(2, 30))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := make([]uint64, len(res.MissWindows))
+		for _, now := range times {
+			want[now/window]++
+		}
+		if !reflect.DeepEqual(res.MissWindows, want) {
+			t.Errorf("window=%d: MissWindows = %v, binning the issue cycles gives %v", window, res.MissWindows, want)
+		}
+	}
+}
+
+// TestMissWindowsInteriorEmptyKept checks that quiet windows between two
+// misses stay in the series as zeros, so window indices remain time.
+func TestMissWindowsInteriorEmptyKept(t *testing.T) {
+	cfg := Config{Spec: testSpec(), Threads: 1, Cores: 1}
+	times := missTimes(t, cfg, gapStream(1000, 0))
+	if len(times) != 2 || times[1]-times[0] < 1000 {
+		t.Fatalf("miss times = %v, want two misses at least 1000 cycles apart", times)
+	}
+	cfg.MissWindow = 10
+	res, err := Run(context.Background(), cfg, gapStream(1000, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	first, second := times[0]/10, times[1]/10
+	if uint64(len(res.MissWindows)) <= second {
+		t.Fatalf("%d windows, the second miss is in window %d", len(res.MissWindows), second)
+	}
+	for i, n := range res.MissWindows[:second+1] {
+		want := uint64(0)
+		if uint64(i) == first || uint64(i) == second {
+			want = 1
+		}
+		if n != want {
+			t.Errorf("window %d holds %d, want %d", i, n, want)
+		}
+	}
+}
+
+// TestMissWindowsPadToMakespan checks that the series runs through the
+// window holding cycle Makespan-1 when the run ends well after its last
+// miss, and that the windows past the last miss are zero.
+func TestMissWindowsPadToMakespan(t *testing.T) {
+	cfg := Config{Spec: testSpec(), Threads: 1, Cores: 1}
+	times := missTimes(t, cfg, gapStream(0, 5000))
+	if len(times) != 2 {
+		t.Fatalf("miss times = %v, want two misses", times)
+	}
+	run := func(window uint64) Result {
+		t.Helper()
+		cfg.MissWindow = window
+		res, err := Run(context.Background(), cfg, gapStream(0, 5000))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	res := run(10)
+	if res.Makespan < times[1]+5000 {
+		t.Fatalf("makespan %d ends before the tail work after cycle %d", res.Makespan, times[1])
+	}
+	if want := (res.Makespan-1)/10 + 1; uint64(len(res.MissWindows)) != want {
+		t.Errorf("%d windows, want %d (makespan %d)", len(res.MissWindows), want, res.Makespan)
+	}
+	for i, n := range res.MissWindows[times[1]/10+1:] {
+		if n != 0 {
+			t.Errorf("padding window %d holds %d", int(times[1]/10)+1+i, n)
+		}
+	}
+	// Boundaries: a window of Makespan cycles holds the whole run; one of
+	// Makespan-1 cycles leaves the last cycle in a second window.
+	if got := len(run(res.Makespan).MissWindows); got != 1 {
+		t.Errorf("window=makespan: %d windows, want 1", got)
+	}
+	if got := len(run(res.Makespan - 1).MissWindows); got != 2 {
+		t.Errorf("window=makespan-1: %d windows, want 2", got)
+	}
+}
+
+// TestMissWindowsTotalConservation checks, over random thread counts, miss
+// counts and windows, that the windows sum to the run's OffChipRequests.
+func TestMissWindowsTotalConservation(t *testing.T) {
+	spec := testSpec()
+	f := func(threads, misses uint8, window uint16) bool {
+		n := 1 + int(threads)%4
+		res, err := Run(context.Background(), Config{
+			Spec: spec, Threads: n, Cores: n, MissWindow: 1 + uint64(window),
+		}, memBoundStreams(n, 1+int(misses)%40))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var sum uint64
+		for _, c := range res.MissWindows {
+			sum += c
+		}
+		return sum == res.OffChipRequests && sum > 0
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
+		t.Error(err)
 	}
 }
 
