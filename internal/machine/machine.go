@@ -22,6 +22,7 @@ import (
 	"slices"
 
 	"repro/internal/cache"
+	"repro/internal/eventq"
 	"repro/internal/interconnect"
 	"repro/internal/memctrl"
 )
@@ -240,8 +241,8 @@ type Machine struct {
 	Topo *interconnect.Topology
 }
 
-// Build instantiates the spec against the given clock.
-func Build(spec Spec, clk memctrl.Clock) (*Machine, error) {
+// Build instantiates the spec against the simulator's event queue q.
+func Build(spec Spec, q *eventq.Queue) (*Machine, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
@@ -291,7 +292,7 @@ func Build(spec Spec, clk memctrl.Clock) (*Machine, error) {
 	for i := 0; i < spec.NumMCs(); i++ {
 		cfg := spec.MC
 		cfg.Name = fmt.Sprintf("MC%d", i)
-		mc, err := memctrl.New(cfg, clk)
+		mc, err := memctrl.New(cfg, q)
 		if err != nil {
 			return nil, err
 		}
@@ -311,7 +312,7 @@ func Build(spec Spec, clk memctrl.Clock) (*Machine, error) {
 				MissLatency: spec.Bus.Occupancy,
 				Discipline:  memctrl.FCFS,
 			}
-			bus, err := memctrl.New(cfg, clk)
+			bus, err := memctrl.New(cfg, q)
 			if err != nil {
 				return nil, err
 			}
@@ -332,7 +333,7 @@ func Build(spec Spec, clk memctrl.Clock) (*Machine, error) {
 				MissLatency: spec.LinkOccupancy,
 				Discipline:  memctrl.FCFS,
 			}
-			link, err := memctrl.New(cfg, clk)
+			link, err := memctrl.New(cfg, q)
 			if err != nil {
 				return nil, err
 			}

@@ -5,25 +5,23 @@
 // and serviced FCFS or FR-FCFS (row hits first), with distinct service
 // times for row-buffer hits and misses.
 //
-// The controller is driven by the discrete-event clock from
-// internal/eventq: Submit enqueues a request at the current time and the
-// completion callback fires when service finishes. Queueing delay — the
-// quantity that grows with the number of active cores and saturates the
-// M/M/1 model — emerges from channel occupancy rather than being assumed.
+// The controller is driven by the simulator's event queue
+// (*eventq.Queue): Submit enqueues a request at the current time and the
+// completion callback fires when service finishes. Submit decodes the
+// address into channel, bank and row once; the scheduler compares those
+// against each bank's open row and never divides. Queues are unbounded:
+// the paper models no back-pressure, so every submission completes.
+// Queueing delay — the quantity that grows with the number of active
+// cores and saturates the M/M/1 model — emerges from channel occupancy
+// rather than being assumed.
 package memctrl
 
 import (
 	"errors"
 	"fmt"
-)
 
-// Clock is the subset of the event queue the controller needs. The
-// simulator passes its one *eventq.Queue; keeping the dependency this
-// narrow lets the controller be driven by anything with a clock.
-type Clock interface {
-	Now() uint64
-	After(d uint64, fn func())
-}
+	"repro/internal/eventq"
+)
 
 // Discipline selects the scheduling policy of each channel.
 type Discipline uint8
@@ -57,7 +55,7 @@ type Config struct {
 	// Banks is the number of DRAM banks per channel.
 	Banks int
 	// RowBytes is the DRAM row (page) size used for row-buffer hit
-	// detection.
+	// detection. Row r of an address lives in bank r % Banks.
 	RowBytes uint64
 	// LineBytes is the request granularity used for channel interleaving.
 	LineBytes uint64
@@ -68,10 +66,6 @@ type Config struct {
 	MissLatency uint64
 	// Discipline selects FCFS or FRFCFS.
 	Discipline Discipline
-	// MaxQueue bounds the number of queued (not yet in service) requests
-	// per channel; 0 means unbounded. Submissions beyond the bound are
-	// rejected so callers can model back-pressure.
-	MaxQueue int
 }
 
 // Validate checks the configuration.
@@ -108,8 +102,6 @@ type Stats struct {
 	BusyCycles uint64
 	// MaxQueueLen is the high-water mark of any single channel queue.
 	MaxQueueLen int
-	// Rejected counts submissions refused due to MaxQueue.
-	Rejected uint64
 }
 
 // AvgWait returns the mean queueing delay per completed request.
@@ -147,12 +139,11 @@ func (s Stats) Utilization(elapsed uint64, channels int) float64 {
 	return float64(s.BusyCycles) / (float64(elapsed) * float64(channels))
 }
 
-// ErrQueueFull is returned by Submit when the channel queue is bounded and
-// full.
-var ErrQueueFull = errors.New("memctrl: channel queue full")
-
+// request is one queued access, decoded at Submit: the FR-FCFS scan reads
+// bank and row directly.
 type request struct {
-	addr    uint64
+	bank    int
+	row     int64
 	arrival uint64
 	done    func(rowHit bool)
 }
@@ -225,20 +216,20 @@ type channel struct {
 // Controller is one memory controller instance.
 type Controller struct {
 	cfg   Config
-	clock Clock
+	q     *eventq.Queue
 	chans []channel
 	stats Stats
 }
 
-// New builds a controller bound to the given clock.
-func New(cfg Config, clock Clock) (*Controller, error) {
+// New builds a controller driven by the event queue q.
+func New(cfg Config, q *eventq.Queue) (*Controller, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	if clock == nil {
-		return nil, errors.New("memctrl: nil clock")
+	if q == nil {
+		return nil, errors.New("memctrl: nil event queue")
 	}
-	c := &Controller{cfg: cfg, clock: clock, chans: make([]channel, cfg.Channels)}
+	c := &Controller{cfg: cfg, q: q, chans: make([]channel, cfg.Channels)}
 	for i := range c.chans {
 		rows := make([]int64, cfg.Banks)
 		for b := range rows {
@@ -290,48 +281,35 @@ func (c *Controller) Occupancy() int { return c.QueueLen() + c.BusyChannels() }
 // channel, for per-channel queue-depth telemetry.
 func (c *Controller) ChannelQueueLen(ch int) int { return c.chans[ch].q.len() }
 
-// route returns the channel index for addr.
-func (c *Controller) route(addr uint64) int {
-	return int((addr / c.cfg.LineBytes) % uint64(c.cfg.Channels))
-}
-
-// rowOf returns the DRAM row number of addr.
-func (c *Controller) rowOf(addr uint64) int64 {
-	return int64(addr / c.cfg.RowBytes)
-}
-
-// bankOf returns the bank index of addr within its channel.
-func (c *Controller) bankOf(addr uint64) int {
-	return int(uint64(c.rowOf(addr)) % uint64(c.cfg.Banks))
-}
-
 // Submit enqueues a request for addr at the current simulated time. done is
 // invoked exactly once, at the simulated completion time, with whether the
-// request was serviced from an open row. Submit returns ErrQueueFull when a
-// bounded queue is full.
+// request was serviced from an open row.
 //
 //simcheck:hotpath
-func (c *Controller) Submit(addr uint64, done func(rowHit bool)) error {
-	chIdx := c.route(addr)
+func (c *Controller) Submit(addr uint64, done func(rowHit bool)) {
+	chIdx := int((addr / c.cfg.LineBytes) % uint64(c.cfg.Channels))
+	row := addr / c.cfg.RowBytes
 	ch := &c.chans[chIdx]
-	if c.cfg.MaxQueue > 0 && ch.q.len() >= c.cfg.MaxQueue {
-		c.stats.Rejected++
-		return ErrQueueFull
-	}
-	ch.q.push(request{addr: addr, arrival: c.clock.Now(), done: done})
+	ch.q.push(request{
+		bank:    int(row % uint64(c.cfg.Banks)),
+		row:     int64(row),
+		arrival: c.q.Now(),
+		done:    done,
+	})
 	if ch.q.len() > c.stats.MaxQueueLen {
 		c.stats.MaxQueueLen = ch.q.len()
 	}
 	if !ch.busy {
 		c.startNext(chIdx)
 	}
-	return nil
 }
 
 // startNext picks the next request on channel chIdx per the discipline and
 // schedules its completion. It is a no-op while the channel is already
 // serving a request (a completion callback may submit new work, which must
 // queue rather than overlap).
+//
+//simcheck:hotpath
 func (c *Controller) startNext(chIdx int) {
 	ch := &c.chans[chIdx]
 	if ch.busy || ch.q.len() == 0 {
@@ -341,7 +319,7 @@ func (c *Controller) startNext(chIdx int) {
 	if c.cfg.Discipline == FRFCFS {
 		for i := 0; i < ch.q.len(); i++ {
 			r := ch.q.at(i)
-			if ch.rows[c.bankOf(r.addr)] == c.rowOf(r.addr) {
+			if ch.rows[r.bank] == r.row {
 				pick = i
 				break
 			}
@@ -349,16 +327,14 @@ func (c *Controller) startNext(chIdx int) {
 	}
 	req := ch.q.popAt(pick)
 
-	bank := c.bankOf(req.addr)
-	row := c.rowOf(req.addr)
-	rowHit := ch.rows[bank] == row
-	ch.rows[bank] = row
+	rowHit := ch.rows[req.bank] == req.row
+	ch.rows[req.bank] = req.row
 
 	service := c.cfg.MissLatency
 	if rowHit {
 		service = c.cfg.HitLatency
 	}
-	now := c.clock.Now()
+	now := c.q.Now()
 	c.stats.TotalWait += now - req.arrival
 	c.stats.TotalService += service
 	c.stats.BusyCycles += service
@@ -368,11 +344,13 @@ func (c *Controller) startNext(chIdx int) {
 	ch.busy = true
 	ch.inService = req
 	ch.serviceHit = rowHit
-	c.clock.After(service, ch.finishFn)
+	c.q.After(service, ch.finishFn)
 }
 
 // finish completes the in-service request on channel chIdx and pulls the
-// next one. It runs from the channel's prebuilt clock callback.
+// next one. It runs from the channel's prebuilt event callback.
+//
+//simcheck:hotpath
 func (c *Controller) finish(chIdx int) {
 	ch := &c.chans[chIdx]
 	c.stats.Requests++

@@ -58,9 +58,12 @@ type engine struct {
 	pageHome map[uint64]int // page number -> MC index
 	// firstTouchRR rotates among a socket's local controllers.
 	firstTouchRR []int
-	// localMCs caches Spec.LocalMCs per socket: homeMC and hopsFrom run
-	// once per off-chip request and must not allocate.
+	// localMCs caches Spec.LocalMCs per socket: homeMC runs once per
+	// off-chip request and must not allocate.
 	localMCs [][]int
+	// hopTable[socket][mc] is hopsFrom(socket, mc), filled once so launch
+	// does no topology walk per request.
+	hopTable [][]int
 	// interleaveRR rotates over activeMCs for the Interleave policy.
 	interleaveRR int
 	activeMCs    []int
@@ -118,6 +121,13 @@ func newEngine(cfg Config, m *machine.Machine, q *eventq.Queue) *engine {
 	e.localMCs = make([][]int, cfg.Spec.Sockets)
 	for s := range e.localMCs {
 		e.localMCs[s] = cfg.Spec.LocalMCs(s)
+	}
+	e.hopTable = make([][]int, cfg.Spec.Sockets)
+	for s := range e.hopTable {
+		e.hopTable[s] = make([]int, len(m.MCs))
+		for mc := range e.hopTable[s] {
+			e.hopTable[s][mc] = e.hopsFrom(s, mc)
+		}
 	}
 	// Active controllers: those local to sockets with at least one active
 	// core, in controller order (the paper's activation order).
@@ -485,7 +495,7 @@ func (e *engine) launch(r *memReq) {
 	}
 
 	r.home = e.homeMC(r.addr, c)
-	r.hops = e.hopsFrom(c.socket, r.home)
+	r.hops = e.hopTable[c.socket][r.home]
 	if r.hops > 0 {
 		th.st.Remote++
 	}
@@ -591,8 +601,12 @@ func (e *engine) unblock(c *core, th *thread) {
 }
 
 // homeMC returns the controller owning addr's page, assigning it per the
-// placement policy on first touch.
+// placement policy on first touch. With a single controller every policy
+// answers 0, so no page is recorded.
 func (e *engine) homeMC(addr uint64, c *core) int {
+	if len(e.m.MCs) == 1 {
+		return 0
+	}
 	page := addr / e.cfg.PageBytes
 	if home, ok := e.pageHome[page]; ok {
 		return home

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/memctrl"
 	"repro/internal/trace"
 )
 
@@ -46,27 +47,52 @@ func randomStreams(seed int64, threads, refsEach int) []trace.Stream {
 // the marginal cost of simulating more references must be allocation-free.
 // Fixed per-run setup (engine, machine, pools, page tables) is measured by
 // a small run and subtracted; the extra references of a 16x larger run may
-// not add more than a page-table's worth of allocations.
+// not add more than a page-table's worth of allocations. The cases cover
+// every controller role: FCFS controllers, FR-FCFS controllers behind
+// link servers, and UMA buses in front of the shared controller.
 func TestDispatchLoopAllocationBound(t *testing.T) {
-	spec := testSpec()
-	measure := func(refs int) float64 {
-		return testing.AllocsPerRun(3, func() {
-			if _, err := Run(context.Background(), Config{Spec: spec, Threads: 4, Cores: 4},
-				randomStreams(7, 4, refs)); err != nil {
-				t.Fatal(err)
+	frfcfs := testSpec()
+	frfcfs.MC.Discipline = memctrl.FRFCFS
+	frfcfs.LinkOccupancy = 12
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"fcfs", Config{Spec: testSpec()}},
+		// Interleaved pages make half the requests remote, so they cross
+		// the link servers both ways.
+		{"frfcfs-links", Config{Spec: frfcfs, Placement: Interleave}},
+		{"uma-bus", Config{Spec: umaSpec()}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := tc.cfg
+			cfg.Threads, cfg.Cores = 4, 4
+			run := func(refs int) Result {
+				res, err := Run(context.Background(), cfg, randomStreams(7, 4, refs))
+				if err != nil {
+					t.Fatal(err)
+				}
+				return res
+			}
+			measure := func(refs int) float64 {
+				return testing.AllocsPerRun(3, func() { run(refs) })
+			}
+			small := measure(2000)
+			large := measure(32000)
+			extraRefs := 4 * (32000 - 2000)
+			perRef := (large - small) / float64(extraRefs)
+			// The only allowed growth is the first-touch page map (one entry
+			// per distinct page, amortized across refs) — well under 0.1
+			// allocs/ref. The pre-overhaul engine allocated >3 per off-chip
+			// reference.
+			if perRef > 0.1 {
+				t.Errorf("dispatch loop allocates %.3f objects per reference (small run %.0f, large run %.0f), want ~0",
+					perRef, small, large)
+			}
+			if cfg.Spec.LinkOccupancy > 0 && run(2000).RemoteRequests == 0 {
+				t.Error("no remote requests: the link servers were never exercised")
 			}
 		})
-	}
-	small := measure(2000)
-	large := measure(32000)
-	extraRefs := 4 * (32000 - 2000)
-	perRef := (large - small) / float64(extraRefs)
-	// The only allowed growth is the first-touch page map (one entry per
-	// distinct page, amortized across refs) — well under 0.1 allocs/ref.
-	// The pre-overhaul engine allocated >3 per off-chip reference.
-	if perRef > 0.1 {
-		t.Errorf("dispatch loop allocates %.3f objects per reference (small run %.0f, large run %.0f), want ~0",
-			perRef, small, large)
 	}
 }
 
