@@ -8,7 +8,7 @@ GO ?= go
 STATICCHECK_VERSION ?= 2025.1
 GOVULNCHECK_VERSION ?= v1.1.4
 
-.PHONY: check build vet lint lint-allows lint-extra test short race bench microbench artifacts-fast serve serve-smoke load-smoke trace-smoke docs-check clean
+.PHONY: check build vet lint lint-allows lint-extra test short race bench microbench artifacts-fast serve serve-smoke load-smoke trace-smoke docs-check loc clean
 
 ## check: the tier-1 gate — vet, lint (simcheck), the allow-directive
 ## audit, build, race-enabled tests.
@@ -116,6 +116,14 @@ trace-smoke:
 ## cannot silently go stale.
 docs-check:
 	scripts/docs_check.sh
+
+## loc: production Go lines — non-test .go files outside vendor/,
+## testdata/, perfbench/ and hidden build directories. Quote this number
+## for any "production lines X -> Y" claim.
+loc:
+	@find . -path './.*' -prune -o -path ./vendor -prune -o -path ./perfbench -prune \
+		-o -name testdata -prune -o -name '*.go' -not -name '*_test.go' -print \
+		| xargs cat | wc -l | awk '{print "production Go lines:", $$1}'
 
 clean:
 	$(GO) clean ./...

@@ -10,7 +10,7 @@
 //	BenchmarkTableIV          1/C(n) linearity goodness-of-fit
 //	BenchmarkAblationInputs   AMD heterogeneous vs homogeneous fit
 //	BenchmarkAblationController  FCFS vs FR-FCFS memory scheduling
-//	BenchmarkAblationClosedModel open M/M/1 vs closed-network baseline
+//	BenchmarkAblationLinearBaseline open M/M/1 vs linear baseline
 //
 // Benchmarks run the workloads at a reduced RefScale so `go test -bench=.`
 // completes in minutes; run cmd/experiments with -scale 1 for full
@@ -198,19 +198,19 @@ func BenchmarkAblationController(b *testing.B) {
 	b.ReportMetric(res.OmegaFR, "omega.frfcfs")
 }
 
-func BenchmarkAblationClosedModel(b *testing.B) {
+func BenchmarkAblationLinearBaseline(b *testing.B) {
 	r := experiments.NewRunner(benchTune)
 	spec := machine.IntelNUMA24()
-	var res experiments.AblationClosedResult
+	var res experiments.AblationLinearResult
 	var err error
 	for i := 0; i < b.N; i++ {
-		res, err = r.AblationClosedModel(context.Background(), spec, "CG", workload.C)
+		res, err = r.AblationLinearBaseline(context.Background(), spec, "CG", workload.C)
 		if err != nil {
 			b.Fatal(err)
 		}
 	}
 	b.ReportMetric(100*res.OpenMRE, "MRE%.open")
-	b.ReportMetric(100*res.ClosedMRE, "MRE%.closed")
+	b.ReportMetric(100*res.LinearMRE, "MRE%.linear")
 }
 
 func BenchmarkSpeedupStudy(b *testing.B) {

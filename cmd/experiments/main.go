@@ -251,11 +251,11 @@ func main() {
 				return err
 			}
 			experiments.RenderAblationController(os.Stdout, ctrl)
-			closed, err := r.AblationClosedModel(ctx, spec, "CG", workload.C)
+			linear, err := r.AblationLinearBaseline(ctx, spec, "CG", workload.C)
 			if err != nil {
 				return err
 			}
-			experiments.RenderAblationClosed(os.Stdout, closed)
+			experiments.RenderAblationLinear(os.Stdout, linear)
 		}
 		return nil
 	})

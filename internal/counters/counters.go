@@ -51,9 +51,6 @@ func FromResult(r sim.Result) Set {
 	}
 }
 
-// Read returns the value of an event (0 if absent).
-func (s Set) Read(e Event) uint64 { return s[e] }
-
 // Events lists the events present, sorted by name.
 func (s Set) Events() []Event {
 	var evs []Event
@@ -73,47 +70,18 @@ func (s Set) String() string {
 	return out
 }
 
-// Diff returns s - other per event, for before/after measurements.
-func (s Set) Diff(other Set) Set {
-	d := Set{}
-	for e, v := range s {
-		d[e] = v - other[e]
-	}
-	return d
-}
-
-// index assigns each paper event a dense slot for array-backed accumulation.
-var index = map[Event]int{
-	TotCyc: 0, TotIns: 1, ResStl: 2, LLCMisses: 3, WorkCyc: 4, MemStl: 5, RemoteReq: 6,
-}
-
-// byIndex is the inverse of index, in slot order.
+// byIndex lists the paper's events in accumulator slot order.
 var byIndex = [...]Event{TotCyc, TotIns, ResStl, LLCMisses, WorkCyc, MemStl, RemoteReq}
 
-// Accumulator batches counter updates over many runs (or many per-thread
-// snapshots) without the per-update map hashing and allocation a Set would
-// cost: the values live in a fixed array indexed by event slot. Aggregation
-// loops — summing a sweep, totaling per-thread counters — add into an
+// Accumulator totals many per-thread counter snapshots without the
+// per-update map hashing and allocation a Set would cost: the values live
+// in a fixed array indexed by event slot. Aggregation loops add into an
 // Accumulator and materialize a Set once at the end.
 //
 // The zero value is an empty accumulator.
 type Accumulator struct {
 	v [len(byIndex)]uint64
 	n uint64
-}
-
-// AddResult folds one simulation result into the accumulator.
-//
-//simcheck:hotpath
-func (a *Accumulator) AddResult(r sim.Result) {
-	a.v[0] += r.TotalCycles
-	a.v[1] += r.Instructions
-	a.v[2] += r.StallCycles
-	a.v[3] += r.LLCMisses
-	a.v[4] += r.WorkCycles
-	a.v[5] += r.MemStallCycles
-	a.v[6] += r.RemoteRequests
-	a.n++
 }
 
 // AddThread folds one per-thread counter snapshot into the accumulator.
@@ -130,35 +98,7 @@ func (a *Accumulator) AddThread(t sim.ThreadStats) {
 	a.n++
 }
 
-// Add increments a single event (no-op for events outside the paper's set).
-//
-//simcheck:hotpath
-func (a *Accumulator) Add(e Event, delta uint64) {
-	if i, ok := index[e]; ok {
-		a.v[i] += delta
-	}
-}
-
-// Read returns the accumulated value of an event (0 if absent).
-func (a *Accumulator) Read(e Event) uint64 {
-	if i, ok := index[e]; ok {
-		return a.v[i]
-	}
-	return 0
-}
-
-// Merge folds another accumulator's totals and run count into a, so
-// per-worker accumulators built concurrently can be combined after a
-// parallel sweep. Merging the zero value is a no-op; merge order never
-// changes the totals (uint64 addition is commutative and associative).
-func (a *Accumulator) Merge(b *Accumulator) {
-	for i := range a.v {
-		a.v[i] += b.v[i]
-	}
-	a.n += b.n
-}
-
-// Runs returns how many results/snapshots were folded in.
+// Runs returns how many snapshots were folded in.
 func (a *Accumulator) Runs() uint64 { return a.n }
 
 // Set materializes the accumulated totals as a Set.

@@ -19,22 +19,15 @@ func TestFromResult(t *testing.T) {
 		OffChipRequests: 42,
 	}
 	s := FromResult(r)
-	if s.Read(TotCyc) != 1000 || s.Read(ResStl) != 400 || s.Read(LLCMisses) != 42 {
+	if s[TotCyc] != 1000 || s[ResStl] != 400 || s[LLCMisses] != 42 {
 		t.Errorf("set = %v", s)
 	}
 	// The paper's derivation: work = total - stall.
-	if s.Read(WorkCyc) != s.Read(TotCyc)-s.Read(ResStl) {
+	if s[WorkCyc] != s[TotCyc]-s[ResStl] {
 		t.Error("work-cycle identity violated")
 	}
-	if s.Read(RemoteReq) != 7 || s.Read(MemStl) != 300 || s.Read(TotIns) != 900 {
+	if s[RemoteReq] != 7 || s[MemStl] != 300 || s[TotIns] != 900 {
 		t.Errorf("set = %v", s)
-	}
-}
-
-func TestReadAbsent(t *testing.T) {
-	s := Set{}
-	if s.Read(TotCyc) != 0 {
-		t.Error("absent event should read 0")
 	}
 }
 
@@ -60,23 +53,27 @@ func TestStringFormat(t *testing.T) {
 }
 
 func TestAccumulatorMatchesSet(t *testing.T) {
-	r1 := sim.Result{TotalCycles: 1000, WorkCycles: 600, StallCycles: 400,
-		MemStallCycles: 300, Instructions: 900, LLCMisses: 42, RemoteRequests: 7}
-	r2 := sim.Result{TotalCycles: 500, WorkCycles: 200, StallCycles: 300,
-		MemStallCycles: 100, Instructions: 450, LLCMisses: 11, RemoteRequests: 3}
+	threads := []sim.ThreadStats{
+		{Work: 600, Stall: 400, MemStall: 300, Instructions: 900, OffChip: 42, Remote: 7},
+		{Work: 200, Stall: 300, MemStall: 100, Instructions: 450, OffChip: 11, Remote: 3},
+	}
 	var acc Accumulator
-	acc.AddResult(r1)
-	acc.AddResult(r2)
+	want := Set{}
+	for _, th := range threads {
+		acc.AddThread(th)
+		// Each snapshot read as a one-thread run; FromResult fixes which
+		// event every field belongs to.
+		one := FromResult(sim.Result{TotalCycles: th.Cycles(), WorkCycles: th.Work,
+			StallCycles: th.Stall, MemStallCycles: th.MemStall, Instructions: th.Instructions,
+			LLCMisses: th.OffChip, RemoteRequests: th.Remote})
+		for e, v := range one {
+			want[e] += v
+		}
+	}
 	if acc.Runs() != 2 {
 		t.Errorf("runs = %d", acc.Runs())
 	}
 	// The batched totals must equal event-wise summation of the two Sets.
-	want := Set{}
-	for _, s := range []Set{FromResult(r1), FromResult(r2)} {
-		for e, v := range s {
-			want[e] += v
-		}
-	}
 	got := acc.Set()
 	for e, v := range want {
 		if got[e] != v {
@@ -94,89 +91,21 @@ func TestAccumulatorThreads(t *testing.T) {
 		Instructions: 90, OffChip: 4, Remote: 1})
 	acc.AddThread(sim.ThreadStats{Work: 20, Stall: 30, MemStall: 10,
 		Instructions: 45, OffChip: 1, Remote: 0})
-	if acc.Read(TotCyc) != 150 || acc.Read(WorkCyc) != 80 || acc.Read(LLCMisses) != 5 {
-		t.Errorf("set = %v", acc.Set())
-	}
-	acc.Add(RemoteReq, 10)
-	if acc.Read(RemoteReq) != 11 {
-		t.Errorf("remote = %d", acc.Read(RemoteReq))
-	}
-	acc.Add(Event("NOT_A_COUNTER"), 5)
-	if acc.Read(Event("NOT_A_COUNTER")) != 0 {
-		t.Error("unknown events must be ignored")
+	if s := acc.Set(); s[TotCyc] != 150 || s[WorkCyc] != 80 || s[LLCMisses] != 5 || s[RemoteReq] != 1 {
+		t.Errorf("set = %v", s)
 	}
 }
 
-// TestAccumulatorMerge pins the merge semantics: splitting a workload
-// across accumulators and merging equals accumulating serially, merge
-// order does not matter, and merging the zero value is a no-op.
-func TestAccumulatorMerge(t *testing.T) {
-	results := []sim.Result{
-		{TotalCycles: 1000, WorkCycles: 600, StallCycles: 400, MemStallCycles: 300,
-			Instructions: 900, LLCMisses: 42, RemoteRequests: 7},
-		{TotalCycles: 500, WorkCycles: 200, StallCycles: 300, MemStallCycles: 100,
-			Instructions: 450, LLCMisses: 11, RemoteRequests: 3},
-		{TotalCycles: 250, WorkCycles: 100, StallCycles: 150, MemStallCycles: 50,
-			Instructions: 225, LLCMisses: 5, RemoteRequests: 1},
-	}
-	var serial Accumulator
-	for _, r := range results {
-		serial.AddResult(r)
-	}
-
-	// Workers 0 and 1 split the results; merge in both orders.
-	var w0, w1 Accumulator
-	w0.AddResult(results[0])
-	w1.AddResult(results[1])
-	w1.AddResult(results[2])
-	forward, backward := w0, w1
-	forward.Merge(&w1)
-	backward.Merge(&w0)
-	for _, m := range []*Accumulator{&forward, &backward} {
-		if m.Runs() != serial.Runs() {
-			t.Errorf("merged runs = %d, want %d", m.Runs(), serial.Runs())
-		}
-		for _, e := range byIndex {
-			if m.Read(e) != serial.Read(e) {
-				t.Errorf("merged %s = %d, want %d", e, m.Read(e), serial.Read(e))
-			}
-		}
-	}
-
-	// Merging an empty accumulator changes nothing, in either direction.
-	var zero Accumulator
-	merged := serial
-	merged.Merge(&zero)
-	if merged != serial {
-		t.Error("merging the zero value changed the accumulator")
-	}
-	zero.Merge(&serial)
-	if zero != serial {
-		t.Error("merging into the zero value should copy the totals")
-	}
-}
-
-// TestAccumulatorZeroAlloc pins the batching contract: folding results in
-// does not allocate (the Set materialization at the end is the only map).
+// TestAccumulatorZeroAlloc pins the batching contract: folding snapshots
+// in does not allocate (the Set materialization at the end is the only
+// map).
 func TestAccumulatorZeroAlloc(t *testing.T) {
-	r := sim.Result{TotalCycles: 1000, WorkCycles: 600}
 	th := sim.ThreadStats{Work: 60, Stall: 40}
 	var acc Accumulator
 	avg := testing.AllocsPerRun(100, func() {
-		acc.AddResult(r)
 		acc.AddThread(th)
-		acc.Add(TotCyc, 1)
 	})
 	if avg != 0 {
 		t.Errorf("allocs per batched update = %v, want 0", avg)
-	}
-}
-
-func TestDiff(t *testing.T) {
-	after := Set{TotCyc: 100, LLCMisses: 10}
-	before := Set{TotCyc: 60, LLCMisses: 4}
-	d := after.Diff(before)
-	if d.Read(TotCyc) != 40 || d.Read(LLCMisses) != 6 {
-		t.Errorf("diff = %v", d)
 	}
 }

@@ -23,7 +23,6 @@ type queue interface {
 	Step() bool
 	Run()
 	RunUntil(t uint64)
-	RunWhile(cond func() bool)
 	RunChecked(every uint64, cont func() bool)
 	Drain() int
 }
@@ -104,11 +103,6 @@ func (q *refQueue) RunUntil(t uint64) {
 	}
 	if q.now < t {
 		q.now = t
-	}
-}
-
-func (q *refQueue) RunWhile(cond func() bool) {
-	for cond() && q.Step() {
 	}
 }
 

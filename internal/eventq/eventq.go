@@ -174,12 +174,6 @@ func (q *Queue) RunUntil(t uint64) {
 	}
 }
 
-// RunWhile executes events while cond() returns true and events remain.
-func (q *Queue) RunWhile(cond func() bool) {
-	for cond() && q.Step() {
-	}
-}
-
 // RunChecked executes events until the queue is empty, invoking cont after
 // every `every` dispatched events and stopping early when it returns false.
 // It is the cancellation-aware run loop: the caller's check latency is

@@ -123,20 +123,6 @@ func TestRunUntilHonorsNestedWithinBound(t *testing.T) {
 	})
 }
 
-func TestRunWhile(t *testing.T) {
-	impls(t, func(t *testing.T, newQ func() queue) {
-		q := newQ()
-		count := 0
-		for i := 0; i < 10; i++ {
-			q.At(uint64(i), func() { count++ })
-		}
-		q.RunWhile(func() bool { return count < 3 })
-		if count != 3 {
-			t.Errorf("count = %d", count)
-		}
-	})
-}
-
 // Property: events always run in non-decreasing time order regardless of
 // scheduling order.
 func TestMonotoneClockProperty(t *testing.T) {

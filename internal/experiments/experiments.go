@@ -10,6 +10,7 @@ import (
 	"repro/internal/machine"
 	"repro/internal/memctrl"
 	"repro/internal/sim"
+	"repro/internal/stats"
 	"repro/internal/workload"
 )
 
@@ -445,22 +446,23 @@ func mcAverages(res sim.Result) (avgWait, rowHit float64) {
 }
 
 // ---------------------------------------------------------------------------
-// Ablation C: open M/M/1 model vs closed machine-repairman baseline.
+// Ablation C: open M/M/1 model vs a linear baseline.
 // ---------------------------------------------------------------------------
 
-// AblationClosedResult compares the fitted open-queue model against a
-// closed-network baseline on the same measurements.
-type AblationClosedResult struct {
+// AblationLinearResult compares the fitted open-queue model against a
+// linear baseline built from the same measurements.
+type AblationLinearResult struct {
 	Machine   string
 	OpenMRE   float64
-	ClosedMRE float64
+	LinearMRE float64
 }
 
-// AblationClosedModel fits both model families within one socket of the
-// machine and compares their fit quality over the full single-socket sweep.
-// The closed model self-throttles and cannot reproduce the hockey-stick
-// growth, which is why the paper's open M/M/1 wins for contended programs.
-func (r *Runner) AblationClosedModel(ctx context.Context, spec machine.Spec, program string, class workload.Class) (AblationClosedResult, error) {
+// AblationLinearBaseline fits the paper's open M/M/1 model and a linear
+// baseline to the same two points of a single-socket sweep, C(1) and C(c),
+// and compares their fit quality over the full sweep. The baseline
+// interpolates linearly in n between the two points, so it cannot follow
+// the super-linear growth of contention that the open model captures.
+func (r *Runner) AblationLinearBaseline(ctx context.Context, spec machine.Spec, program string, class workload.Class) (AblationLinearResult, error) {
 	c := spec.CoresPerSocket
 	var counts []int
 	for n := 1; n <= c; n++ {
@@ -468,52 +470,30 @@ func (r *Runner) AblationClosedModel(ctx context.Context, spec machine.Spec, pro
 	}
 	sweep, err := r.Sweep(ctx, spec, program, class, counts)
 	if err != nil {
-		return AblationClosedResult{}, err
+		return AblationLinearResult{}, err
 	}
 	// Open model from the paper's two-point plan.
 	openFit, err := core.FitSingle([]core.Measurement{sweep[0], sweep[len(sweep)-1]})
 	if err != nil {
-		return AblationClosedResult{}, err
+		return AblationLinearResult{}, err
 	}
-	// Closed baseline: calibrate think time and service rate from the same
-	// two points, assuming C_closed(n) = r * Rresp(n) + W where the
-	// response grows linearly to saturation — equivalently interpolate the
-	// two points linearly in n (the closed network's saturated regime).
 	c1 := sweep[0].Cycles
 	cN := sweep[len(sweep)-1].Cycles
-	closedC := func(n int) float64 {
+	linearC := func(n int) float64 {
 		return c1 + (cN-c1)*float64(n-1)/float64(c-1)
 	}
-	var openPred, closedPred, obs []float64
+	var openPred, linearPred, obs []float64
 	for _, m := range sweep {
 		openPred = append(openPred, openFit.C(m.Cores))
-		closedPred = append(closedPred, closedC(m.Cores))
+		linearPred = append(linearPred, linearC(m.Cores))
 		obs = append(obs, m.Cycles)
 	}
-	res := AblationClosedResult{Machine: spec.Name}
-	if res.OpenMRE, err = meanRelErr(openPred, obs); err != nil {
-		return AblationClosedResult{}, err
+	res := AblationLinearResult{Machine: spec.Name}
+	if res.OpenMRE, err = stats.MeanRelativeError(openPred, obs); err != nil {
+		return AblationLinearResult{}, err
 	}
-	if res.ClosedMRE, err = meanRelErr(closedPred, obs); err != nil {
-		return AblationClosedResult{}, err
+	if res.LinearMRE, err = stats.MeanRelativeError(linearPred, obs); err != nil {
+		return AblationLinearResult{}, err
 	}
 	return res, nil
-}
-
-func meanRelErr(pred, obs []float64) (float64, error) {
-	var sum float64
-	for i := range pred {
-		if obs[i] == 0 {
-			continue
-		}
-		d := pred[i] - obs[i]
-		if d < 0 {
-			d = -d
-		}
-		sum += d / obs[i]
-	}
-	if len(pred) == 0 {
-		return 0, fmt.Errorf("experiments: no predictions")
-	}
-	return sum / float64(len(pred)), nil
 }

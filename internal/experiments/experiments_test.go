@@ -225,29 +225,19 @@ func TestFig4SmallMachine(t *testing.T) {
 	if !strings.Contains(buf.String(), "verdict") {
 		t.Error("render incomplete")
 	}
-	// CCDF rendering of the largest class.
-	for _, s := range series {
-		if s.Program == "CG" && s.Class == workload.C {
-			var b2 bytes.Buffer
-			RenderFig4CCDF(&b2, s, 50)
-			if len(b2.String()) == 0 {
-				t.Error("empty CCDF output")
-			}
-		}
-	}
 }
 
-func TestAblationClosedModel(t *testing.T) {
+func TestAblationLinearBaseline(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation-heavy; skipped in -short mode")
 	}
 	r := NewRunner(quickTune)
-	res, err := r.AblationClosedModel(context.Background(), machine.IntelUMA8(), "CG", workload.C)
+	res, err := r.AblationLinearBaseline(context.Background(), machine.IntelUMA8(), "CG", workload.C)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	RenderAblationClosed(&buf, res)
+	RenderAblationLinear(&buf, res)
 	if !strings.Contains(buf.String(), "M/M/1") {
 		t.Error("render incomplete")
 	}

@@ -182,12 +182,6 @@ func TestWriteJSON(t *testing.T) {
 	if !strings.Contains(string(data), `"Omega": 2.5`) {
 		t.Errorf("json = %s", data)
 	}
-	if err := WriteBundle(dir, Bundle{TableII: &d}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := os.Stat(filepath.Join(dir, "results.json")); err != nil {
-		t.Error("bundle not written")
-	}
 	if err := WriteJSON("/nonexistent-dir-xyz", "x", d); err == nil {
 		t.Error("bad dir accepted")
 	}

@@ -20,28 +20,3 @@ func WriteJSON(dir, name string, v interface{}) error {
 	data = append(data, '\n')
 	return os.WriteFile(filepath.Join(dir, name+".json"), data, 0o644)
 }
-
-// Bundle collects every artifact of a full reproduction run for one
-// machine set, for single-file export.
-type Bundle struct {
-	// TableII holds the normalized cycle-increase cells.
-	TableII *TableIIData `json:"tableII,omitempty"`
-	// Fig3 holds the per-machine cycle series.
-	Fig3 []Fig3Data `json:"fig3,omitempty"`
-	// TableIII holds the problem-size inventory.
-	TableIII []ProblemSize `json:"tableIII,omitempty"`
-	// Fig4 holds the burstiness series.
-	Fig4 []Fig4Series `json:"fig4,omitempty"`
-	// Fig5 and Fig6 hold the model validations.
-	Fig5 []ModelFig `json:"fig5,omitempty"`
-	Fig6 []ModelFig `json:"fig6,omitempty"`
-	// TableIV holds the linearity cells.
-	TableIV []TableIVCell `json:"tableIV,omitempty"`
-	// Speedup holds the speedup studies.
-	Speedup []SpeedupData `json:"speedup,omitempty"`
-}
-
-// WriteBundle marshals the bundle into dir/results.json.
-func WriteBundle(dir string, b Bundle) error {
-	return WriteJSON(dir, "results", b)
-}

@@ -84,20 +84,6 @@ func RenderFig4(w io.Writer, series []Fig4Series) {
 	}
 }
 
-// RenderFig4CCDF prints the raw CCDF points of one series (the paper's
-// log-log plot data).
-func RenderFig4CCDF(w io.Writer, s Fig4Series, maxPoints int) {
-	fmt.Fprintf(w, "CCDF for %s.%s: P(burst lines > x)\n", s.Program, s.Class)
-	pts := s.Analysis.CCDF
-	step := 1
-	if maxPoints > 0 && len(pts) > maxPoints {
-		step = len(pts) / maxPoints
-	}
-	for i := 0; i < len(pts); i += step {
-		fmt.Fprintf(w, "%12.0f %12.6g\n", pts[i].X, pts[i].P)
-	}
-}
-
 // RenderModelFig prints the measured-vs-modeled ω(n) comparison (Fig. 5 and
 // Fig. 6).
 func RenderModelFig(w io.Writer, f ModelFig, figName string) {
@@ -151,8 +137,8 @@ func RenderAblationController(w io.Writer, a AblationControllerResult) {
 		a.AvgWaitFC, 100*a.RowHitFC, a.AvgWaitFR, 100*a.RowHitFR)
 }
 
-// RenderAblationClosed prints the open-vs-closed model comparison.
-func RenderAblationClosed(w io.Writer, a AblationClosedResult) {
+// RenderAblationLinear prints the open-model vs linear-baseline comparison.
+func RenderAblationLinear(w io.Writer, a AblationLinearResult) {
 	fmt.Fprintf(w, "Ablation (queueing model, %s): open M/M/1 MRE %.1f%% vs closed/linear %.1f%%\n",
-		a.Machine, 100*a.OpenMRE, 100*a.ClosedMRE)
+		a.Machine, 100*a.OpenMRE, 100*a.LinearMRE)
 }

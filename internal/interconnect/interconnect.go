@@ -78,53 +78,6 @@ func SingleNode(name string) *Topology {
 	return t
 }
 
-// FullMesh returns an n-node topology where every pair of distinct nodes is
-// one hop apart.
-func FullMesh(name string, n int, hopLatency uint64) (*Topology, error) {
-	var links [][2]int
-	for a := 0; a < n; a++ {
-		for b := a + 1; b < n; b++ {
-			links = append(links, [2]int{a, b})
-		}
-	}
-	return New(name, n, links, hopLatency)
-}
-
-// Ring returns an n-node ring topology.
-func Ring(name string, n int, hopLatency uint64) (*Topology, error) {
-	var links [][2]int
-	for i := 0; i < n; i++ {
-		links = append(links, [2]int{i, (i + 1) % n})
-	}
-	return New(name, n, links, hopLatency)
-}
-
-// Circulant returns the circulant graph C_n(offsets...): node i links to
-// i±o (mod n) for each offset o. C_8(1,2) reproduces the AMD Opteron 6172
-// partial mesh: 8 memory controllers with direct, one-hop and two-hop
-// latency classes and HyperTransport-like degree 4.
-func Circulant(name string, n int, hopLatency uint64, offsets ...int) (*Topology, error) {
-	seen := map[[2]int]bool{}
-	var links [][2]int
-	for i := 0; i < n; i++ {
-		for _, o := range offsets {
-			if o <= 0 || o >= n {
-				return nil, fmt.Errorf("interconnect %s: bad offset %d", name, o)
-			}
-			a, b := i, (i+o)%n
-			if a > b {
-				a, b = b, a
-			}
-			key := [2]int{a, b}
-			if a != b && !seen[key] {
-				seen[key] = true
-				links = append(links, key)
-			}
-		}
-	}
-	return New(name, n, links, hopLatency)
-}
-
 // Name returns the topology name.
 func (t *Topology) Name() string { return t.name }
 

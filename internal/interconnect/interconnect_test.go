@@ -56,7 +56,7 @@ func TestTwoNodeDirect(t *testing.T) {
 }
 
 func TestFullMesh(t *testing.T) {
-	top, err := FullMesh("m", 4, 50)
+	top, err := New("m", 4, [][2]int{{0, 1}, {0, 2}, {0, 3}, {1, 2}, {1, 3}, {2, 3}}, 50)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +74,7 @@ func TestFullMesh(t *testing.T) {
 }
 
 func TestRing(t *testing.T) {
-	top, err := Ring("r", 6, 10)
+	top, err := New("r", 6, [][2]int{{0, 1}, {1, 2}, {2, 3}, {3, 4}, {4, 5}, {5, 0}}, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,38 +86,6 @@ func TestRing(t *testing.T) {
 	}
 	if top.MaxHops() != 3 {
 		t.Errorf("diameter = %d", top.MaxHops())
-	}
-}
-
-func TestCirculantAMDShape(t *testing.T) {
-	// C_8(1,2): the AMD partial mesh. Must have exactly three latency
-	// classes (direct=0, one hop, two hops) and diameter 2.
-	top, err := Circulant("amd", 8, 80, 1, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if top.MaxHops() != 2 {
-		t.Errorf("diameter = %d, want 2", top.MaxHops())
-	}
-	classes := top.LatencyClasses()
-	if len(classes) != 3 {
-		t.Errorf("latency classes = %v, want 3 classes", classes)
-	}
-	// Opposite node (distance 4 around the ring) reachable via two 2-chords.
-	if top.Hops(0, 4) != 2 {
-		t.Errorf("hops(0,4) = %d, want 2", top.Hops(0, 4))
-	}
-	if top.Hops(0, 2) != 1 {
-		t.Errorf("hops(0,2) = %d, want 1 (chord)", top.Hops(0, 2))
-	}
-}
-
-func TestCirculantBadOffset(t *testing.T) {
-	if _, err := Circulant("x", 4, 1, 0); err == nil {
-		t.Error("offset 0 accepted")
-	}
-	if _, err := Circulant("x", 4, 1, 4); err == nil {
-		t.Error("offset n accepted")
 	}
 }
 

@@ -215,6 +215,17 @@ func TestPresetGeometryMatchesPaper(t *testing.T) {
 	if classes := m.Topo.LatencyClasses(); len(classes) != 3 {
 		t.Errorf("AMD latency classes = %v", classes)
 	}
+	// C8(1,2): diameter 2; the opposite node (distance 4 around the ring)
+	// is reached via two 2-chords, and a 2-chord is a single hop.
+	if m.Topo.MaxHops() != 2 {
+		t.Errorf("AMD diameter = %d, want 2", m.Topo.MaxHops())
+	}
+	if h := m.Topo.Hops(0, 4); h != 2 {
+		t.Errorf("AMD hops(0,4) = %d, want 2", h)
+	}
+	if h := m.Topo.Hops(0, 2); h != 1 {
+		t.Errorf("AMD hops(0,2) = %d, want 1 (chord)", h)
+	}
 	// Intel NUMA: two classes (direct, one hop).
 	m2, err := Build(in, &q)
 	if err != nil {

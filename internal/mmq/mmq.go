@@ -1,9 +1,7 @@
 // Package mmq implements the queueing-theory building blocks behind the
 // paper's analytical model: the open M/M/1 queue (the model the paper fits
-// to programs with large, non-bursty memory contention), the M/M/c and
-// M/G/1 generalizations mentioned as future extensions, and the closed
-// machine-repairman model used as an ablation baseline (what a purely
-// blocking core without memory-level parallelism would look like).
+// to programs with large, non-bursty memory contention) and the M/G/1
+// generalization that checks it against non-exponential service times.
 //
 // Rates are expressed in requests per cycle, times in cycles, so results
 // plug directly into the cycle-count model of internal/core.
@@ -19,7 +17,7 @@ import (
 // quantities diverge.
 var ErrUnstable = errors.New("mmq: offered load at or above capacity")
 
-// ErrBadParam is returned for non-positive rates or invalid server counts.
+// ErrBadParam is returned for non-positive rates or invalid service moments.
 var ErrBadParam = errors.New("mmq: invalid parameter")
 
 // MM1 is an M/M/1 queue with Poisson arrivals at rate Lambda and
@@ -83,65 +81,6 @@ func (q MM1) ProbN(n int) (float64, error) {
 	return (1 - rho) * math.Pow(rho, float64(n)), nil
 }
 
-// MMc is an M/M/c queue: c parallel servers each with rate Mu, shared
-// Poisson arrival stream at rate Lambda. It models a memory controller with
-// multiple independent channels.
-type MMc struct {
-	Lambda  float64
-	Mu      float64
-	Servers int
-}
-
-// Utilization returns rho = lambda/(c*mu).
-func (q MMc) Utilization() float64 {
-	return q.Lambda / (float64(q.Servers) * q.Mu)
-}
-
-// Stable reports whether the queue has a steady state.
-func (q MMc) Stable() bool {
-	return q.Servers >= 1 && q.Mu > 0 && q.Lambda >= 0 && q.Utilization() < 1
-}
-
-// ErlangC returns the probability that an arriving request must queue
-// (all c servers busy).
-func (q MMc) ErlangC() (float64, error) {
-	if q.Servers < 1 || q.Mu <= 0 || q.Lambda < 0 {
-		return 0, ErrBadParam
-	}
-	if !q.Stable() {
-		return 0, ErrUnstable
-	}
-	c := q.Servers
-	a := q.Lambda / q.Mu // offered load in Erlangs
-	rho := q.Utilization()
-
-	// Compute the Erlang-C formula with a numerically stable iterative
-	// evaluation of the Erlang-B recurrence, then convert B -> C.
-	b := 1.0
-	for k := 1; k <= c; k++ {
-		b = a * b / (float64(k) + a*b)
-	}
-	return b / (1 - rho*(1-b)), nil
-}
-
-// WaitTime returns the mean queueing delay Wq = C(c,a)/(c*mu - lambda).
-func (q MMc) WaitTime() (float64, error) {
-	pc, err := q.ErlangC()
-	if err != nil {
-		return 0, err
-	}
-	return pc / (float64(q.Servers)*q.Mu - q.Lambda), nil
-}
-
-// ResponseTime returns mean sojourn time Wq + 1/mu.
-func (q MMc) ResponseTime() (float64, error) {
-	wq, err := q.WaitTime()
-	if err != nil {
-		return 0, err
-	}
-	return wq + 1/q.Mu, nil
-}
-
 // MG1 is an M/G/1 queue characterized by the first two moments of the
 // service time: mean ES and second moment ES2. It models memory controllers
 // whose service time is not exponential (e.g., deterministic DRAM timing or
@@ -185,52 +124,4 @@ func (q MG1) ResponseTime() (float64, error) {
 // (ES2 = s^2), i.e. an M/D/1 queue.
 func Deterministic(lambda, s float64) MG1 {
 	return MG1{Lambda: lambda, ES: s, ES2: s * s}
-}
-
-// Exponential returns the MG1 equivalent of an M/M/1 with service rate mu
-// (ES2 = 2/mu^2), useful for cross-checking the two formulations.
-func Exponential(lambda, mu float64) MG1 {
-	return MG1{Lambda: lambda, ES: 1 / mu, ES2: 2 / (mu * mu)}
-}
-
-// Repairman is the closed machine-repairman (finite-source) model: N
-// "machines" (cores) each think for mean Z cycles between requests, then
-// queue at a single exponential server with rate Mu. Unlike the open M/M/1
-// it can never be unstable — it self-throttles — which is precisely why it
-// UNDER-predicts contention for cores with memory-level parallelism. Kept
-// as the ablation baseline (BenchmarkAblationClosedModel).
-type Repairman struct {
-	N  int     // number of customers (cores)
-	Z  float64 // mean think time between requests (cycles)
-	Mu float64 // server rate (requests/cycle)
-}
-
-// Solve runs exact Mean Value Analysis for the single-queue closed network
-// and returns the mean response time R at the server and the throughput X
-// of the network (requests/cycle).
-func (m Repairman) Solve() (responseTime, throughput float64, err error) {
-	if m.N < 1 || m.Mu <= 0 || m.Z < 0 {
-		return 0, 0, ErrBadParam
-	}
-	s := 1 / m.Mu // mean service demand
-	var q float64 // mean queue length at the server
-	var r, x float64
-	for n := 1; n <= m.N; n++ {
-		r = s * (1 + q)
-		x = float64(n) / (r + m.Z)
-		q = x * r
-	}
-	return r, x, nil
-}
-
-// ResponseTime returns the MVA mean response time at the server.
-func (m Repairman) ResponseTime() (float64, error) {
-	r, _, err := m.Solve()
-	return r, err
-}
-
-// Throughput returns the MVA network throughput.
-func (m Repairman) Throughput() (float64, error) {
-	_, x, err := m.Solve()
-	return x, err
 }

@@ -91,66 +91,10 @@ func TestMM1MonotoneProperty(t *testing.T) {
 	}
 }
 
-func TestMMcReducesToMM1(t *testing.T) {
-	// With one server, M/M/c must equal M/M/1 exactly.
-	for _, lam := range []float64{0.1, 0.5, 0.9} {
-		c := MMc{Lambda: lam, Mu: 1, Servers: 1}
-		s := MM1{Lambda: lam, Mu: 1}
-		wc, err := c.ResponseTime()
-		if err != nil {
-			t.Fatalf("MMc: %v", err)
-		}
-		ws, _ := s.ResponseTime()
-		if !almostEqual(wc, ws, 1e-9) {
-			t.Errorf("lambda=%v: MMc W=%v, MM1 W=%v", lam, wc, ws)
-		}
-	}
-}
-
-func TestMMcErlangCKnownValue(t *testing.T) {
-	// Classic check: c=2, lambda=1.5, mu=1 => a=1.5, rho=0.75.
-	// ErlangC = (a^c/c!)/( (1-rho) * sum_{k<c} a^k/k! + a^c/c! )
-	// = (1.125)/(0.25*(1+1.5) + 1.125) = 1.125/1.75 ≈ 0.642857.
-	q := MMc{Lambda: 1.5, Mu: 1, Servers: 2}
-	pc, err := q.ErlangC()
-	if err != nil {
-		t.Fatalf("ErlangC: %v", err)
-	}
-	if !almostEqual(pc, 0.6428571428, 1e-6) {
-		t.Errorf("ErlangC = %v, want ~0.642857", pc)
-	}
-}
-
-func TestMMcMoreServersLowerWait(t *testing.T) {
-	w1, err := (MMc{Lambda: 0.9, Mu: 1, Servers: 1}).WaitTime()
-	if err != nil {
-		t.Fatal(err)
-	}
-	w2, err := (MMc{Lambda: 0.9, Mu: 1, Servers: 2}).WaitTime()
-	if err != nil {
-		t.Fatal(err)
-	}
-	w4, err := (MMc{Lambda: 0.9, Mu: 1, Servers: 4}).WaitTime()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !(w1 > w2 && w2 > w4) {
-		t.Errorf("wait should shrink with servers: %v %v %v", w1, w2, w4)
-	}
-}
-
-func TestMMcUnstableAndBadParams(t *testing.T) {
-	if _, err := (MMc{Lambda: 2, Mu: 1, Servers: 2}).ErlangC(); !errors.Is(err, ErrUnstable) {
-		t.Errorf("err = %v, want ErrUnstable", err)
-	}
-	if _, err := (MMc{Lambda: 1, Mu: 1, Servers: 0}).ErlangC(); !errors.Is(err, ErrBadParam) {
-		t.Errorf("err = %v, want ErrBadParam", err)
-	}
-}
-
 func TestMG1ExponentialMatchesMM1(t *testing.T) {
 	for _, lam := range []float64{0.2, 0.5, 0.8} {
-		g := Exponential(lam, 1)
+		// Exponential service at rate 1: ES = 1, ES2 = 2/mu^2 = 2.
+		g := MG1{Lambda: lam, ES: 1, ES2: 2}
 		w, err := g.ResponseTime()
 		if err != nil {
 			t.Fatalf("MG1: %v", err)
@@ -185,91 +129,6 @@ func TestMG1BadParams(t *testing.T) {
 	}
 }
 
-func TestRepairmanSingleCustomer(t *testing.T) {
-	// One customer never queues: R = 1/mu exactly.
-	m := Repairman{N: 1, Z: 100, Mu: 0.01}
-	r, x, err := m.Solve()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !almostEqual(r, 100, 1e-9) {
-		t.Errorf("R = %v, want 100", r)
-	}
-	// X = 1/(R+Z) = 1/200.
-	if !almostEqual(x, 0.005, 1e-12) {
-		t.Errorf("X = %v, want 0.005", x)
-	}
-}
-
-func TestRepairmanSaturation(t *testing.T) {
-	// With many customers the server saturates: X -> mu, R -> N/mu - Z.
-	m := Repairman{N: 100, Z: 10, Mu: 0.5}
-	r, x, err := m.Solve()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !almostEqual(x, 0.5, 1e-6) {
-		t.Errorf("saturated X = %v, want ~mu=0.5", x)
-	}
-	wantR := float64(100)/0.5 - 10
-	if !almostEqual(r, wantR, 0.5) {
-		t.Errorf("saturated R = %v, want ~%v", r, wantR)
-	}
-}
-
-func TestRepairmanBadParams(t *testing.T) {
-	if _, _, err := (Repairman{N: 0, Z: 1, Mu: 1}).Solve(); !errors.Is(err, ErrBadParam) {
-		t.Errorf("err = %v", err)
-	}
-	if _, _, err := (Repairman{N: 1, Z: -1, Mu: 1}).Solve(); !errors.Is(err, ErrBadParam) {
-		t.Errorf("err = %v", err)
-	}
-}
-
-// Property: repairman response time is non-decreasing in N.
-func TestRepairmanMonotoneProperty(t *testing.T) {
-	f := func(raw uint8) bool {
-		n := int(raw%50) + 1
-		r1, _, err1 := (Repairman{N: n, Z: 50, Mu: 0.1}).Solve()
-		r2, _, err2 := (Repairman{N: n + 1, Z: 50, Mu: 0.1}).Solve()
-		return err1 == nil && err2 == nil && r2 >= r1-1e-9
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Error(err)
-	}
-}
-
-// Property: for light load the repairman approaches the open M/M/1 response.
-func TestRepairmanLightLoadMatchesOpenQueue(t *testing.T) {
-	// N customers with long think time Z: per-core rate L = 1/(Z + 1/mu),
-	// aggregate lambda = N*L stays far below mu, so R ~ M/M/1 response.
-	m := Repairman{N: 4, Z: 10000, Mu: 0.1}
-	r, x, err := m.Solve()
-	if err != nil {
-		t.Fatal(err)
-	}
-	open := MM1{Lambda: x, Mu: 0.1}
-	w, err := open.ResponseTime()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(r-w)/w > 0.02 {
-		t.Errorf("light-load closed R=%v vs open W=%v differ by >2%%", r, w)
-	}
-}
-
-func TestMMcResponseErrorPropagation(t *testing.T) {
-	if _, err := (MMc{Lambda: 5, Mu: 1, Servers: 2}).ResponseTime(); !errors.Is(err, ErrUnstable) {
-		t.Errorf("err = %v", err)
-	}
-	if _, err := (MMc{Lambda: 5, Mu: 1, Servers: 2}).WaitTime(); !errors.Is(err, ErrUnstable) {
-		t.Errorf("err = %v", err)
-	}
-	if (MMc{Lambda: 1, Mu: 1, Servers: 0}).Stable() {
-		t.Error("zero servers cannot be stable")
-	}
-}
-
 func TestMM1QueueLengthError(t *testing.T) {
 	if _, err := (MM1{Lambda: 2, Mu: 1}).QueueLength(); !errors.Is(err, ErrUnstable) {
 		t.Errorf("err = %v", err)
@@ -288,23 +147,5 @@ func TestMG1ResponseErrorPropagation(t *testing.T) {
 	}
 	if (MG1{Lambda: 0.1, ES: 1, ES2: 0.5}).Stable() {
 		t.Error("invalid moments cannot be stable")
-	}
-}
-
-func TestRepairmanAccessors(t *testing.T) {
-	m := Repairman{N: 4, Z: 100, Mu: 0.05}
-	r, err := m.ResponseTime()
-	if err != nil || r <= 0 {
-		t.Errorf("ResponseTime = %v, %v", r, err)
-	}
-	x, err := m.Throughput()
-	if err != nil || x <= 0 {
-		t.Errorf("Throughput = %v, %v", x, err)
-	}
-	if _, err := (Repairman{N: 1, Z: 1, Mu: 0}).ResponseTime(); !errors.Is(err, ErrBadParam) {
-		t.Errorf("err = %v", err)
-	}
-	if _, err := (Repairman{N: 1, Z: 1, Mu: 0}).Throughput(); !errors.Is(err, ErrBadParam) {
-		t.Errorf("err = %v", err)
 	}
 }

@@ -112,15 +112,15 @@ func TestCancellationDoesNotPerturbCounters(t *testing.T) {
 func TestNewConfigOptions(t *testing.T) {
 	spec := testSpec()
 	cfg, err := NewConfig(spec,
-		WithThreads(4), WithCores(2), WithQuantum(1000), WithCancelEvery(128))
+		WithThreads(4), WithCores(2), WithPlacement(Interleave), WithCoherence(true))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cfg.Threads != 4 || cfg.Cores != 2 || cfg.Quantum != 1000 || cfg.CancelEvery != 128 {
+	if cfg.Threads != 4 || cfg.Cores != 2 || cfg.Placement != Interleave || !cfg.Coherence {
 		t.Errorf("options not applied: %+v", cfg)
 	}
 	// Defaults fill untouched fields.
-	if cfg.BatchLimit == 0 || cfg.PageBytes == 0 {
+	if cfg.Quantum != 50000 || cfg.CancelEvery != DefaultCancelEvery {
 		t.Errorf("defaults not applied: %+v", cfg)
 	}
 

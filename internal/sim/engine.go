@@ -6,6 +6,14 @@ import (
 	"repro/internal/trace"
 )
 
+const (
+	// batchLimit bounds how many cycles a core may advance per simulation
+	// event while executing cache hits.
+	batchLimit = 2000
+	// pageBytes is the page-placement granularity.
+	pageBytes = 4096
+)
+
 // thread is one program thread: a reference stream plus execution state.
 type thread struct {
 	id          int
@@ -222,7 +230,7 @@ func (e *engine) step(c *core) {
 	var advance uint64
 	refs := 0
 	for {
-		if advance >= e.cfg.BatchLimit || refs >= 8192 {
+		if advance >= batchLimit || refs >= 8192 {
 			break
 		}
 		ref, ok := th.stream.Next()
@@ -607,7 +615,7 @@ func (e *engine) homeMC(addr uint64, c *core) int {
 	if len(e.m.MCs) == 1 {
 		return 0
 	}
-	page := addr / e.cfg.PageBytes
+	page := addr / pageBytes
 	if home, ok := e.pageHome[page]; ok {
 		return home
 	}

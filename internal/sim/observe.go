@@ -177,18 +177,18 @@ func (o *observer) start() {
 	o.e.q.After(o.interval, o.sampleFn)
 }
 
-// drive is the observed run's event loop. It mirrors q.Run / q.RunWhile
-// (maxCycles 0 means unbounded) but remembers the clock value from just
-// before the terminal sampler tick: that tick fires after the last real
-// event and would otherwise round the makespan up to the next sampling
-// boundary. When done is non-nil, cont is consulted every `every`
-// dispatched events — the same bounded-latency cancellation contract as
-// eventq.Queue.RunChecked — and drive reports false if it stopped because cont
-// did.
-func (o *observer) drive(maxCycles, every uint64, done <-chan struct{}, cont func() bool) bool {
+// drive is the observed run's event loop. It mirrors q.Run but remembers
+// the clock value from just before the terminal sampler tick: that tick
+// fires after the last real event and would otherwise round the makespan
+// up to the next sampling boundary. When done is non-nil, cont is
+// consulted every `every` dispatched events — the same bounded-latency
+// cancellation contract as eventq.Queue.RunChecked — and drive reports
+// false if it stopped because cont did; it reports true once the queue
+// drains, whether or not every thread finished (Result.Aborted tells).
+func (o *observer) drive(every uint64, done <-chan struct{}, cont func() bool) bool {
 	q := o.e.q
 	var n uint64
-	for maxCycles == 0 || q.Now() < maxCycles {
+	for {
 		before := q.Now()
 		if !q.Step() {
 			return true
@@ -205,7 +205,6 @@ func (o *observer) drive(maxCycles, every uint64, done <-chan struct{}, cont fun
 			}
 		}
 	}
-	return true
 }
 
 // sample records one point on every series and re-arms the sampler while

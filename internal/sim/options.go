@@ -60,34 +60,14 @@ func WithThreads(n int) Option { return func(c *Config) { c.Threads = n } }
 // fill-processor-first (0 keeps the default of all cores).
 func WithCores(n int) Option { return func(c *Config) { c.Cores = n } }
 
-// WithQuantum sets the round-robin time slice in cycles for oversubscribed
-// cores.
-func WithQuantum(cycles uint64) Option { return func(c *Config) { c.Quantum = cycles } }
-
-// WithBatchLimit bounds how many cycles a core may advance per simulation
-// event while executing cache hits.
-func WithBatchLimit(cycles uint64) Option { return func(c *Config) { c.BatchLimit = cycles } }
-
-// WithPageBytes sets the NUMA placement granularity.
-func WithPageBytes(n uint64) Option { return func(c *Config) { c.PageBytes = n } }
-
 // WithPlacement selects the NUMA page-placement policy.
 func WithPlacement(p Placement) Option { return func(c *Config) { c.Placement = p } }
-
-// WithMaxCycles aborts the run when the simulated clock passes the bound
-// (0 means unlimited).
-func WithMaxCycles(cycles uint64) Option { return func(c *Config) { c.MaxCycles = cycles } }
 
 // WithCoherence enables the MESI-style invalidation directory.
 func WithCoherence(on bool) Option { return func(c *Config) { c.Coherence = on } }
 
 // WithObserve attaches the in-run telemetry layer (nil disables it).
 func WithObserve(o *ObserveConfig) Option { return func(c *Config) { c.Observe = o } }
-
-// WithCancelEvery sets the cancellation-check period: Run polls
-// ctx.Done() every k dispatched events, so cancellation latency is
-// bounded by k events. 0 keeps the default (DefaultCancelEvery).
-func WithCancelEvery(k uint64) Option { return func(c *Config) { c.CancelEvery = k } }
 
 // NewConfig assembles a validated Config for the given machine from
 // functional options. Defaults are applied first (threads and cores
@@ -116,12 +96,6 @@ func (cfg *Config) applyDefaults() {
 	}
 	if cfg.Quantum == 0 {
 		cfg.Quantum = 50000
-	}
-	if cfg.BatchLimit == 0 {
-		cfg.BatchLimit = 2000
-	}
-	if cfg.PageBytes == 0 {
-		cfg.PageBytes = 4096
 	}
 	if cfg.CancelEvery == 0 {
 		cfg.CancelEvery = DefaultCancelEvery

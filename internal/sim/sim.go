@@ -74,20 +74,12 @@ type Config struct {
 	// Quantum is the round-robin time slice in cycles for oversubscribed
 	// cores; 0 defaults to 50000.
 	Quantum uint64
-	// BatchLimit bounds how many cycles a core may advance per simulation
-	// event while executing cache hits; 0 defaults to 2000.
-	BatchLimit uint64
-	// PageBytes is the placement granularity; 0 defaults to 4096.
-	PageBytes uint64
 	// Placement selects the page-placement policy.
 	Placement Placement
 	// MissWindow, when non-zero, counts off-chip requests per window of
 	// this many cycles into Result.MissWindows (the burstiness study's
 	// LLC-miss sampler); 0 turns the count off.
 	MissWindow uint64
-	// MaxCycles aborts the run when the simulated clock passes it; 0 means
-	// unlimited.
-	MaxCycles uint64
 	// Coherence enables the MESI-style invalidation directory: a store to
 	// a line cached by another socket invalidates the remote copies, so
 	// true- and false-sharing produce real coherence misses. Off by
@@ -196,7 +188,9 @@ type Result struct {
 	MCStats []memctrl.Stats
 	// BusStats has one entry per UMA bus (empty for NUMA machines).
 	BusStats []memctrl.Stats
-	// Aborted reports that MaxCycles was reached before completion.
+	// Aborted reports that some thread had not finished when the run
+	// stopped: the run was canceled (CanceledError.Partial) or the event
+	// queue drained before every thread retired its stream.
 	Aborted bool
 }
 
@@ -214,9 +208,9 @@ var ErrCanceled = errors.New("sim: run canceled")
 // context's error (context.Canceled or context.DeadlineExceeded).
 type CanceledError struct {
 	// Partial holds the counters accumulated up to the cancellation point,
-	// assembled exactly like an aborted run's (open blocked intervals are
-	// charged through the cancel time, Aborted is set). DroppedEvents
-	// pending events were discarded without running.
+	// with open blocked intervals charged through the cancel time and
+	// Aborted set. DroppedEvents pending events were discarded without
+	// running.
 	Partial Result
 	// DroppedEvents is the number of pending events drained from the queue
 	// at cancellation.
@@ -301,21 +295,7 @@ func Run(ctx context.Context, cfg Config, streams []trace.Stream) (Result, error
 
 	switch {
 	case obs != nil:
-		canceled = !obs.drive(cfg.MaxCycles, cfg.CancelEvery, done, check)
-	case cfg.MaxCycles > 0:
-		var n uint64
-		q.RunWhile(func() bool {
-			if q.Now() >= cfg.MaxCycles {
-				return false
-			}
-			if done != nil {
-				if n++; n >= cfg.CancelEvery {
-					n = 0
-					return check()
-				}
-			}
-			return true
-		})
+		canceled = !obs.drive(cfg.CancelEvery, done, check)
 	case done != nil:
 		q.RunChecked(cfg.CancelEvery, check)
 	default:

@@ -342,18 +342,6 @@ func TestUMABusPath(t *testing.T) {
 	}
 }
 
-func TestMaxCyclesAborts(t *testing.T) {
-	spec := testSpec()
-	res, err := Run(context.Background(), Config{Spec: spec, Threads: 1, Cores: 1, MaxCycles: 100},
-		singleStream(trace.Collect(trace.StrideSpec{Stride: 4096, Count: 100000, Dep: true, Work: 1}.Stream(), 0)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Aborted {
-		t.Error("run should abort at MaxCycles")
-	}
-}
-
 // TestMissWindowsProperty checks the LLC-miss window series against the
 // run's own counters: the windows sum to OffChipRequests, the series runs
 // through the later of the last miss's window and the window holding cycle

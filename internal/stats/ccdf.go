@@ -39,20 +39,6 @@ func CCDF(samples []float64) []CCDFPoint {
 	return pts
 }
 
-// CCDFAt evaluates an empirical CCDF (as returned by CCDF) at an arbitrary
-// x using step interpolation: the probability that a sample exceeds x.
-func CCDFAt(ccdf []CCDFPoint, x float64) float64 {
-	if len(ccdf) == 0 {
-		return 0
-	}
-	if x < ccdf[0].X {
-		return 1
-	}
-	// Find the last point with X <= x.
-	idx := sort.Search(len(ccdf), func(i int) bool { return ccdf[i].X > x })
-	return ccdf[idx-1].P
-}
-
 // TailFit is a least-squares power-law fit of the distribution tail:
 // log P(X > x) = -Alpha*log(x) + C for x >= Xmin. A heavy (long) tail shows
 // up as a straight line on the log-log CCDF; R2 close to 1 over a long x
@@ -91,43 +77,6 @@ func FitTail(ccdf []CCDFPoint, xmin float64) (TailFit, error) {
 		Xmin:  xmin,
 		N:     len(lx),
 	}, nil
-}
-
-// Histogram bins samples into nbins equal-width bins over [min, max] of the
-// data and returns bin left edges and counts. Useful for inspecting the
-// burst-size distribution before fitting.
-func Histogram(samples []float64, nbins int) (edges []float64, counts []int) {
-	if len(samples) == 0 || nbins <= 0 {
-		return nil, nil
-	}
-	min, max := samples[0], samples[0]
-	for _, s := range samples {
-		if s < min {
-			min = s
-		}
-		if s > max {
-			max = s
-		}
-	}
-	edges = make([]float64, nbins)
-	counts = make([]int, nbins)
-	width := (max - min) / float64(nbins)
-	if width == 0 {
-		edges[0] = min
-		counts[0] = len(samples)
-		return edges, counts
-	}
-	for i := range edges {
-		edges[i] = min + float64(i)*width
-	}
-	for _, s := range samples {
-		b := int((s - min) / width)
-		if b >= nbins {
-			b = nbins - 1
-		}
-		counts[b]++
-	}
-	return edges, counts
 }
 
 // Hurst estimates the Hurst exponent of a time series using the classical

@@ -29,25 +29,6 @@ func TestCCDFEmpty(t *testing.T) {
 	}
 }
 
-func TestCCDFAt(t *testing.T) {
-	pts := CCDF([]float64{1, 2, 3, 4})
-	if p := CCDFAt(pts, 0.5); p != 1 {
-		t.Errorf("CCDFAt(0.5) = %v, want 1", p)
-	}
-	if p := CCDFAt(pts, 1); !almostEqual(p, 0.75, 1e-12) {
-		t.Errorf("CCDFAt(1) = %v, want 0.75", p)
-	}
-	if p := CCDFAt(pts, 2.5); !almostEqual(p, 0.5, 1e-12) {
-		t.Errorf("CCDFAt(2.5) = %v, want 0.5", p)
-	}
-	if p := CCDFAt(pts, 100); p != 0 {
-		t.Errorf("CCDFAt(100) = %v, want 0", p)
-	}
-	if p := CCDFAt(nil, 1); p != 0 {
-		t.Errorf("CCDFAt(nil) = %v, want 0", p)
-	}
-}
-
 // Property: CCDF probabilities are non-increasing in X, within [0,1), and the
 // final point has probability 0.
 func TestCCDFMonotoneProperty(t *testing.T) {
@@ -137,39 +118,6 @@ func TestFitTailInsufficient(t *testing.T) {
 	}
 }
 
-func TestHistogram(t *testing.T) {
-	edges, counts := Histogram([]float64{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}, 5)
-	if len(edges) != 5 || len(counts) != 5 {
-		t.Fatalf("lens = %d,%d", len(edges), len(counts))
-	}
-	total := 0
-	for _, c := range counts {
-		total += c
-	}
-	if total != 10 {
-		t.Errorf("total count = %d, want 10", total)
-	}
-	for _, c := range counts {
-		if c != 2 {
-			t.Errorf("uniform data should fill bins evenly, got %v", counts)
-			break
-		}
-	}
-}
-
-func TestHistogramDegenerate(t *testing.T) {
-	edges, counts := Histogram([]float64{5, 5, 5}, 4)
-	if counts[0] != 3 {
-		t.Errorf("all-equal samples should land in first bin: %v", counts)
-	}
-	if edges[0] != 5 {
-		t.Errorf("edge = %v", edges[0])
-	}
-	if e, c := Histogram(nil, 3); e != nil || c != nil {
-		t.Error("empty input should return nil")
-	}
-}
-
 func TestHurstWhiteNoise(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	series := make([]float64, 4096)
@@ -221,34 +169,6 @@ func TestHurstPersistentSeries(t *testing.T) {
 func TestHurstInsufficient(t *testing.T) {
 	if _, err := Hurst(make([]float64, 4)); !errors.Is(err, ErrInsufficientData) {
 		t.Errorf("err = %v", err)
-	}
-}
-
-// Property: CCDFAt agrees with a direct count of exceeding samples.
-func TestCCDFAtMatchesDirectCount(t *testing.T) {
-	f := func(raw []float64, probe float64) bool {
-		var xs []float64
-		for _, v := range raw {
-			if !math.IsNaN(v) && !math.IsInf(v, 0) {
-				xs = append(xs, v)
-			}
-		}
-		if len(xs) == 0 || math.IsNaN(probe) || math.IsInf(probe, 0) {
-			return true
-		}
-		pts := CCDF(xs)
-		got := CCDFAt(pts, probe)
-		count := 0
-		for _, v := range xs {
-			if v > probe {
-				count++
-			}
-		}
-		want := float64(count) / float64(len(xs))
-		return almostEqual(got, want, 1e-12)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Error(err)
 	}
 }
 

@@ -1,5 +1,5 @@
 // Package stats provides the small statistical toolkit used throughout the
-// memory-contention study: descriptive summaries, linear regression with
+// memory-contention study: means and percentiles, linear regression with
 // goodness-of-fit, relative-error metrics for model validation, empirical
 // distributions (CCDF), heavy-tail fitting for burstiness analysis, and a
 // rescaled-range (Hurst) estimator.
@@ -22,50 +22,6 @@ var ErrInsufficientData = errors.New("stats: insufficient data")
 // ErrMismatchedLengths is returned when paired-sample functions receive
 // slices of different lengths.
 var ErrMismatchedLengths = errors.New("stats: mismatched slice lengths")
-
-// Summary holds descriptive statistics of a sample.
-type Summary struct {
-	N      int
-	Min    float64
-	Max    float64
-	Mean   float64
-	Median float64
-	Std    float64 // sample standard deviation (n-1 denominator)
-	Sum    float64
-}
-
-// Describe computes descriptive statistics for xs. It returns
-// ErrInsufficientData for an empty sample.
-func Describe(xs []float64) (Summary, error) {
-	if len(xs) == 0 {
-		return Summary{}, ErrInsufficientData
-	}
-	s := Summary{
-		N:   len(xs),
-		Min: xs[0],
-		Max: xs[0],
-	}
-	for _, x := range xs {
-		s.Sum += x
-		if x < s.Min {
-			s.Min = x
-		}
-		if x > s.Max {
-			s.Max = x
-		}
-	}
-	s.Mean = s.Sum / float64(s.N)
-	if s.N > 1 {
-		var ss float64
-		for _, x := range xs {
-			d := x - s.Mean
-			ss += d * d
-		}
-		s.Std = math.Sqrt(ss / float64(s.N-1))
-	}
-	s.Median = Percentile(xs, 50)
-	return s, nil
-}
 
 // Mean returns the arithmetic mean of xs, or NaN for an empty slice.
 func Mean(xs []float64) float64 {
@@ -92,11 +48,6 @@ func Variance(xs []float64) float64 {
 		ss += d * d
 	}
 	return ss / float64(len(xs)-1)
-}
-
-// Std returns the sample standard deviation of xs.
-func Std(xs []float64) float64 {
-	return math.Sqrt(Variance(xs))
 }
 
 // Percentile returns the p-th percentile (0 <= p <= 100) of xs using linear
@@ -207,18 +158,6 @@ func rSquared(x, y []float64, slope, intercept float64) float64 {
 		return 0
 	}
 	return 1 - ssRes/ssTot
-}
-
-// RSquared exposes the coefficient of determination for an arbitrary
-// prediction line over paired observations.
-func RSquared(x, y []float64, slope, intercept float64) (float64, error) {
-	if len(x) != len(y) {
-		return 0, ErrMismatchedLengths
-	}
-	if len(x) == 0 {
-		return 0, ErrInsufficientData
-	}
-	return rSquared(x, y, slope, intercept), nil
 }
 
 // RelativeErrors returns |pred-meas|/|meas| element-wise. Measurements equal

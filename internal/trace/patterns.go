@@ -1,7 +1,5 @@
 package trace
 
-import "math/rand"
-
 // StrideSpec describes a regular strided sweep over a memory region:
 // Count references starting at Base, advancing Stride bytes each time, each
 // preceded by Work computation cycles.
@@ -17,11 +15,6 @@ type StrideSpec struct {
 // Stream returns a fresh stream over the spec.
 func (sp StrideSpec) Stream() Stream {
 	return &strideStream{spec: sp}
-}
-
-// Maker returns a Maker for the spec.
-func (sp StrideSpec) Maker() Maker {
-	return func() Stream { return sp.Stream() }
 }
 
 type strideStream struct {
@@ -41,169 +34,4 @@ func (s *strideStream) Next() (Ref, bool) {
 	}
 	s.i++
 	return r, true
-}
-
-// RandomSpec describes uniformly random accesses within [Base, Base+Size).
-// Addresses are aligned to Align bytes (0 means byte-aligned). Each stream
-// created from the spec uses its own rand source seeded with Seed, so
-// repeated runs are reproducible.
-type RandomSpec struct {
-	Base  uint64
-	Size  uint64
-	Align uint64
-	Count int
-	Kind  Kind
-	Dep   bool
-	Work  uint32
-	Seed  int64
-}
-
-// Stream returns a fresh stream over the spec.
-func (sp RandomSpec) Stream() Stream {
-	return &randomStream{spec: sp, rng: rand.New(rand.NewSource(sp.Seed))}
-}
-
-// Maker returns a Maker for the spec.
-func (sp RandomSpec) Maker() Maker {
-	return func() Stream { return sp.Stream() }
-}
-
-type randomStream struct {
-	spec RandomSpec
-	rng  *rand.Rand
-	i    int
-}
-
-func (s *randomStream) Next() (Ref, bool) {
-	if s.i >= s.spec.Count || s.spec.Size == 0 {
-		return Ref{}, false
-	}
-	off := uint64(s.rng.Int63n(int64(s.spec.Size)))
-	if s.spec.Align > 1 {
-		off -= off % s.spec.Align
-	}
-	s.i++
-	return Ref{
-		Addr: s.spec.Base + off,
-		Kind: s.spec.Kind,
-		Dep:  s.spec.Dep,
-		Work: s.spec.Work,
-	}, true
-}
-
-// GatherSpec describes indexed accesses data[Idx[i]] over an element array
-// at Base with ElemSize-byte elements — the access pattern of sparse matrix
-// kernels (CG) and bucket sort (IS). Gathers are dependent loads by nature
-// (the address comes from the index load), which GatherSpec models with
-// Dep=true on every reference unless overridden.
-type GatherSpec struct {
-	Base     uint64
-	ElemSize uint64
-	Idx      []uint32
-	Kind     Kind
-	Dep      bool
-	Work     uint32
-}
-
-// Stream returns a fresh stream over the spec. The index slice is shared,
-// not copied.
-func (sp GatherSpec) Stream() Stream {
-	return &gatherStream{spec: sp}
-}
-
-// Maker returns a Maker for the spec.
-func (sp GatherSpec) Maker() Maker {
-	return func() Stream { return sp.Stream() }
-}
-
-type gatherStream struct {
-	spec GatherSpec
-	i    int
-}
-
-func (s *gatherStream) Next() (Ref, bool) {
-	if s.i >= len(s.spec.Idx) {
-		return Ref{}, false
-	}
-	idx := s.spec.Idx[s.i]
-	s.i++
-	return Ref{
-		Addr: s.spec.Base + uint64(idx)*s.spec.ElemSize,
-		Kind: s.spec.Kind,
-		Dep:  s.spec.Dep,
-		Work: s.spec.Work,
-	}, true
-}
-
-// ChaseSpec describes a pointer chase: Count dependent loads whose addresses
-// form a pseudo-random permutation cycle over a region of Nodes elements of
-// NodeSize bytes starting at Base. Every load is dependent — the archetype
-// of zero memory-level parallelism.
-type ChaseSpec struct {
-	Base     uint64
-	NodeSize uint64
-	Nodes    int
-	Count    int
-	Work     uint32
-	Seed     int64
-}
-
-// Stream returns a fresh stream over the spec. The permutation is computed
-// once per stream.
-func (sp ChaseSpec) Stream() Stream {
-	rng := rand.New(rand.NewSource(sp.Seed))
-	perm := rng.Perm(sp.Nodes)
-	// Build next-pointers forming a single cycle through the permutation.
-	next := make([]int32, sp.Nodes)
-	for i := 0; i < sp.Nodes; i++ {
-		next[perm[i]] = int32(perm[(i+1)%sp.Nodes])
-	}
-	start := 0
-	if sp.Nodes > 0 {
-		start = perm[0]
-	}
-	return &chaseStream{spec: sp, next: next, cur: int32(start)}
-}
-
-// Maker returns a Maker for the spec.
-func (sp ChaseSpec) Maker() Maker {
-	return func() Stream { return sp.Stream() }
-}
-
-type chaseStream struct {
-	spec ChaseSpec
-	next []int32
-	cur  int32
-	i    int
-}
-
-func (s *chaseStream) Next() (Ref, bool) {
-	if s.i >= s.spec.Count || s.spec.Nodes == 0 {
-		return Ref{}, false
-	}
-	addr := s.spec.Base + uint64(s.cur)*s.spec.NodeSize
-	s.cur = s.next[s.cur]
-	s.i++
-	return Ref{Addr: addr, Kind: Load, Dep: true, Work: s.spec.Work}, true
-}
-
-// WorkSpec emits no memory references but represents pure computation; it
-// is expressed as a single reference-free marker via a zero-count stream
-// plus work attached to the next real reference. Because the Stream
-// interface carries work on references, WorkSpec instead yields a single
-// load to a scratch address with the accumulated work. Scratch is chosen by
-// the caller to be cache-resident so it never reaches off-chip memory.
-type WorkSpec struct {
-	Scratch uint64
-	Cycles  uint32
-}
-
-// Stream returns the single-reference stream.
-func (sp WorkSpec) Stream() Stream {
-	return FromSlice([]Ref{{Addr: sp.Scratch, Kind: Load, Work: sp.Cycles}})
-}
-
-// Maker returns a Maker for the spec.
-func (sp WorkSpec) Maker() Maker {
-	return func() Stream { return sp.Stream() }
 }

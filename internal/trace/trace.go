@@ -63,10 +63,6 @@ type Stream interface {
 	Next() (Ref, bool)
 }
 
-// Maker constructs a fresh Stream positioned at its beginning. Workload
-// phases are expressed as Makers so they can be repeated and concatenated.
-type Maker func() Stream
-
 // sliceStream iterates over a materialized reference slice.
 type sliceStream struct {
 	refs []Ref
@@ -114,129 +110,6 @@ func Count(s Stream) int {
 		}
 		n++
 	}
-}
-
-// concatStream chains sub-streams end to end.
-type concatStream struct {
-	makers []Maker
-	cur    Stream
-	idx    int
-}
-
-// Concat returns a Stream that plays each maker's stream in order.
-func Concat(makers ...Maker) Stream {
-	return &concatStream{makers: makers}
-}
-
-func (c *concatStream) Next() (Ref, bool) {
-	for {
-		if c.cur == nil {
-			if c.idx >= len(c.makers) {
-				return Ref{}, false
-			}
-			c.cur = c.makers[c.idx]()
-			c.idx++
-		}
-		if r, ok := c.cur.Next(); ok {
-			return r, true
-		}
-		c.cur = nil
-	}
-}
-
-// Repeat returns a Stream that plays maker's stream n times in sequence.
-func Repeat(n int, maker Maker) Stream {
-	return &repeatStream{n: n, maker: maker}
-}
-
-type repeatStream struct {
-	maker Maker
-	cur   Stream
-	n     int
-	done  int
-}
-
-func (r *repeatStream) Next() (Ref, bool) {
-	for {
-		if r.cur == nil {
-			if r.done >= r.n {
-				return Ref{}, false
-			}
-			r.cur = r.maker()
-			r.done++
-		}
-		if ref, ok := r.cur.Next(); ok {
-			return ref, true
-		}
-		r.cur = nil
-	}
-}
-
-// Limit returns a Stream that truncates s after max references.
-func Limit(s Stream, max int) Stream {
-	return &limitStream{s: s, left: max}
-}
-
-type limitStream struct {
-	s    Stream
-	left int
-}
-
-func (l *limitStream) Next() (Ref, bool) {
-	if l.left <= 0 {
-		return Ref{}, false
-	}
-	r, ok := l.s.Next()
-	if !ok {
-		return Ref{}, false
-	}
-	l.left--
-	return r, true
-}
-
-// Interleave round-robins references from several streams until all are
-// exhausted, modeling a thread alternating between data structures.
-func Interleave(streams ...Stream) Stream {
-	return &interleaveStream{streams: streams}
-}
-
-type interleaveStream struct {
-	streams []Stream
-	next    int
-}
-
-func (it *interleaveStream) Next() (Ref, bool) {
-	for tries := 0; tries < len(it.streams); tries++ {
-		i := it.next
-		it.next = (it.next + 1) % len(it.streams)
-		if it.streams[i] == nil {
-			continue
-		}
-		if r, ok := it.streams[i].Next(); ok {
-			return r, true
-		}
-		it.streams[i] = nil
-	}
-	return Ref{}, false
-}
-
-// counting wraps a stream and counts the references it yields.
-type counting struct {
-	s Stream
-	n *int64
-}
-
-// Counting wraps s so that every yielded reference increments *n.
-func Counting(s Stream, n *int64) Stream {
-	return &counting{s: s, n: n}
-}
-
-func (c *counting) Next() (Ref, bool) {
-	r, ok := c.s.Next()
-	if ok {
-		*c.n++
-	}
-	return r, ok
 }
 
 // Gen adapts a push-style generator function into a pull-style Stream. gen

@@ -2,7 +2,6 @@ package trace
 
 import (
 	"testing"
-	"testing/quick"
 	"time"
 )
 
@@ -57,135 +56,6 @@ func TestStrideAddresses(t *testing.T) {
 		if refs[i].Kind != Store || refs[i].Work != 3 {
 			t.Errorf("ref %d metadata wrong: %+v", i, refs[i])
 		}
-	}
-}
-
-func TestConcatAndRepeat(t *testing.T) {
-	a := StrideSpec{Base: 0, Stride: 8, Count: 2}
-	b := StrideSpec{Base: 100, Stride: 8, Count: 3}
-	refs := Collect(Concat(a.Maker(), b.Maker()), 0)
-	if len(refs) != 5 {
-		t.Fatalf("concat length = %d", len(refs))
-	}
-	if refs[2].Addr != 100 {
-		t.Errorf("first b ref addr = %d", refs[2].Addr)
-	}
-
-	reps := Collect(Repeat(3, a.Maker()), 0)
-	if len(reps) != 6 {
-		t.Fatalf("repeat length = %d", len(reps))
-	}
-	if reps[2].Addr != 0 || reps[3].Addr != 8 {
-		t.Errorf("repeat did not restart: %+v", reps)
-	}
-}
-
-func TestRepeatZero(t *testing.T) {
-	if n := Count(Repeat(0, StrideSpec{Count: 5}.Maker())); n != 0 {
-		t.Errorf("Repeat(0) produced %d refs", n)
-	}
-}
-
-func TestLimit(t *testing.T) {
-	s := Limit(StrideSpec{Count: 100, Stride: 8}.Stream(), 7)
-	if n := Count(s); n != 7 {
-		t.Errorf("Limit = %d refs", n)
-	}
-	s = Limit(StrideSpec{Count: 3, Stride: 8}.Stream(), 10)
-	if n := Count(s); n != 3 {
-		t.Errorf("Limit beyond length = %d refs", n)
-	}
-}
-
-func TestInterleave(t *testing.T) {
-	a := StrideSpec{Base: 0, Stride: 8, Count: 2}.Stream()
-	b := StrideSpec{Base: 1000, Stride: 8, Count: 4}.Stream()
-	refs := Collect(Interleave(a, b), 0)
-	if len(refs) != 6 {
-		t.Fatalf("interleave length = %d", len(refs))
-	}
-	wantAddrs := []uint64{0, 1000, 8, 1008, 1016, 1024}
-	for i, w := range wantAddrs {
-		if refs[i].Addr != w {
-			t.Errorf("interleave[%d] = %d, want %d", i, refs[i].Addr, w)
-		}
-	}
-}
-
-func TestCounting(t *testing.T) {
-	var n int64
-	s := Counting(StrideSpec{Count: 9, Stride: 8}.Stream(), &n)
-	Count(s)
-	if n != 9 {
-		t.Errorf("counter = %d, want 9", n)
-	}
-}
-
-func TestRandomSpecBoundsAndDeterminism(t *testing.T) {
-	sp := RandomSpec{Base: 4096, Size: 8192, Align: 64, Count: 500, Seed: 11}
-	refs1 := Collect(sp.Stream(), 0)
-	refs2 := Collect(sp.Stream(), 0)
-	if len(refs1) != 500 {
-		t.Fatalf("count = %d", len(refs1))
-	}
-	for i, r := range refs1 {
-		if r.Addr < 4096 || r.Addr >= 4096+8192 {
-			t.Fatalf("ref %d addr %d out of bounds", i, r.Addr)
-		}
-		if r.Addr%64 != 0 {
-			t.Fatalf("ref %d addr %d not aligned", i, r.Addr)
-		}
-		if refs2[i] != r {
-			t.Fatalf("non-deterministic at %d: %v vs %v", i, r, refs2[i])
-		}
-	}
-}
-
-func TestRandomSpecZeroSize(t *testing.T) {
-	if n := Count(RandomSpec{Count: 5}.Stream()); n != 0 {
-		t.Errorf("zero-size random produced %d refs", n)
-	}
-}
-
-func TestGatherAddresses(t *testing.T) {
-	sp := GatherSpec{Base: 1 << 20, ElemSize: 8, Idx: []uint32{0, 5, 2}, Kind: Load, Dep: true}
-	refs := Collect(sp.Stream(), 0)
-	want := []uint64{1 << 20, 1<<20 + 40, 1<<20 + 16}
-	for i, w := range want {
-		if refs[i].Addr != w {
-			t.Errorf("gather[%d] = %d, want %d", i, refs[i].Addr, w)
-		}
-		if !refs[i].Dep {
-			t.Errorf("gather[%d] should be dependent", i)
-		}
-	}
-}
-
-func TestChaseVisitsAllNodes(t *testing.T) {
-	sp := ChaseSpec{Base: 0, NodeSize: 64, Nodes: 16, Count: 16, Seed: 5}
-	refs := Collect(sp.Stream(), 0)
-	if len(refs) != 16 {
-		t.Fatalf("chase count = %d", len(refs))
-	}
-	seen := map[uint64]bool{}
-	for _, r := range refs {
-		if !r.Dep {
-			t.Fatal("chase refs must be dependent")
-		}
-		if r.Addr%64 != 0 || r.Addr >= 16*64 {
-			t.Fatalf("bad chase addr %d", r.Addr)
-		}
-		seen[r.Addr] = true
-	}
-	// A single cycle through all nodes visits each exactly once in 16 steps.
-	if len(seen) != 16 {
-		t.Errorf("chase visited %d distinct nodes, want 16", len(seen))
-	}
-}
-
-func TestChaseEmpty(t *testing.T) {
-	if n := Count(ChaseSpec{Nodes: 0, Count: 5}.Stream()); n != 0 {
-		t.Errorf("empty chase produced %d refs", n)
 	}
 }
 
@@ -296,51 +166,11 @@ func TestGenStreamAllocsBounded(t *testing.T) {
 	}
 }
 
-func TestWorkSpec(t *testing.T) {
-	refs := Collect(WorkSpec{Scratch: 128, Cycles: 1000}.Stream(), 0)
-	if len(refs) != 1 || refs[0].Work != 1000 || refs[0].Addr != 128 {
-		t.Errorf("work spec refs = %+v", refs)
-	}
-}
-
 func TestKindString(t *testing.T) {
 	if Load.String() != "load" || Store.String() != "store" {
 		t.Error("Kind.String mismatch")
 	}
 	if Kind(9).String() != "unknown" {
 		t.Error("unknown kind string")
-	}
-}
-
-// Property: Concat length equals sum of part lengths.
-func TestConcatLengthProperty(t *testing.T) {
-	f := func(counts []uint8) bool {
-		var makers []Maker
-		want := 0
-		for i, c := range counts {
-			if i >= 8 {
-				break
-			}
-			n := int(c % 50)
-			want += n
-			makers = append(makers, StrideSpec{Count: n, Stride: 8}.Maker())
-		}
-		return Count(Concat(makers...)) == want
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Error(err)
-	}
-}
-
-// Property: Repeat(n, m) yields n times the refs of one instance of m.
-func TestRepeatLengthProperty(t *testing.T) {
-	f := func(n, c uint8) bool {
-		reps := int(n % 10)
-		cnt := int(c % 30)
-		m := StrideSpec{Count: cnt, Stride: 4}.Maker()
-		return Count(Repeat(reps, m)) == reps*cnt
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Error(err)
 	}
 }
