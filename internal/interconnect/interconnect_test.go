@@ -89,6 +89,34 @@ func TestRing(t *testing.T) {
 	}
 }
 
+func TestCirculantAMDShape(t *testing.T) {
+	// C_8(1,2): the AMD partial mesh, node i linked to i±1 and i±2. Must
+	// have exactly three latency classes (direct=0, one hop, two hops) and
+	// diameter 2.
+	var links [][2]int
+	for i := 0; i < 8; i++ {
+		links = append(links, [2]int{i, (i + 1) % 8}, [2]int{i, (i + 2) % 8})
+	}
+	top, err := New("amd", 8, links, 80)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if top.MaxHops() != 2 {
+		t.Errorf("diameter = %d, want 2", top.MaxHops())
+	}
+	classes := top.LatencyClasses()
+	if len(classes) != 3 {
+		t.Errorf("latency classes = %v, want 3 classes", classes)
+	}
+	// Opposite node (distance 4 around the ring) reachable via two 2-chords.
+	if top.Hops(0, 4) != 2 {
+		t.Errorf("hops(0,4) = %d, want 2", top.Hops(0, 4))
+	}
+	if top.Hops(0, 2) != 1 {
+		t.Errorf("hops(0,2) = %d, want 1 (chord)", top.Hops(0, 2))
+	}
+}
+
 func TestAccessors(t *testing.T) {
 	top, _ := New("named", 2, [][2]int{{0, 1}}, 7)
 	if top.Name() != "named" || top.HopLatency() != 7 || top.Nodes() != 2 {
