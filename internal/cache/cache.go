@@ -21,7 +21,8 @@ import (
 type Policy uint8
 
 const (
-	// LRU evicts the least-recently-used way (exact, per-set timestamps).
+	// LRU evicts the least-recently-used way (exact: each set is kept in
+	// recency order).
 	LRU Policy = iota
 	// PLRU evicts following a tree-based pseudo-LRU (requires power-of-two
 	// associativity).
@@ -73,32 +74,21 @@ type Stats struct {
 	Prefetches uint64
 }
 
-// MissRatio returns Misses/Accesses, or 0 for an untouched cache.
-func (s Stats) MissRatio() float64 {
-	if s.Accesses == 0 {
-		return 0
-	}
-	return float64(s.Misses) / float64(s.Accesses)
-}
-
 // Cache is one set-associative cache level.
 //
 // Each way is one slot of tags, sets*ways long. A slot holds the resident
 // line plus one, so 0 marks an invalid way and a lookup reads one array.
-// Under LRU, lastUse holds the tick of each way's last reference. It is 0
-// exactly on the invalid ways, because the tick is at least 1 once any
-// access has happened. Invalidate and Flush must keep that invariant: the
-// LRU fill then finds the first invalid way, or else the least recently
-// used one, as the first way with the smallest lastUse.
+// Under LRU, each set's slots are kept in recency order: the most recently
+// used line at index 0, then older lines, then the invalid ways. Invalidate
+// must keep the invalid ways at the end: a miss then evicts the last slot,
+// which is an invalid way while there is one and the least recently used
+// line otherwise. PLRU and Random sets keep lines in fixed slots.
 type Cache struct {
 	cfg      Config
-	sets     int
 	setMask  uint64
 	lineBits uint
 	tags     []uint64 // line+1 per way; 0 is an invalid way
-	lastUse  []uint64 // LRU timestamps; 0 is an invalid way
 	plru     []uint64 // per-set PLRU tree bits
-	tick     uint64
 	rng      *rand.Rand
 	stats    Stats
 }
@@ -125,14 +115,12 @@ func New(cfg Config) (*Cache, error) {
 	}
 	c := &Cache{
 		cfg:      cfg,
-		sets:     int(sets),
 		setMask:  sets - 1,
 		lineBits: uint(bits.TrailingZeros64(cfg.Line)),
 		tags:     make([]uint64, int(sets)*cfg.Ways),
 	}
 	switch cfg.Policy {
-	case LRU:
-		c.lastUse = make([]uint64, len(c.tags))
+	case LRU: // the order of tags is its whole state
 	case PLRU:
 		c.plru = make([]uint64, sets)
 	case Random:
@@ -145,9 +133,6 @@ func New(cfg Config) (*Cache, error) {
 
 // Config returns the configuration the cache was built with.
 func (c *Cache) Config() Config { return c.cfg }
-
-// Sets returns the number of sets.
-func (c *Cache) Sets() int { return c.sets }
 
 // Stats returns a copy of the access counters.
 func (c *Cache) Stats() Stats { return c.stats }
@@ -183,32 +168,24 @@ func (c *Cache) touch(addr uint64, prefetch bool) bool {
 	}
 
 	if c.cfg.Policy == LRU {
-		c.tick++
-		lastUse := c.lastUse[base : base+len(tags)]
+		// One pass shifts each slot down by one until the line is found,
+		// with the line itself entering at the front: a hit moves its line
+		// to the front, and a miss shifts the whole set, dropping the last
+		// slot.
+		prev := tag
 		for w, t := range tags {
+			tags[w] = prev
 			if t == tag {
-				lastUse[w] = c.tick
 				return true
 			}
+			prev = t
 		}
 		if !prefetch {
 			c.stats.Misses++
 		}
-		// The first way with the smallest lastUse: the first invalid way,
-		// else the least recently used. The scan has no early exit, so the
-		// compiler turns the comparison into conditional moves; the order
-		// of the timestamps defeats branch prediction.
-		victim, oldest := 0, ^uint64(0)
-		for w, u := range lastUse {
-			if u < oldest {
-				victim, oldest = w, u
-			}
-		}
-		if oldest != 0 {
+		if prev != 0 {
 			c.stats.Evictions++
 		}
-		tags[victim] = tag
-		lastUse[victim] = c.tick
 		return false
 	}
 
@@ -254,24 +231,25 @@ func (c *Cache) way(addr uint64) int {
 
 // Invalidate removes addr's line from the cache if present, returning
 // whether a copy was dropped. Used by the coherence directory to model
-// cross-socket invalidations; counters are not affected.
+// cross-socket invalidations; counters are not affected. Under LRU the
+// older lines of the set shift up one slot, so the freed way joins the
+// invalid ways at the end.
 func (c *Cache) Invalidate(addr uint64) bool {
 	i := c.way(addr)
 	if i < 0 {
 		return false
 	}
-	c.tags[i] = 0
-	if c.lastUse != nil {
-		c.lastUse[i] = 0
+	if c.cfg.Policy == LRU {
+		end := i - i%c.cfg.Ways + c.cfg.Ways
+		copy(c.tags[i:end-1], c.tags[i+1:end])
+		i = end - 1
 	}
+	c.tags[i] = 0
 	return true
 }
 
 // Flush invalidates the whole cache, leaving counters intact.
-func (c *Cache) Flush() {
-	clear(c.tags)
-	clear(c.lastUse)
-}
+func (c *Cache) Flush() { clear(c.tags) }
 
 // ResetStats zeroes the access counters.
 func (c *Cache) ResetStats() { c.stats = Stats{} }

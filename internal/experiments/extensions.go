@@ -257,14 +257,12 @@ func depFraction(program string, class workload.Class, tune workload.Tuning) flo
 	}
 	s := wl.Streams(1)[0]
 	var refs, deps float64
-	for {
-		ref, ok := s.Next()
-		if !ok {
-			break
-		}
-		refs++
-		if ref.Dep {
-			deps++
+	for run := s.Next(); len(run) > 0; run = s.Next() {
+		refs += float64(len(run))
+		for _, ref := range run {
+			if ref.Dep {
+				deps++
+			}
 		}
 	}
 	if refs == 0 {

@@ -8,9 +8,10 @@
 // The controller is driven by the simulator's event queue
 // (*eventq.Queue): Submit enqueues a request at the current time and the
 // completion callback fires when service finishes. Submit decodes the
-// address into channel, bank and row once; the scheduler compares those
-// against each bank's open row and never divides. Queues are unbounded:
-// the paper models no back-pressure, so every submission completes.
+// address into channel, bank and row once, with a shift for each size that
+// is a power of two; the scheduler compares those against each bank's open
+// row and never divides. Queues are unbounded: the paper models no
+// back-pressure, so every submission completes.
 // Queueing delay — the quantity that grows with the number of active
 // cores and saturates the M/M/1 model — emerges from channel occupancy
 // rather than being assumed.
@@ -19,6 +20,7 @@ package memctrl
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 
 	"repro/internal/eventq"
 )
@@ -120,9 +122,6 @@ func (s Stats) AvgService() float64 {
 	return float64(s.TotalService) / float64(s.Requests)
 }
 
-// AvgResponse returns the mean total response time (wait + service).
-func (s Stats) AvgResponse() float64 { return s.AvgWait() + s.AvgService() }
-
 // RowHitRatio returns the fraction of requests that hit an open row.
 func (s Stats) RowHitRatio() float64 {
 	if s.Requests == 0 {
@@ -219,7 +218,35 @@ type Controller struct {
 	q     *eventq.Queue
 	chans []channel
 	stats Stats
+	// The address decode: line and row divide an address, channels and
+	// banks reduce a line and a row.
+	line, row, channels, banks divisor
 }
+
+// divisor divides by d = odd << shift: a shift, then a hardware divide
+// only when the odd part is not 1. A power-of-two d thus never divides,
+// and any other d is still exact.
+type divisor struct {
+	d, odd uint64
+	shift  uint
+}
+
+func newDivisor(d uint64) divisor {
+	shift := uint(bits.TrailingZeros64(d))
+	return divisor{d: d, odd: d >> shift, shift: shift}
+}
+
+// div returns n / d.
+func (v divisor) div(n uint64) uint64 {
+	n >>= v.shift
+	if v.odd != 1 {
+		n /= v.odd
+	}
+	return n
+}
+
+// mod returns n % d.
+func (v divisor) mod(n uint64) uint64 { return n - v.div(n)*v.d }
 
 // New builds a controller driven by the event queue q.
 func New(cfg Config, q *eventq.Queue) (*Controller, error) {
@@ -229,7 +256,15 @@ func New(cfg Config, q *eventq.Queue) (*Controller, error) {
 	if q == nil {
 		return nil, errors.New("memctrl: nil event queue")
 	}
-	c := &Controller{cfg: cfg, q: q, chans: make([]channel, cfg.Channels)}
+	c := &Controller{
+		cfg:      cfg,
+		q:        q,
+		chans:    make([]channel, cfg.Channels),
+		line:     newDivisor(cfg.LineBytes),
+		row:      newDivisor(cfg.RowBytes),
+		channels: newDivisor(uint64(cfg.Channels)),
+		banks:    newDivisor(uint64(cfg.Banks)),
+	}
 	for i := range c.chans {
 		rows := make([]int64, cfg.Banks)
 		for b := range rows {
@@ -277,21 +312,17 @@ func (c *Controller) BusyChannels() int {
 // the M/M/1 model predicts as rho/(1-rho) in steady state.
 func (c *Controller) Occupancy() int { return c.QueueLen() + c.BusyChannels() }
 
-// ChannelQueueLen returns the queued (not in-service) request count of one
-// channel, for per-channel queue-depth telemetry.
-func (c *Controller) ChannelQueueLen(ch int) int { return c.chans[ch].q.len() }
-
 // Submit enqueues a request for addr at the current simulated time. done is
 // invoked exactly once, at the simulated completion time, with whether the
 // request was serviced from an open row.
 //
 //simcheck:hotpath
 func (c *Controller) Submit(addr uint64, done func(rowHit bool)) {
-	chIdx := int((addr / c.cfg.LineBytes) % uint64(c.cfg.Channels))
-	row := addr / c.cfg.RowBytes
+	chIdx := int(c.channels.mod(c.line.div(addr)))
+	row := c.row.div(addr)
 	ch := &c.chans[chIdx]
 	ch.q.push(request{
-		bank:    int(row % uint64(c.cfg.Banks)),
+		bank:    int(c.banks.mod(row)),
 		row:     int64(row),
 		arrival: c.q.Now(),
 		done:    done,

@@ -44,7 +44,8 @@ func poissonDrive(t *testing.T, cfg Config, lambda float64, n int, seed int64) f
 	}
 	submit()
 	q.Run()
-	return c.Stats().AvgResponse()
+	s := c.Stats()
+	return s.AvgWait() + s.AvgService()
 }
 
 // TestMD1MatchesTheory: deterministic service (row misses only), Poisson

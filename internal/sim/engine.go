@@ -16,9 +16,13 @@ const (
 
 // thread is one program thread: a reference stream plus execution state.
 type thread struct {
-	id          int
-	core        *core
-	stream      trace.Stream
+	id     int
+	core   *core
+	stream trace.Stream
+	// run is the stream's current run, which step reads in place; pos
+	// indexes its next ref.
+	run         []trace.Ref
+	pos         int
 	outstanding int  // off-chip requests in flight
 	blocked     bool // waiting on a dependent load, an MSHR slot or a barrier
 	waitDep     bool // blocked specifically on a dependent load
@@ -233,8 +237,10 @@ func (e *engine) step(c *core) {
 		if advance >= batchLimit || refs >= 8192 {
 			break
 		}
-		ref, ok := th.stream.Next()
-		if !ok {
+		if th.pos == len(th.run) {
+			th.run, th.pos = th.stream.Next(), 0
+		}
+		if len(th.run) == 0 {
 			th.finished = true
 			th.st.Finish = e.q.Now() + advance
 			e.finishedThreads++
@@ -244,6 +250,8 @@ func (e *engine) step(c *core) {
 			c.rotate(e.cfg.Quantum)
 			break
 		}
+		ref := th.run[th.pos]
+		th.pos++
 		refs++
 		advance += uint64(ref.Work)
 		th.st.Work += uint64(ref.Work)

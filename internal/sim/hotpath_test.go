@@ -3,6 +3,7 @@ package sim
 import (
 	"context"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"repro/internal/memctrl"
@@ -109,5 +110,45 @@ func TestEventsCounter(t *testing.T) {
 	// had 200 of them plus per-core steps.
 	if res.Events < res.OffChipRequests {
 		t.Errorf("Events = %d < OffChipRequests = %d", res.Events, res.OffChipRequests)
+	}
+}
+
+// TestRunGenMatchesFromSlice runs the same references twice: from FromSlice
+// streams, which hand the engine each thread's refs as one run, and from
+// Gen streams, which hand them over one buffer at a time. The Results must
+// be equal. Six threads on three cores also rotate runs across the
+// oversubscribed run queues.
+func TestRunGenMatchesFromSlice(t *testing.T) {
+	const threads = 6
+	refs := make([][]trace.Ref, threads)
+	for i, s := range randomStreams(11, threads, 5000) {
+		refs[i] = trace.Collect(s, 0)
+	}
+	fromSlice := make([]trace.Stream, threads)
+	gen := make([]trace.Stream, threads)
+	for i, rs := range refs {
+		fromSlice[i] = trace.FromSlice(rs)
+		gen[i] = trace.Gen(func(emit func(trace.Ref) bool) {
+			for _, r := range rs {
+				if !emit(r) {
+					return
+				}
+			}
+		})
+	}
+	cfg := Config{Spec: testSpec(), Threads: threads, Cores: 3, Coherence: true}
+	want, err := Run(context.Background(), cfg, fromSlice)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := Run(context.Background(), cfg, gen)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want.OffChipRequests == 0 || want.Aborted {
+		t.Fatalf("reference run did not exercise the engine: %+v", want)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("Gen streams: %+v\nFromSlice streams: %+v", got, want)
 	}
 }

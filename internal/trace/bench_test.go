@@ -2,15 +2,22 @@ package trace
 
 import "testing"
 
+// drainN reads runs from s until it has read at least n refs.
+func drainN(b *testing.B, s Stream, n int) {
+	for read := 0; read < n; {
+		run := s.Next()
+		if len(run) == 0 {
+			b.Fatal("exhausted")
+		}
+		read += len(run)
+	}
+}
+
 func BenchmarkStrideStream(b *testing.B) {
 	b.ReportAllocs()
 	s := StrideSpec{Stride: 64, Count: 1 << 30}.Stream()
 	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, ok := s.Next(); !ok {
-			b.Fatal("exhausted")
-		}
-	}
+	drainN(b, s, b.N)
 }
 
 func BenchmarkGenStream(b *testing.B) {
@@ -23,11 +30,7 @@ func BenchmarkGenStream(b *testing.B) {
 	})
 	b.ReportAllocs()
 	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, ok := s.Next(); !ok {
-			b.Fatal("exhausted")
-		}
-	}
+	drainN(b, s, b.N)
 	b.StopTimer()
 	StopAll(s)
 }

@@ -17,21 +17,32 @@ func (sp StrideSpec) Stream() Stream {
 	return &strideStream{spec: sp}
 }
 
+// strideRun is the number of refs a strideStream returns per run.
+const strideRun = 256
+
 type strideStream struct {
 	spec StrideSpec
 	i    int
+	buf  []Ref
 }
 
-func (s *strideStream) Next() (Ref, bool) {
-	if s.i >= s.spec.Count {
-		return Ref{}, false
+func (s *strideStream) Next() []Ref {
+	n := min(s.spec.Count-s.i, strideRun)
+	if n <= 0 {
+		return nil
 	}
-	r := Ref{
-		Addr: s.spec.Base + uint64(s.i)*s.spec.Stride,
-		Kind: s.spec.Kind,
-		Dep:  s.spec.Dep,
-		Work: s.spec.Work,
+	if s.buf == nil {
+		s.buf = make([]Ref, strideRun)
 	}
-	s.i++
-	return r, true
+	run := s.buf[:n]
+	for k := range run {
+		run[k] = Ref{
+			Addr: s.spec.Base + uint64(s.i+k)*s.spec.Stride,
+			Kind: s.spec.Kind,
+			Dep:  s.spec.Dep,
+			Work: s.spec.Work,
+		}
+	}
+	s.i += n
+	return run
 }

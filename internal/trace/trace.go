@@ -56,17 +56,18 @@ type Ref struct {
 	Work uint32
 }
 
-// Stream produces a sequence of references. Next returns the next reference
-// and true, or a zero Ref and false when the stream is exhausted. Streams
-// are single-consumer and not safe for concurrent use.
+// Stream produces a sequence of references one run at a time. Next
+// returns the next run, or an empty run when the stream is exhausted; every
+// later call returns an empty run too. A run stays valid only until the
+// following call to Next, and the caller must not modify it. Streams are
+// single-consumer and not safe for concurrent use.
 type Stream interface {
-	Next() (Ref, bool)
+	Next() []Ref
 }
 
-// sliceStream iterates over a materialized reference slice.
+// sliceStream hands out a materialized reference slice as a single run.
 type sliceStream struct {
 	refs []Ref
-	pos  int
 }
 
 // FromSlice returns a Stream over a materialized slice of references. The
@@ -75,13 +76,10 @@ func FromSlice(refs []Ref) Stream {
 	return &sliceStream{refs: refs}
 }
 
-func (s *sliceStream) Next() (Ref, bool) {
-	if s.pos >= len(s.refs) {
-		return Ref{}, false
-	}
-	r := s.refs[s.pos]
-	s.pos++
-	return r, true
+func (s *sliceStream) Next() []Ref {
+	run := s.refs
+	s.refs = nil
+	return run
 }
 
 // Collect drains a stream into a slice, up to max references (max <= 0
@@ -89,27 +87,22 @@ func (s *sliceStream) Next() (Ref, bool) {
 // full workload traces.
 func Collect(s Stream, max int) []Ref {
 	var out []Ref
-	for {
-		if max > 0 && len(out) >= max {
-			return out
+	for run := s.Next(); len(run) > 0; run = s.Next() {
+		if max > 0 && len(out)+len(run) >= max {
+			return append(out, run[:max-len(out)]...)
 		}
-		r, ok := s.Next()
-		if !ok {
-			return out
-		}
-		out = append(out, r)
+		out = append(out, run...)
 	}
+	return out
 }
 
 // Count drains a stream and returns the number of references it produced.
 func Count(s Stream) int {
 	n := 0
-	for {
-		if _, ok := s.Next(); !ok {
-			return n
-		}
-		n++
+	for run := s.Next(); len(run) > 0; run = s.Next() {
+		n += len(run)
 	}
+	return n
 }
 
 // Gen adapts a push-style generator function into a pull-style Stream. gen
@@ -119,12 +112,13 @@ func Count(s Stream) int {
 //
 // The generator runs on its own goroutine, double-buffered: each stream
 // owns exactly two buffers of genChunk refs. The producer fills one while
-// the consumer drains the other; filled buffers are handed over on an
-// unbuffered channel, and the consumer returns a drained buffer before it
-// receives the next one. A stream therefore holds at most 2×genChunk refs
-// however far ahead the generator could run, and allocates nothing after
-// it starts. Stop is observed only at chunk boundaries, so a stopped
-// generator returns within genChunk further refs.
+// the consumer reads the other, which Next returned as one run; filled
+// buffers are handed over on an unbuffered channel, and Next returns the
+// previous run's buffer before it receives the next one. A stream
+// therefore holds at most 2×genChunk refs however far ahead the generator
+// could run, and allocates nothing after it starts. Stop is observed only
+// at chunk boundaries, so a stopped generator returns within genChunk
+// further refs.
 func Gen(gen func(emit func(Ref) bool)) Stream {
 	g := &genStream{
 		full: make(chan []Ref),
@@ -139,15 +133,15 @@ func Gen(gen func(emit func(Ref) bool)) Stream {
 	return g
 }
 
-// genChunk is the number of refs per buffer: 16 KiB at 16 bytes per Ref.
-const genChunk = 1024
+// genChunk is the number of refs per buffer: 4 KiB at 16 bytes per Ref.
+// Larger buffers cost no less CPU and raise peak memory.
+const genChunk = 256
 
 type genStream struct {
 	full  chan []Ref // producer → consumer, unbuffered; closed when gen returns
-	free  chan []Ref // consumer → producer, drained buffers
+	free  chan []Ref // consumer → producer, buffers already read
 	stop  chan struct{}
-	chunk []Ref
-	pos   int
+	chunk []Ref // the run last returned by Next, still the consumer's
 	done  bool
 }
 
@@ -177,8 +171,8 @@ func (g *genStream) produce(gen func(emit func(Ref) bool)) {
 		if stopped = !send(); stopped {
 			return false
 		}
-		// Take the other buffer back. It is normally waiting, since the
-		// consumer returns a drained buffer before it receives the next;
+		// Take the other buffer back. It is normally waiting, since Next
+		// returns the run it read before it receives the next;
 		// Stop's drain returns none, so watch stop too.
 		select {
 		case buf = <-g.free:
@@ -193,27 +187,24 @@ func (g *genStream) produce(gen func(emit func(Ref) bool)) {
 	}
 }
 
-func (g *genStream) Next() (Ref, bool) {
-	for {
-		if g.pos < len(g.chunk) {
-			r := g.chunk[g.pos]
-			g.pos++
-			return r, true
-		}
-		if g.done {
-			return Ref{}, false
-		}
-		if g.chunk != nil {
-			g.free <- g.chunk[:0]
-		}
-		chunk, ok := <-g.full
-		if !ok {
-			g.done = true
-			g.chunk = nil
-			return Ref{}, false
-		}
-		g.chunk, g.pos = chunk, 0
+// Next hands the previous run's buffer back to the producer and returns
+// the next filled one. Only the last buffer can be short, and none is
+// empty.
+func (g *genStream) Next() []Ref {
+	if g.done {
+		return nil
 	}
+	if g.chunk != nil {
+		g.free <- g.chunk[:0]
+		g.chunk = nil
+	}
+	chunk, ok := <-g.full
+	if !ok {
+		g.done = true
+		return nil
+	}
+	g.chunk = chunk
+	return chunk
 }
 
 // Stop terminates the backing generator goroutine of a Gen stream early

@@ -1,6 +1,8 @@
 package trace
 
 import (
+	"fmt"
+	"slices"
 	"testing"
 	"time"
 )
@@ -20,11 +22,11 @@ func TestFromSliceAndCollect(t *testing.T) {
 			t.Errorf("ref %d = %+v, want %+v", i, got[i], refs[i])
 		}
 	}
-	// Exhausted stream keeps returning false.
+	// An exhausted stream keeps returning empty runs.
 	s := FromSlice(refs)
 	Collect(s, 0)
-	if _, ok := s.Next(); ok {
-		t.Error("exhausted stream returned a ref")
+	if run := s.Next(); len(run) != 0 {
+		t.Errorf("exhausted stream returned %d refs", len(run))
 	}
 }
 
@@ -84,19 +86,19 @@ func TestGenStream(t *testing.T) {
 // harmless.
 func TestGenStreamStopEarly(t *testing.T) {
 	cases := []struct {
-		name string
-		read int // refs consumed before Stop
+		name  string
+		reads int // Next calls before Stop
 	}{
 		// The producer has filled the first buffer and is parked handing
 		// it over.
 		{"never-read", 0},
-		// The consumer is partway through the first buffer; the producer
-		// is filling or handing over the second.
-		{"mid-chunk", 10},
-		// The consumer has drained the first buffer but not returned it,
-		// so the producer holds the filled second one and waits for the
-		// first to come back.
-		{"after-one-chunk", genChunk},
+		// The consumer holds the first run, partway through it; the
+		// producer is filling or handing over the second buffer.
+		{"mid-chunk", 1},
+		// The consumer is done with the first chunk and has returned its
+		// buffer, which the producer refills while the consumer holds the
+		// second run.
+		{"after-one-chunk", 2},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -112,13 +114,17 @@ func TestGenStreamStopEarly(t *testing.T) {
 				}
 				produced <- n
 			})
-			for i := 0; i < tc.read; i++ {
-				r, ok := s.Next()
-				if !ok {
+			read := 0
+			for i := 0; i < tc.reads; i++ {
+				run := s.Next()
+				if len(run) == 0 {
 					t.Fatal("stream ended early")
 				}
-				if r.Addr != uint64(i) {
-					t.Fatalf("ref %d addr %d", i, r.Addr)
+				for _, r := range run {
+					if r.Addr != uint64(read) {
+						t.Fatalf("ref %d addr %d", read, r.Addr)
+					}
+					read++
 				}
 			}
 			StopAll(s)
@@ -126,20 +132,89 @@ func TestGenStreamStopEarly(t *testing.T) {
 			case n := <-produced:
 				// Stop is seen at the next chunk boundary, so the producer
 				// runs at most two buffers past what was consumed.
-				if n > tc.read+2*genChunk {
-					t.Errorf("generator produced %d refs after %d were read", n, tc.read)
+				if n > read+2*genChunk {
+					t.Errorf("generator produced %d refs after %d were read", n, read)
 				}
 			case <-time.After(10 * time.Second):
 				t.Fatal("generator did not return after Stop")
 			}
-			if _, ok := s.Next(); ok {
-				t.Error("stopped stream yielded a ref")
+			if run := s.Next(); len(run) != 0 {
+				t.Errorf("stopped stream yielded %d refs", len(run))
 			}
 			StopAll(s)
-			if _, ok := s.Next(); ok {
-				t.Error("stream yielded a ref after a second Stop")
+			if run := s.Next(); len(run) != 0 {
+				t.Errorf("stream yielded %d refs after a second Stop", len(run))
 			}
 		})
+	}
+}
+
+// seqGen returns a generator that emits n distinct refs and records each
+// one emit accepted in *emitted.
+func seqGen(n int, emitted *[]Ref) func(emit func(Ref) bool) {
+	return func(emit func(Ref) bool) {
+		for i := 0; i < n; i++ {
+			r := Ref{Addr: uint64(i) * 64, Kind: Kind(i % 2), Dep: i%3 == 0, Sync: i%97 == 0, Work: uint32(i % 7)}
+			if !emit(r) {
+				return
+			}
+			*emitted = append(*emitted, r)
+		}
+	}
+}
+
+// TestGenRunsConcatenate checks that the runs a Gen stream returns
+// concatenate to exactly the emitted sequence, that every run but the last
+// is a whole buffer, and that the stream stays exhausted.
+func TestGenRunsConcatenate(t *testing.T) {
+	for _, n := range []int{0, 1, genChunk - 1, genChunk, genChunk + 1, 2 * genChunk, 3*genChunk + genChunk/2} {
+		t.Run(fmt.Sprint(n), func(t *testing.T) {
+			var emitted, got []Ref
+			s := Gen(seqGen(n, &emitted))
+			runs := 0
+			for run := s.Next(); len(run) > 0; run = s.Next() {
+				if len(run) > genChunk {
+					t.Fatalf("run %d holds %d refs, more than a buffer", runs, len(run))
+				}
+				if len(got)+len(run) < n && len(run) != genChunk {
+					t.Fatalf("run %d holds %d refs but is not the last", runs, len(run))
+				}
+				got = append(got, run...)
+				runs++
+			}
+			if want := (n + genChunk - 1) / genChunk; runs != want {
+				t.Errorf("%d runs, want %d", runs, want)
+			}
+			if !slices.Equal(got, emitted) || len(got) != n {
+				t.Fatalf("read %d refs, emitted %d; the runs differ from the emitted sequence", len(got), len(emitted))
+			}
+			if run := s.Next(); len(run) != 0 {
+				t.Errorf("exhausted stream returned %d refs", len(run))
+			}
+		})
+	}
+}
+
+// TestGenRunsStopMidBuffer stops a Gen stream while the consumer is partway
+// through a run: the runs read so far are exactly a prefix of the emitted
+// sequence, the run in hand is not overwritten by the stopped producer, and
+// the stream then stays exhausted.
+func TestGenRunsStopMidBuffer(t *testing.T) {
+	var emitted, got []Ref
+	s := Gen(seqGen(10*genChunk, &emitted))
+	got = append(got, s.Next()...)
+	run := s.Next()
+	held := slices.Clone(run)
+	got = append(got, run[:genChunk/2]...)
+	StopAll(s)
+	if !slices.Equal(run, held) {
+		t.Error("Stop changed the run the consumer holds")
+	}
+	if len(emitted) < len(got) || !slices.Equal(got, emitted[:len(got)]) {
+		t.Fatalf("read %d refs, emitted %d; the reads are not a prefix of the emitted sequence", len(got), len(emitted))
+	}
+	if run := s.Next(); len(run) != 0 {
+		t.Errorf("stopped stream returned %d refs", len(run))
 	}
 }
 

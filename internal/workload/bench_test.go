@@ -19,10 +19,11 @@ func benchStreams(b *testing.B, name string, class Class) {
 		streams := w.Streams(4)
 		for _, s := range streams {
 			for produced < b.N {
-				if _, ok := s.Next(); !ok {
+				run := s.Next()
+				if len(run) == 0 {
 					break
 				}
-				produced++
+				produced += len(run)
 			}
 		}
 		trace.StopAll(streams...)

@@ -110,19 +110,18 @@ func TestSeedForDistinct(t *testing.T) {
 // drain counts refs and validates basic stream invariants.
 func drain(t *testing.T, s trace.Stream) (n int, deps int, stores int) {
 	t.Helper()
-	for {
-		r, ok := s.Next()
-		if !ok {
-			return
-		}
-		n++
-		if r.Dep {
-			deps++
-		}
-		if r.Kind == trace.Store {
-			stores++
+	for run := s.Next(); len(run) > 0; run = s.Next() {
+		for _, r := range run {
+			n++
+			if r.Dep {
+				deps++
+			}
+			if r.Kind == trace.Store {
+				stores++
+			}
 		}
 	}
+	return
 }
 
 func TestEveryWorkloadProducesStreams(t *testing.T) {
@@ -265,13 +264,11 @@ func TestEPMostlyWork(t *testing.T) {
 	w, _ := NewTuned("EP", C, Tuning{RefScale: 0.05})
 	s := w.Streams(1)[0]
 	var refs, work uint64
-	for {
-		r, ok := s.Next()
-		if !ok {
-			break
+	for run := s.Next(); len(run) > 0; run = s.Next() {
+		for _, r := range run {
+			refs++
+			work += uint64(r.Work)
 		}
-		refs++
-		work += uint64(r.Work)
 	}
 	if work < refs*50 {
 		t.Errorf("EP work/ref = %d, want compute-dominated (>50)", work/refs)
@@ -283,28 +280,26 @@ func TestX264AddressesInBounds(t *testing.T) {
 	p := x264Classes[SimSmall]
 	planeSize := uint64(p.width * p.height)
 	for _, s := range w.Streams(2) {
-		for {
-			r, ok := s.Next()
-			if !ok {
-				break
-			}
-			if r.Sync {
-				continue
-			}
-			region := int(r.Addr>>regionBits) - 1
-			off := r.Addr & ((1 << regionBits) - 1)
-			switch region {
-			case x264Ref, x264Cur, x264Out:
-				if off >= planeSize {
-					t.Fatalf("plane %d offset %d beyond plane size %d", region, off, planeSize)
+		for run := s.Next(); len(run) > 0; run = s.Next() {
+			for _, r := range run {
+				if r.Sync {
+					continue
 				}
-			case x264Input:
-				// The input is a ring of per-frame buffers.
-				if off >= planeSize*uint64(p.frames) {
-					t.Fatalf("input offset %d beyond %d frames", off, p.frames)
+				region := int(r.Addr>>regionBits) - 1
+				off := r.Addr & ((1 << regionBits) - 1)
+				switch region {
+				case x264Ref, x264Cur, x264Out:
+					if off >= planeSize {
+						t.Fatalf("plane %d offset %d beyond plane size %d", region, off, planeSize)
+					}
+				case x264Input:
+					// The input is a ring of per-frame buffers.
+					if off >= planeSize*uint64(p.frames) {
+						t.Fatalf("input offset %d beyond %d frames", off, p.frames)
+					}
+				default:
+					t.Fatalf("unexpected region %d", region)
 				}
-			default:
-				t.Fatalf("unexpected region %d", region)
 			}
 		}
 	}
@@ -350,25 +345,23 @@ func TestFTAddressesInBounds(t *testing.T) {
 	p := ftClasses[S]
 	cells := uint64(p.nx) * uint64(p.ny) * uint64(p.nz)
 	for _, s := range w.Streams(2) {
-		for {
-			r, ok := s.Next()
-			if !ok {
-				break
-			}
-			if r.Sync {
-				continue
-			}
-			region := regionOf(r.Addr)
-			off := r.Addr & ((1 << regionBits) - 1)
-			switch region {
-			case ftU0, ftU1:
-				if off >= cells*16 {
-					t.Fatalf("FT offset %d beyond grid (%d cells)", off, cells)
+		for run := s.Next(); len(run) > 0; run = s.Next() {
+			for _, r := range run {
+				if r.Sync {
+					continue
 				}
-			case barrierRegion:
-				// coherence lines
-			default:
-				t.Fatalf("unexpected FT region %d", region)
+				region := regionOf(r.Addr)
+				off := r.Addr & ((1 << regionBits) - 1)
+				switch region {
+				case ftU0, ftU1:
+					if off >= cells*16 {
+						t.Fatalf("FT offset %d beyond grid (%d cells)", off, cells)
+					}
+				case barrierRegion:
+					// coherence lines
+				default:
+					t.Fatalf("unexpected FT region %d", region)
+				}
 			}
 		}
 	}
@@ -379,24 +372,22 @@ func TestSPAddressesInBounds(t *testing.T) {
 	p := spClasses[S]
 	cells := uint64(p.n) * uint64(p.n) * uint64(p.n)
 	for _, s := range w.Streams(3) {
-		for {
-			r, ok := s.Next()
-			if !ok {
-				break
-			}
-			if r.Sync {
-				continue
-			}
-			region := regionOf(r.Addr)
-			off := r.Addr & ((1 << regionBits) - 1)
-			switch region {
-			case spU, spRHS, spLHS:
-				if off >= cells*spCellBytes {
-					t.Fatalf("SP offset %d beyond grid", off)
+		for run := s.Next(); len(run) > 0; run = s.Next() {
+			for _, r := range run {
+				if r.Sync {
+					continue
 				}
-			case barrierRegion:
-			default:
-				t.Fatalf("unexpected SP region %d", region)
+				region := regionOf(r.Addr)
+				off := r.Addr & ((1 << regionBits) - 1)
+				switch region {
+				case spU, spRHS, spLHS:
+					if off >= cells*spCellBytes {
+						t.Fatalf("SP offset %d beyond grid", off)
+					}
+				case barrierRegion:
+				default:
+					t.Fatalf("unexpected SP region %d", region)
+				}
 			}
 		}
 	}
@@ -406,32 +397,30 @@ func TestMGAddressesWithinLevels(t *testing.T) {
 	w, _ := NewTuned("MG", S, Tuning{RefScale: 0.2})
 	p := mgClasses[S]
 	for _, s := range w.Streams(2) {
-		for {
-			r, ok := s.Next()
-			if !ok {
-				break
-			}
-			if r.Sync {
-				continue
-			}
-			region := regionOf(r.Addr)
-			if region == barrierRegion {
-				continue
-			}
-			if region != mgU && region != mgR {
-				t.Fatalf("unexpected MG region %d", region)
-			}
-			// Level index packs into bits 32+; the finest level's grid plus
-			// one plane of stencil slack bounds each level's extent.
-			level := int((r.Addr >> 32) & 0xf)
-			if level >= p.levels {
-				t.Fatalf("MG level %d beyond %d", level, p.levels)
-			}
-			n := uint64(p.n >> level)
-			off := r.Addr & ((1 << 32) - 1)
-			limit := (n*n*n + n*n) * 8 // grid + one plane of stencil overrun
-			if off >= limit {
-				t.Fatalf("MG level %d offset %d beyond %d", level, off, limit)
+		for run := s.Next(); len(run) > 0; run = s.Next() {
+			for _, r := range run {
+				if r.Sync {
+					continue
+				}
+				region := regionOf(r.Addr)
+				if region == barrierRegion {
+					continue
+				}
+				if region != mgU && region != mgR {
+					t.Fatalf("unexpected MG region %d", region)
+				}
+				// Level index packs into bits 32+; the finest level's grid plus
+				// one plane of stencil slack bounds each level's extent.
+				level := int((r.Addr >> 32) & 0xf)
+				if level >= p.levels {
+					t.Fatalf("MG level %d beyond %d", level, p.levels)
+				}
+				n := uint64(p.n >> level)
+				off := r.Addr & ((1 << 32) - 1)
+				limit := (n*n*n + n*n) * 8 // grid + one plane of stencil overrun
+				if off >= limit {
+					t.Fatalf("MG level %d offset %d beyond %d", level, off, limit)
+				}
 			}
 		}
 	}
@@ -442,32 +431,30 @@ func TestStreamclusterAddressesInBounds(t *testing.T) {
 	p := scClasses[SimSmall]
 	pointBytes := uint64(p.dim) * 4
 	for _, s := range w.Streams(2) {
-		for {
-			r, ok := s.Next()
-			if !ok {
-				break
-			}
-			if r.Sync {
-				continue
-			}
-			region := regionOf(r.Addr)
-			off := r.Addr & ((1 << regionBits) - 1)
-			switch region {
-			case scPoints:
-				if off >= uint64(p.points)*pointBytes {
-					t.Fatalf("points offset %d out of range", off)
+		for run := s.Next(); len(run) > 0; run = s.Next() {
+			for _, r := range run {
+				if r.Sync {
+					continue
 				}
-			case scCosts:
-				if off >= uint64(p.points)*8 {
-					t.Fatalf("costs offset %d out of range", off)
+				region := regionOf(r.Addr)
+				off := r.Addr & ((1 << regionBits) - 1)
+				switch region {
+				case scPoints:
+					if off >= uint64(p.points)*pointBytes {
+						t.Fatalf("points offset %d out of range", off)
+					}
+				case scCosts:
+					if off >= uint64(p.points)*8 {
+						t.Fatalf("costs offset %d out of range", off)
+					}
+				case scCenters:
+					if off >= uint64(p.centers)*pointBytes {
+						t.Fatalf("centers offset %d out of range", off)
+					}
+				case barrierRegion:
+				default:
+					t.Fatalf("unexpected streamcluster region %d", region)
 				}
-			case scCenters:
-				if off >= uint64(p.centers)*pointBytes {
-					t.Fatalf("centers offset %d out of range", off)
-				}
-			case barrierRegion:
-			default:
-				t.Fatalf("unexpected streamcluster region %d", region)
 			}
 		}
 	}
@@ -479,32 +466,30 @@ func TestCGAddressesInBounds(t *testing.T) {
 	// Upper bound on nnz: 3*avg/2 per row.
 	maxNNZ := uint64(p.rows) * uint64(3*p.nnzPerRow/2+1)
 	for _, s := range w.Streams(2) {
-		for {
-			r, ok := s.Next()
-			if !ok {
-				break
-			}
-			if r.Sync {
-				continue
-			}
-			region := regionOf(r.Addr)
-			off := r.Addr & ((1 << regionBits) - 1)
-			switch region {
-			case cgAVal:
-				if off >= maxNNZ*8 {
-					t.Fatalf("aVal offset %d out of range", off)
+		for run := s.Next(); len(run) > 0; run = s.Next() {
+			for _, r := range run {
+				if r.Sync {
+					continue
 				}
-			case cgACol:
-				if off >= maxNNZ*4 {
-					t.Fatalf("aCol offset %d out of range", off)
+				region := regionOf(r.Addr)
+				off := r.Addr & ((1 << regionBits) - 1)
+				switch region {
+				case cgAVal:
+					if off >= maxNNZ*8 {
+						t.Fatalf("aVal offset %d out of range", off)
+					}
+				case cgACol:
+					if off >= maxNNZ*4 {
+						t.Fatalf("aCol offset %d out of range", off)
+					}
+				case cgVecX, cgVecP, cgVecQ, cgVecR, cgVecZ:
+					if off >= uint64(p.rows)*8 {
+						t.Fatalf("vector region %d offset %d out of range", region, off)
+					}
+				case barrierRegion:
+				default:
+					t.Fatalf("unexpected CG region %d", region)
 				}
-			case cgVecX, cgVecP, cgVecQ, cgVecR, cgVecZ:
-				if off >= uint64(p.rows)*8 {
-					t.Fatalf("vector region %d offset %d out of range", region, off)
-				}
-			case barrierRegion:
-			default:
-				t.Fatalf("unexpected CG region %d", region)
 			}
 		}
 	}
@@ -525,24 +510,22 @@ func TestCannealAddressesInBounds(t *testing.T) {
 	w, _ := NewTuned("canneal", SimSmall, Tuning{RefScale: 0.25})
 	p := cannealClasses[SimSmall]
 	for _, s := range w.Streams(2) {
-		for {
-			r, ok := s.Next()
-			if !ok {
-				break
-			}
-			if r.Sync {
-				continue
-			}
-			region := regionOf(r.Addr)
-			off := r.Addr & ((1 << regionBits) - 1)
-			switch region {
-			case cannealNetlist:
-				if off >= uint64(p.elements)*64 {
-					t.Fatalf("netlist offset %d out of range", off)
+		for run := s.Next(); len(run) > 0; run = s.Next() {
+			for _, r := range run {
+				if r.Sync {
+					continue
 				}
-			case barrierRegion:
-			default:
-				t.Fatalf("unexpected canneal region %d", region)
+				region := regionOf(r.Addr)
+				off := r.Addr & ((1 << regionBits) - 1)
+				switch region {
+				case cannealNetlist:
+					if off >= uint64(p.elements)*64 {
+						t.Fatalf("netlist offset %d out of range", off)
+					}
+				case barrierRegion:
+				default:
+					t.Fatalf("unexpected canneal region %d", region)
+				}
 			}
 		}
 	}
@@ -554,27 +537,25 @@ func TestFluidanimateAddressesInBounds(t *testing.T) {
 	cells := uint64(p.nx) * uint64(p.ny) * uint64(p.nz)
 	var deps int
 	for _, s := range w.Streams(3) {
-		for {
-			r, ok := s.Next()
-			if !ok {
-				break
-			}
-			if r.Sync {
-				continue
-			}
-			if r.Dep {
-				deps++
-			}
-			region := regionOf(r.Addr)
-			off := r.Addr & ((1 << regionBits) - 1)
-			switch region {
-			case fluidCells:
-				if off >= cells*fluidCellBytes {
-					t.Fatalf("cell offset %d beyond grid", off)
+		for run := s.Next(); len(run) > 0; run = s.Next() {
+			for _, r := range run {
+				if r.Sync {
+					continue
 				}
-			case barrierRegion:
-			default:
-				t.Fatalf("unexpected fluidanimate region %d", region)
+				if r.Dep {
+					deps++
+				}
+				region := regionOf(r.Addr)
+				off := r.Addr & ((1 << regionBits) - 1)
+				switch region {
+				case fluidCells:
+					if off >= cells*fluidCellBytes {
+						t.Fatalf("cell offset %d beyond grid", off)
+					}
+				case barrierRegion:
+				default:
+					t.Fatalf("unexpected fluidanimate region %d", region)
+				}
 			}
 		}
 	}
