@@ -63,20 +63,18 @@ short:
 race:
 	$(GO) test -race -timeout 30m ./...
 
-## bench: the tracked benchmark suite. Regenerates BENCH.json and fails if
-## any benchmark regressed >20% ns/op against the committed baseline (fresh
-## numbers land in BENCH.json.new for inspection). Run on an otherwise idle
-## machine; re-baseline deliberately with `go run ./cmd/bench -out BENCH.json`.
-## Provenance stamped into BENCH.json (the gate ignores these fields).
-GIT_REV   ?= $(shell git rev-parse --short HEAD 2>/dev/null)
-TIMESTAMP ?= $(shell date -u +%Y-%m-%dT%H:%M:%SZ)
-
+## bench: the tracked end-to-end benchmark. scripts/bench.sh runs
+## perfbench on every BENCHMARK.json workload (5 runs each plus one traced
+## seed-41 ledger), writes BENCH.json and fails if a median regressed past
+## its bound against the committed baseline; the fresh numbers then land in
+## BENCH.json.new. Run it on an otherwise idle, dedicated machine;
+## re-baseline deliberately with `mv BENCH.json.new BENCH.json`.
 bench:
-	$(GO) run ./cmd/bench -baseline BENCH.json -out BENCH.json \
-		-git-rev "$(GIT_REV)" -timestamp "$(TIMESTAMP)"
+	scripts/bench.sh
 
-## microbench: every go-test benchmark (per-artifact experiments, eventq,
-## memctrl, runner scaling) with allocation stats.
+## microbench: every go-test benchmark (per-artifact experiments, the
+## BenchmarkFullRun sweep, eventq, memctrl, runner scaling) with
+## allocation stats.
 microbench:
 	$(GO) test -bench=. -benchmem ./...
 

@@ -33,13 +33,13 @@ import (
 // first are nearly free.
 var benchTune = workload.Tuning{RefScale: 0.15}
 
-// BenchmarkFullRun is the end-to-end speed benchmark the repo's BENCH.json
-// baseline tracks: the complete Fig. 3 sweep (CG.C, cores 1..8) on the
-// 8-core UMA machine at quarter scale. Unlike the artifact benchmarks
-// above it builds a fresh Runner every iteration, so b.N iterations
-// re-simulate rather than hit the cache — ns/op is honest end-to-end
-// simulation time. The events/sec metric is simulated-events-per-second,
-// the throughput figure quoted in docs/ARCHITECTURE.md.
+// BenchmarkFullRun times the complete Fig. 3 sweep (CG.C, cores 1..8) on
+// the 8-core UMA machine at quarter scale. It is a diagnostic under `make
+// microbench`; the tracked end-to-end benchmark is perfbench (`make
+// bench`). Unlike the artifact benchmarks above it builds a fresh Runner
+// every iteration, so b.N iterations re-simulate rather than hit the
+// cache — ns/op is honest end-to-end simulation time. The events/sec
+// metric is simulated-events-per-second.
 func BenchmarkFullRun(b *testing.B) {
 	spec := machine.IntelUMA8()
 	counts := experiments.FullSweepCounts(spec)

@@ -238,10 +238,11 @@ func TestClaimMM1QueueOccupancy(t *testing.T) {
 		// cannot bias the comparison.
 		rhoMeasured := mc.Stats().Utilization(horizon, 1)
 		model := mmq.MM1{Lambda: rhoMeasured, Mu: 1}
-		want, err := model.QueueLength()
+		w, err := model.ResponseTime()
 		if err != nil {
 			t.Fatal(err)
 		}
+		want := model.Lambda * w // Little's law: L = lambda * W
 		got := occ.Mean()
 		if relErr := math.Abs(got-want) / want; relErr > 0.20 {
 			t.Errorf("rho=%.1f (measured %.3f): sampled occupancy %.3f vs M/M/1 %.3f (%.0f%% off, want within 20%%)",

@@ -355,7 +355,7 @@ func blockingCall(pass *analysis.Pass, call *ast.CallExpr) string {
 		if isHTTPClient(recv.Type()) {
 			return "net/http client call " + fn.Name()
 		}
-		if isRunnerType(recv.Type()) && (strings.HasPrefix(fn.Name(), "Run") || strings.HasPrefix(fn.Name(), "Sweep") || fn.Name() == "Measure") {
+		if isRunnerType(recv.Type()) && (strings.HasPrefix(fn.Name(), "Run") || strings.HasPrefix(fn.Name(), "Sweep")) {
 			return "Runner." + fn.Name() + " simulation"
 		}
 		return ""

@@ -50,9 +50,6 @@ func Register(name string) string {
 	return name
 }
 
-// Known reports whether name is a registered analyzer name.
-func Known(name string) bool { return known[name] }
-
 // KnownNames returns the registered analyzer names, sorted.
 func KnownNames() []string {
 	names := make([]string, 0, len(known))

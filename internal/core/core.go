@@ -177,9 +177,9 @@ type Model struct {
 	C1 float64
 }
 
-// coresOnSocket returns how many of the first n fill-first cores land on
+// CoresOnSocket returns how many of the first n fill-first cores land on
 // socket s.
-func coresOnSocket(n, coresPerSocket, s int) int {
+func CoresOnSocket(n, coresPerSocket, s int) int {
 	lo := s * coresPerSocket
 	if n <= lo {
 		return 0
@@ -207,7 +207,7 @@ func (m Model) C(n int) float64 {
 		// accounts for the extra load on the shared memory controller.
 		total := 0.0
 		for s := 0; s < m.Sockets; s++ {
-			if k := coresOnSocket(n, c, s); k > 0 {
+			if k := CoresOnSocket(n, c, s); k > 0 {
 				total += float64(k) / float64(n) * m.Single.C(k)
 			}
 		}
@@ -219,12 +219,12 @@ func (m Model) C(n int) float64 {
 		// and each remote socket adds r·ρ_s per core activated on it.
 		total := 0.0
 		for s := 0; s < m.Sockets; s++ {
-			if k := coresOnSocket(n, c, s); k > 0 {
+			if k := CoresOnSocket(n, c, s); k > 0 {
 				total += float64(k) / float64(n) * m.Single.C(k)
 			}
 		}
 		for s := 1; s < m.Sockets; s++ {
-			if k := coresOnSocket(n, c, s); k > 0 {
+			if k := CoresOnSocket(n, c, s); k > 0 {
 				total += m.RefMisses * m.rhoFor(s) * float64(k)
 			}
 		}
@@ -337,7 +337,7 @@ func Fit(kind Kind, sockets, coresPerSocket int, meas []Measurement, opts Option
 			for _, mm := range socketMeas {
 				base := 0.0
 				for s := 0; s < sockets; s++ {
-					if k := coresOnSocket(mm.Cores, c, s); k > 0 {
+					if k := CoresOnSocket(mm.Cores, c, s); k > 0 {
 						base += float64(k) / float64(mm.Cores) * sf.C(k)
 					}
 				}
@@ -370,7 +370,7 @@ func Fit(kind Kind, sockets, coresPerSocket int, meas []Measurement, opts Option
 			for _, mm := range socketMeas {
 				base := 0.0
 				for ps := 0; ps < sockets; ps++ {
-					if k := coresOnSocket(mm.Cores, c, ps); k > 0 {
+					if k := CoresOnSocket(mm.Cores, c, ps); k > 0 {
 						base += float64(k) / float64(mm.Cores) * sf.C(k)
 					}
 				}

@@ -188,7 +188,7 @@ func TestFitNUMAFourSocketSharedRho(t *testing.T) {
 	cTrue := func(n int) float64 {
 		total := 0.0
 		for s := 0; s < 4; s++ {
-			if k := coresOnSocket(n, 12, s); k > 0 {
+			if k := CoresOnSocket(n, 12, s); k > 0 {
 				total += float64(k) / float64(n) * single(k)
 			}
 		}
@@ -232,12 +232,12 @@ func TestHomogeneousAblationDegradesHeterogeneousMachine(t *testing.T) {
 	cTrue := func(n int) float64 {
 		total := 0.0
 		for s := 0; s < 4; s++ {
-			if k := coresOnSocket(n, 12, s); k > 0 {
+			if k := CoresOnSocket(n, 12, s); k > 0 {
 				total += float64(k) / float64(n) * single(k)
 			}
 		}
 		for s := 1; s < 4; s++ {
-			if k := coresOnSocket(n, 12, s); k > 0 {
+			if k := CoresOnSocket(n, 12, s); k > 0 {
 				total += r * rhos[s-1] * float64(k)
 			}
 		}
@@ -330,8 +330,8 @@ func TestCoresOnSocket(t *testing.T) {
 		{13, 12, 0, 12}, {13, 12, 1, 1}, {25, 12, 2, 1}, {48, 12, 3, 12},
 	}
 	for _, tc := range cases {
-		if got := coresOnSocket(tc.n, tc.c, tc.s); got != tc.want {
-			t.Errorf("coresOnSocket(%d,%d,%d) = %d, want %d", tc.n, tc.c, tc.s, got, tc.want)
+		if got := CoresOnSocket(tc.n, tc.c, tc.s); got != tc.want {
+			t.Errorf("CoresOnSocket(%d,%d,%d) = %d, want %d", tc.n, tc.c, tc.s, got, tc.want)
 		}
 	}
 }

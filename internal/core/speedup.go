@@ -10,7 +10,7 @@ package core
 //
 // — contention directly divides the ideal linear speedup. Saturating
 // contention (ω growing faster than linearly in n) makes S(n) peak at a
-// finite core count; these helpers locate that peak.
+// finite core count; OptimalCores locates that peak.
 
 // Speedup predicts S(n) = n / (1 + ω(n)) from the fitted model.
 func (m Model) Speedup(n int) float64 {
@@ -24,15 +24,6 @@ func (m Model) Speedup(n int) float64 {
 	return float64(n) / den
 }
 
-// SpeedupCurve evaluates S(n) for n = 1..maxCores.
-func (m Model) SpeedupCurve(maxCores int) []float64 {
-	out := make([]float64, maxCores)
-	for n := 1; n <= maxCores; n++ {
-		out[n-1] = m.Speedup(n)
-	}
-	return out
-}
-
 // OptimalCores returns the core count in 1..maxCores with the highest
 // predicted speedup, and that speedup. When contention keeps growing slower
 // than linearly the optimum is simply maxCores.
@@ -44,19 +35,6 @@ func (m Model) OptimalCores(maxCores int) (cores int, speedup float64) {
 		}
 	}
 	return cores, speedup
-}
-
-// EfficientCores returns the largest core count whose parallel efficiency
-// S(n)/n stays at or above the threshold (e.g. 0.5): the practical
-// operating point the companion work recommends.
-func (m Model) EfficientCores(maxCores int, minEfficiency float64) int {
-	best := 1
-	for n := 1; n <= maxCores; n++ {
-		if m.Speedup(n)/float64(n) >= minEfficiency {
-			best = n
-		}
-	}
-	return best
 }
 
 // SpeedupFromMeasurements computes measured speedups n/(1+ω(n)) from a

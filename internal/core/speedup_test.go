@@ -67,31 +67,6 @@ func TestOptimalCoresPeaksBeforeSaturation(t *testing.T) {
 	}
 }
 
-func TestSpeedupCurveLength(t *testing.T) {
-	m := fittedTestModel(t)
-	curve := m.SpeedupCurve(8)
-	if len(curve) != 8 {
-		t.Fatalf("curve length %d", len(curve))
-	}
-	if curve[0] != m.Speedup(1) || curve[7] != m.Speedup(8) {
-		t.Error("curve endpoints wrong")
-	}
-}
-
-func TestEfficientCores(t *testing.T) {
-	m := fittedTestModel(t)
-	// Threshold 1.0 keeps only n=1 (contention starts immediately).
-	if got := m.EfficientCores(8, 1.0); got != 1 {
-		t.Errorf("EfficientCores(1.0) = %d, want 1", got)
-	}
-	// A loose threshold admits more cores, monotonically.
-	loose := m.EfficientCores(8, 0.3)
-	tight := m.EfficientCores(8, 0.7)
-	if loose < tight {
-		t.Errorf("loose threshold %d < tight %d", loose, tight)
-	}
-}
-
 func TestSpeedupFromMeasurements(t *testing.T) {
 	sweep := []Measurement{
 		{Cores: 1, Cycles: 100},

@@ -131,7 +131,7 @@ func mmcResponse(lambda, s float64, channels int) float64 {
 // fill-first activation of n cores.
 func (w *WhiteBox) activeStations(n int) (mcs, sockets int) {
 	for s := 0; s < w.Spec.Sockets; s++ {
-		if coresOnSocket(n, w.Spec.CoresPerSocket, s) > 0 {
+		if CoresOnSocket(n, w.Spec.CoresPerSocket, s) > 0 {
 			sockets++
 		}
 	}

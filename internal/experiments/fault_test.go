@@ -111,8 +111,12 @@ func TestMidSweepCancelThenResume(t *testing.T) {
 	// Interrupted sweep: cancel after the third completed simulation.
 	r1 := NewRunner(quickTune)
 	r1.Jobs = 1 // serial, so "cancel after 3" is deterministic
-	if _, _, err := r1.AttachJournal(journalPath); err != nil {
+	resumed, skipped, err := r1.AttachJournal(journalPath)
+	if err != nil {
 		t.Fatal(err)
+	}
+	if resumed != 0 || skipped != 0 {
+		t.Fatalf("AttachJournal on a missing file resumed=%d skipped=%d, want 0/0", resumed, skipped)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	var done atomic.Int64
@@ -152,7 +156,7 @@ func TestMidSweepCancelThenResume(t *testing.T) {
 	var progress bytes.Buffer
 	r2.Progress = &progress
 	r2.Metrics = telemetry.NewRegistry()
-	resumed, skipped, err := r2.AttachJournal(journalPath)
+	resumed, skipped, err = r2.AttachJournal(journalPath)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +177,7 @@ func TestMidSweepCancelThenResume(t *testing.T) {
 		t.Errorf("no [resumed] annotation in progress output:\n%s", progress.String())
 	}
 	// Only the remainder was re-simulated.
-	completed, _ := r2.Completed()
+	completed, _ := simCounts(r2)
 	if completed != len(counts)-resumed {
 		t.Errorf("resumed sweep simulated %d runs, want %d", completed, len(counts)-resumed)
 	}
@@ -240,7 +244,7 @@ func TestJournalCorruptLineSkipped(t *testing.T) {
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("post-repair sweep diverged:\n got %+v\nwant %+v", got, want)
 	}
-	completed, _ := r2.Completed()
+	completed, _ := simCounts(r2)
 	if completed != 2 {
 		t.Errorf("re-simulated %d runs, want 2 (the damaged entries)", completed)
 	}

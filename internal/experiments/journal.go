@@ -22,9 +22,7 @@ import (
 //
 // Format (one JSON value per line):
 //
-//	{"version":3}                 — header; the version is cacheVersion,
-//	                                shared with the persistent cache so
-//	                                both invalidate together
+//	{"version":3}                 — header; the version is cacheVersion
 //	{"key":{...},"result":{...}}  — one completed run (cacheEntry shape)
 //
 // Each entry is appended with a single O_APPEND write of the whole line,
@@ -33,6 +31,16 @@ import (
 // parsing on load and is skipped with a warning — that run is simply
 // re-simulated. A version-mismatched journal is discarded and restarted
 // rather than resumed, so stale results can never leak into artifacts.
+
+// cacheEntry is the serialized form of one run.
+type cacheEntry struct {
+	Key    RunKey     `json:"key"`
+	Result sim.Result `json:"result"`
+}
+
+// cacheVersion must change whenever workloads, machines or the simulator
+// change in a way that alters results.
+const cacheVersion = 3
 
 // journal is the open journal file. Appends are serialized by mu and
 // flushed with a single Write, making each line atomic with respect to

@@ -642,8 +642,7 @@ func (r *Runner) RunStream(ctx context.Context, items []RunItem) <-chan StreamRe
 // KeyFor returns the cache key this runner uses for one Run: the
 // (machine, program, class, cores) coordinate, the runner's workload
 // scale and the machine's Variant. It is the content address of a run —
-// the persistent cache, the resume journal and the serving layer's
-// config hashes all key on it.
+// the resume journal and the serving layer's config hashes all key on it.
 func (r *Runner) KeyFor(spec machine.Spec, program string, class workload.Class, cores int) RunKey {
 	return r.keyOf(RunItem{Spec: spec, Program: program, Class: class, Cores: cores})
 }
@@ -660,13 +659,11 @@ func (r *Runner) Cached(key RunKey) (sim.Result, bool) {
 	return res, ok
 }
 
-// Measure converts a run into a model measurement.
-func (r *Runner) Measure(ctx context.Context, spec machine.Spec, program string, class workload.Class, cores int) (core.Measurement, error) {
-	res, err := r.Run(ctx, spec, program, class, cores)
-	if err != nil {
-		return core.Measurement{}, err
-	}
-	return measurementOf(cores, res), nil
+// CacheLen returns the number of cached runs.
+func (r *Runner) CacheLen() int {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return len(r.cache)
 }
 
 func measurementOf(cores int, res sim.Result) core.Measurement {
@@ -729,14 +726,6 @@ func (r *Runner) Progressf(format string, args ...any) {
 	if r.Progress != nil {
 		fmt.Fprintf(r.Progress, format, args...)
 	}
-}
-
-// Completed returns the number of simulations finished and started so far
-// (cache hits and singleflight waiters are not counted).
-func (r *Runner) Completed() (completed, submitted int) {
-	r.progMu.Lock()
-	defer r.progMu.Unlock()
-	return r.completed, r.submitted
 }
 
 // FullSweepCounts returns 1..totalCores.

@@ -238,7 +238,7 @@ func TestProgressConcurrent(t *testing.T) {
 	if !strings.Contains(buf.String(), "[8/8]") {
 		t.Errorf("final completed/total counter missing:\n%s", buf.String())
 	}
-	completed, submitted := r.Completed()
+	completed, submitted := simCounts(r)
 	if completed != 8 || submitted != 8 {
 		t.Errorf("counters = %d/%d, want 8/8", completed, submitted)
 	}

@@ -39,7 +39,7 @@ func TestRunOutcomeAnnotations(t *testing.T) {
 		}
 	}()
 	waitFor(t, func() bool {
-		_, submitted := r.Completed()
+		_, submitted := simCounts(r)
 		return submitted == 1
 	})
 	if _, err := r.Run(context.Background(), spec, "CG", workload.W, 2); err != nil {
@@ -140,6 +140,14 @@ func TestTelemetryDeterministicAcrossJobs(t *testing.T) {
 }
 
 // waitFor polls cond until it holds or the deadline passes.
+// simCounts returns the number of simulations r has finished and started
+// (cache hits and singleflight waiters are not counted).
+func simCounts(r *Runner) (completed, submitted int) {
+	r.progMu.Lock()
+	defer r.progMu.Unlock()
+	return r.completed, r.submitted
+}
+
 func waitFor(t *testing.T, cond func() bool) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)

@@ -19,7 +19,6 @@ import (
 // precomputed all-pairs hop counts.
 type Topology struct {
 	name       string
-	n          int
 	hops       [][]int
 	hopLatency uint64
 }
@@ -43,7 +42,7 @@ func New(name string, n int, links [][2]int, hopLatency uint64) (*Topology, erro
 		adj[a] = append(adj[a], b)
 		adj[b] = append(adj[b], a)
 	}
-	t := &Topology{name: name, n: n, hopLatency: hopLatency}
+	t := &Topology{name: name, hopLatency: hopLatency}
 	t.hops = make([][]int, n)
 	for src := 0; src < n; src++ {
 		dist := make([]int, n)
@@ -81,9 +80,6 @@ func SingleNode(name string) *Topology {
 // Name returns the topology name.
 func (t *Topology) Name() string { return t.name }
 
-// Nodes returns the number of NUMA nodes.
-func (t *Topology) Nodes() int { return t.n }
-
 // HopLatency returns the per-hop latency in cycles.
 func (t *Topology) HopLatency() uint64 { return t.hopLatency }
 
@@ -94,36 +90,4 @@ func (t *Topology) Hops(a, b int) int { return t.hops[a][b] }
 // cycles: Hops(a,b) * HopLatency.
 func (t *Topology) Latency(a, b int) uint64 {
 	return uint64(t.hops[a][b]) * t.hopLatency
-}
-
-// MaxHops returns the network diameter.
-func (t *Topology) MaxHops() int {
-	max := 0
-	for a := 0; a < t.n; a++ {
-		for b := 0; b < t.n; b++ {
-			if t.hops[a][b] > max {
-				max = t.hops[a][b]
-			}
-		}
-	}
-	return max
-}
-
-// LatencyClasses returns the sorted distinct hop counts between distinct
-// node pairs — the paper's "direct, one hop, two hops" classes (excluding
-// the a==b direct class for single-node topologies).
-func (t *Topology) LatencyClasses() []int {
-	present := map[int]bool{}
-	for a := 0; a < t.n; a++ {
-		for b := 0; b < t.n; b++ {
-			present[t.hops[a][b]] = true
-		}
-	}
-	var classes []int
-	for h := 0; h <= t.MaxHops(); h++ {
-		if present[h] {
-			classes = append(classes, h)
-		}
-	}
-	return classes
 }

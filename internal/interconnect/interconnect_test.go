@@ -1,9 +1,28 @@
 package interconnect
 
 import (
+	"sort"
 	"testing"
 	"testing/quick"
 )
+
+// hopClasses returns the sorted distinct hop counts over all node pairs of
+// an n-node topology — the paper's "direct, one hop, two hops" latency
+// classes. Its last element is the network diameter.
+func hopClasses(top *Topology, n int) []int {
+	present := map[int]bool{}
+	for a := 0; a < n; a++ {
+		for b := 0; b < n; b++ {
+			present[top.Hops(a, b)] = true
+		}
+	}
+	var classes []int
+	for h := range present {
+		classes = append(classes, h)
+	}
+	sort.Ints(classes)
+	return classes
+}
 
 func TestNewValidation(t *testing.T) {
 	if _, err := New("t", 0, nil, 1); err == nil {
@@ -22,13 +41,10 @@ func TestNewValidation(t *testing.T) {
 
 func TestSingleNode(t *testing.T) {
 	s := SingleNode("uma")
-	if s.Nodes() != 1 || s.Hops(0, 0) != 0 || s.Latency(0, 0) != 0 {
+	if s.Hops(0, 0) != 0 || s.Latency(0, 0) != 0 {
 		t.Errorf("single node wrong: %+v", s)
 	}
-	if s.MaxHops() != 0 {
-		t.Errorf("diameter = %d", s.MaxHops())
-	}
-	classes := s.LatencyClasses()
+	classes := hopClasses(s, 1)
 	if len(classes) != 1 || classes[0] != 0 {
 		t.Errorf("classes = %v", classes)
 	}
@@ -49,7 +65,7 @@ func TestTwoNodeDirect(t *testing.T) {
 	if top.Latency(0, 0) != 0 {
 		t.Error("local latency must be 0")
 	}
-	classes := top.LatencyClasses()
+	classes := hopClasses(top, 2)
 	if len(classes) != 2 || classes[0] != 0 || classes[1] != 1 {
 		t.Errorf("classes = %v", classes)
 	}
@@ -84,8 +100,8 @@ func TestRing(t *testing.T) {
 	if top.Hops(0, 5) != 1 {
 		t.Errorf("wraparound = %d hops", top.Hops(0, 5))
 	}
-	if top.MaxHops() != 3 {
-		t.Errorf("diameter = %d", top.MaxHops())
+	if c := hopClasses(top, 6); c[len(c)-1] != 3 {
+		t.Errorf("diameter = %d", c[len(c)-1])
 	}
 }
 
@@ -101,12 +117,9 @@ func TestCirculantAMDShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if top.MaxHops() != 2 {
-		t.Errorf("diameter = %d, want 2", top.MaxHops())
-	}
-	classes := top.LatencyClasses()
-	if len(classes) != 3 {
-		t.Errorf("latency classes = %v, want 3 classes", classes)
+	classes := hopClasses(top, 8)
+	if len(classes) != 3 || classes[2] != 2 {
+		t.Errorf("latency classes = %v, want 3 classes and diameter 2", classes)
 	}
 	// Opposite node (distance 4 around the ring) reachable via two 2-chords.
 	if top.Hops(0, 4) != 2 {
@@ -119,7 +132,7 @@ func TestCirculantAMDShape(t *testing.T) {
 
 func TestAccessors(t *testing.T) {
 	top, _ := New("named", 2, [][2]int{{0, 1}}, 7)
-	if top.Name() != "named" || top.HopLatency() != 7 || top.Nodes() != 2 {
+	if top.Name() != "named" || top.HopLatency() != 7 {
 		t.Error("accessors wrong")
 	}
 }

@@ -212,14 +212,6 @@ func (s Spec) SMTSlowdownFactor() float64 {
 	return 1.55
 }
 
-// SocketOfMC returns the socket owning a memory controller (0 for UMA).
-func (s Spec) SocketOfMC(mc int) int {
-	if s.UMA() {
-		return 0
-	}
-	return mc / s.MCsPerSocket
-}
-
 // Machine is an instantiated system: per-core cache hierarchies wired to
 // shared levels, memory controllers, optional UMA buses and the NUMA
 // topology.
@@ -389,9 +381,4 @@ func (m *Machine) ResetStats() {
 	for _, l := range m.LinkServers {
 		l.ResetStats()
 	}
-}
-
-// CyclesPerMicrosecond converts the spec clock into cycles per µs.
-func (m *Machine) CyclesPerMicrosecond() uint64 {
-	return uint64(m.Spec.ClockGHz * 1000)
 }

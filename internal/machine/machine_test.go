@@ -1,6 +1,7 @@
 package machine
 
 import (
+	"sort"
 	"testing"
 
 	"repro/internal/cache"
@@ -68,9 +69,6 @@ func TestSpecGeometry(t *testing.T) {
 	if got := s.LocalMCs(1); len(got) != 1 || got[0] != 1 {
 		t.Errorf("LocalMCs(1) = %v", got)
 	}
-	if s.SocketOfMC(1) != 1 {
-		t.Error("SocketOfMC wrong")
-	}
 
 	u := IntelUMA8()
 	if !u.UMA() || u.NumMCs() != 1 {
@@ -78,9 +76,6 @@ func TestSpecGeometry(t *testing.T) {
 	}
 	if got := u.LocalMCs(1); len(got) != 1 || got[0] != 0 {
 		t.Errorf("UMA LocalMCs = %v", got)
-	}
-	if u.SocketOfMC(0) != 0 {
-		t.Error("UMA SocketOfMC wrong")
 	}
 }
 
@@ -110,7 +105,7 @@ func TestBuildNUMAStructure(t *testing.T) {
 	if m.LLCOf(0) == m.LLCOf(2) {
 		t.Error("cores on different sockets must not share L2")
 	}
-	if m.Topo.Nodes() != 2 || m.Topo.Hops(0, 1) != 1 {
+	if m.Topo.Hops(0, 1) != 1 {
 		t.Error("topology wrong")
 	}
 }
@@ -127,8 +122,8 @@ func TestBuildUMAStructure(t *testing.T) {
 	if len(m.Buses) != 2 {
 		t.Errorf("UMA buses = %d, want 2", len(m.Buses))
 	}
-	if m.Topo.Nodes() != 1 {
-		t.Errorf("UMA topology nodes = %d", m.Topo.Nodes())
+	if m.Topo == nil || m.Topo.Hops(0, 0) != 0 {
+		t.Error("UMA topology wrong")
 	}
 	// 8 L1 + 2 L2 = 10 distinct caches.
 	if len(m.Caches) != 10 {
@@ -212,13 +207,13 @@ func TestPresetGeometryMatchesPaper(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if classes := m.Topo.LatencyClasses(); len(classes) != 3 {
+	if classes := hopClasses(m); len(classes) != 3 {
 		t.Errorf("AMD latency classes = %v", classes)
 	}
 	// C8(1,2): diameter 2; the opposite node (distance 4 around the ring)
 	// is reached via two 2-chords, and a 2-chord is a single hop.
-	if m.Topo.MaxHops() != 2 {
-		t.Errorf("AMD diameter = %d, want 2", m.Topo.MaxHops())
+	if classes := hopClasses(m); classes[len(classes)-1] != 2 {
+		t.Errorf("AMD diameter = %d, want 2", classes[len(classes)-1])
 	}
 	if h := m.Topo.Hops(0, 4); h != 2 {
 		t.Errorf("AMD hops(0,4) = %d, want 2", h)
@@ -231,9 +226,28 @@ func TestPresetGeometryMatchesPaper(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if classes := m2.Topo.LatencyClasses(); len(classes) != 2 {
+	if classes := hopClasses(m2); len(classes) != 2 {
 		t.Errorf("Intel NUMA latency classes = %v", classes)
 	}
+}
+
+// hopClasses returns the sorted distinct hop counts between the NUMA nodes
+// of m, one node per memory controller: the paper's "direct, one hop, two
+// hops" latency classes. Its last element is the network diameter.
+func hopClasses(m *Machine) []int {
+	n := m.Spec.NumMCs()
+	present := map[int]bool{}
+	for a := 0; a < n; a++ {
+		for b := 0; b < n; b++ {
+			present[m.Topo.Hops(a, b)] = true
+		}
+	}
+	var classes []int
+	for h := range present {
+		classes = append(classes, h)
+	}
+	sort.Ints(classes)
+	return classes
 }
 
 func TestByNameAndNames(t *testing.T) {
@@ -246,14 +260,6 @@ func TestByNameAndNames(t *testing.T) {
 	names := Names()
 	if len(names) != 3 {
 		t.Errorf("names = %v", names)
-	}
-}
-
-func TestCyclesPerMicrosecond(t *testing.T) {
-	var q eventq.Queue
-	m, _ := Build(IntelNUMA24(), &q)
-	if got := m.CyclesPerMicrosecond(); got != 2660 {
-		t.Errorf("cycles/us = %d, want 2660", got)
 	}
 }
 

@@ -36,7 +36,6 @@ func TestMM1ErrorPaths(t *testing.T) {
 			for name, call := range map[string]func() (float64, error){
 				"ResponseTime": tc.q.ResponseTime,
 				"WaitTime":     tc.q.WaitTime,
-				"QueueLength":  tc.q.QueueLength,
 			} {
 				v, err := call()
 				if tc.want.err != nil {
@@ -57,33 +56,5 @@ func TestMM1ErrorPaths(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-// TestMM1ProbNErrors pins ProbN's own error precedence: instability (which
-// includes malformed rates, since Stable() is false for them) is checked
-// before the n < 0 parameter error.
-func TestMM1ProbNErrors(t *testing.T) {
-	stable := MM1{Lambda: 0.5, Mu: 1}
-	if _, err := stable.ProbN(-1); !errors.Is(err, ErrBadParam) {
-		t.Errorf("ProbN(-1) err = %v, want ErrBadParam", err)
-	}
-	if _, err := (MM1{Lambda: 1, Mu: 1}).ProbN(0); !errors.Is(err, ErrUnstable) {
-		t.Errorf("saturated ProbN err = %v, want ErrUnstable", err)
-	}
-	if _, err := (MM1{Lambda: 1, Mu: 0}).ProbN(0); !errors.Is(err, ErrUnstable) {
-		t.Errorf("mu=0 ProbN err = %v, want ErrUnstable (Stable() gate runs first)", err)
-	}
-	// Sanity: probabilities at rho = 0.5 sum towards 1.
-	sum := 0.0
-	for n := 0; n < 50; n++ {
-		p, err := stable.ProbN(n)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sum += p
-	}
-	if math.Abs(sum-1) > 1e-12 {
-		t.Errorf("probability mass = %v, want ~1", sum)
 	}
 }

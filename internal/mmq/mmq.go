@@ -7,10 +7,7 @@
 // plug directly into the cycle-count model of internal/core.
 package mmq
 
-import (
-	"errors"
-	"math"
-)
+import "errors"
 
 // ErrUnstable is returned by open-queue formulas when the offered load
 // reaches or exceeds capacity (utilization >= 1), where steady-state
@@ -56,29 +53,6 @@ func (q MM1) WaitTime() (float64, error) {
 		return 0, err
 	}
 	return w - 1/q.Mu, nil
-}
-
-// QueueLength returns the mean number of requests in the system (Little's
-// law: L = lambda * W).
-func (q MM1) QueueLength() (float64, error) {
-	w, err := q.ResponseTime()
-	if err != nil {
-		return 0, err
-	}
-	return q.Lambda * w, nil
-}
-
-// ProbN returns the steady-state probability of exactly n requests in the
-// system: (1-rho) * rho^n.
-func (q MM1) ProbN(n int) (float64, error) {
-	if !q.Stable() {
-		return 0, ErrUnstable
-	}
-	if n < 0 {
-		return 0, ErrBadParam
-	}
-	rho := q.Utilization()
-	return (1 - rho) * math.Pow(rho, float64(n)), nil
 }
 
 // MG1 is an M/G/1 queue characterized by the first two moments of the

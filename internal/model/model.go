@@ -489,20 +489,6 @@ func (p *Predictor) fit(spec machine.Spec, program string, class workload.Class,
 	return info, nil
 }
 
-// coresOnSocket returns how many of the first n fill-first cores land on
-// socket s (mirrors the activation order internal/core models).
-func coresOnSocket(n, coresPerSocket, s int) int {
-	lo := s * coresPerSocket
-	if n <= lo {
-		return 0
-	}
-	m := n - lo
-	if m > coresPerSocket {
-		m = coresPerSocket
-	}
-	return m
-}
-
 // analyticalMCUtil derives per-controller utilization from the fitted
 // M/M/1 parameters: a controller fed by k active cores runs at
 // ρ = kL/μ = k·(L/r)/(μ/r) — the r(n) normalization cancels. UMA
@@ -520,7 +506,7 @@ func analyticalMCUtil(spec machine.Spec, sf core.SingleFit, n int) []float64 {
 	}
 	util := make([]float64, 0, spec.Sockets*spec.MCsPerSocket)
 	for s := 0; s < spec.Sockets; s++ {
-		k := coresOnSocket(n, spec.CoresPerSocket, s)
+		k := core.CoresOnSocket(n, spec.CoresPerSocket, s)
 		per := float64(k) * lOverMu / float64(spec.MCsPerSocket)
 		for mc := 0; mc < spec.MCsPerSocket; mc++ {
 			util = append(util, clamp01(per))

@@ -108,11 +108,3 @@ func (a *admitter) Tenants() int {
 	defer a.mu.Unlock()
 	return len(a.inUse)
 }
-
-// Held reports how many tokens tenant currently holds (tests and
-// /healthz diagnostics).
-func (a *admitter) Held(tenant string) int {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.inUse[tenant]
-}

@@ -56,8 +56,8 @@ func TestAdmitterSemantics(t *testing.T) {
 	if ok, scope := a.Acquire("b"); ok || scope != api.ScopeGlobal {
 		t.Fatalf("fourth token: ok=%v scope=%q, want global-scope refusal", ok, scope)
 	}
-	if a.Depth() != 3 || a.Held("a") != 2 || a.Held("b") != 1 || a.Tenants() != 2 {
-		t.Fatalf("depth=%d a=%d b=%d tenants=%d", a.Depth(), a.Held("a"), a.Held("b"), a.Tenants())
+	if a.Depth() != 3 || heldBy(a, "a") != 2 || heldBy(a, "b") != 1 || a.Tenants() != 2 {
+		t.Fatalf("depth=%d a=%d b=%d tenants=%d", a.Depth(), heldBy(a, "a"), heldBy(a, "b"), a.Tenants())
 	}
 
 	a.Release("a")
@@ -117,7 +117,7 @@ func TestTenantFairness(t *testing.T) {
 	for cores := 1; cores <= 8; cores++ {
 		fire("team-a", fmt.Sprintf(`{"machine":"IntelUMA8","program":"EP","class":"W","cores":%d}`, cores))
 	}
-	waitFor(t, "tenant A at its cap", func() bool { return s.adm.Held("team-a") == 2 })
+	waitFor(t, "tenant A at its cap", func() bool { return heldBy(s.adm, "team-a") == 2 })
 
 	// Six of A's requests must already have been shed at tenant scope.
 	sheddedA := 0
@@ -135,7 +135,7 @@ func TestTenantFairness(t *testing.T) {
 	// Tenant B's fair share is still free: both of its requests admit.
 	fire("team-b", `{"machine":"IntelUMA8","program":"CG","class":"W","cores":1}`)
 	fire("team-b", `{"machine":"IntelUMA8","program":"CG","class":"W","cores":2}`)
-	waitFor(t, "tenant B admitted both", func() bool { return s.adm.Held("team-b") == 2 })
+	waitFor(t, "tenant B admitted both", func() bool { return heldBy(s.adm, "team-b") == 2 })
 	if depth := s.adm.Depth(); depth != 4 {
 		t.Fatalf("queue depth = %d, want 4 (2 per tenant)", depth)
 	}
@@ -297,4 +297,11 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 		}
 		time.Sleep(time.Millisecond)
 	}
+}
+
+// heldBy reports how many tokens tenant currently holds.
+func heldBy(a *admitter, tenant string) int {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	return a.inUse[tenant]
 }

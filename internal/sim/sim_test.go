@@ -199,7 +199,7 @@ func TestMLPBeatsDependentChain(t *testing.T) {
 }
 
 func TestEveryRefMissesWhenFootprintHuge(t *testing.T) {
-	refs := trace.Collect(trace.StrideSpec{Base: 0, Stride: 4096, Count: 500, Kind: trace.Load, Work: 2}.Stream(), 0)
+	refs := strideLoads(0, 4096, 500, false, 2)
 	res, err := Run(context.Background(), Config{Spec: testSpec(), Threads: 1, Cores: 1}, singleStream(refs))
 	if err != nil {
 		t.Fatal(err)
@@ -212,15 +212,23 @@ func TestEveryRefMissesWhenFootprintHuge(t *testing.T) {
 	}
 }
 
+// strideLoads returns count loads starting at base, stride bytes apart,
+// each preceded by work cycles; dep marks each load dependent on the last.
+func strideLoads(base, stride uint64, count int, dep bool, work uint32) []trace.Ref {
+	refs := make([]trace.Ref, count)
+	for i := range refs {
+		refs[i] = trace.Ref{Addr: base + uint64(i)*stride, Kind: trace.Load, Dep: dep, Work: work}
+	}
+	return refs
+}
+
 // memBoundStreams builds T streams of dependent loads over disjoint
 // regions, all missing.
 func memBoundStreams(threads, missesEach int) []trace.Stream {
 	var streams []trace.Stream
 	for t := 0; t < threads; t++ {
 		base := uint64(t) << 30
-		streams = append(streams, trace.StrideSpec{
-			Base: base, Stride: 4096, Count: missesEach, Kind: trace.Load, Dep: true, Work: 2,
-		}.Stream())
+		streams = append(streams, trace.FromSlice(strideLoads(base, 4096, missesEach, true, 2)))
 	}
 	return streams
 }
@@ -567,13 +575,13 @@ func TestMSHRLimitBlocks(t *testing.T) {
 	// MSHRs=1 the behavior approaches the dependent chain.
 	spec := testSpec()
 	spec.MSHRs = 1
-	refs := trace.Collect(trace.StrideSpec{Stride: 4096, Count: 100, Kind: trace.Load, Work: 1}.Stream(), 0)
+	refs := strideLoads(0, 4096, 100, false, 1)
 	res1, err := Run(context.Background(), Config{Spec: spec, Threads: 1, Cores: 1}, singleStream(refs))
 	if err != nil {
 		t.Fatal(err)
 	}
 	spec.MSHRs = 8
-	refs = trace.Collect(trace.StrideSpec{Stride: 4096, Count: 100, Kind: trace.Load, Work: 1}.Stream(), 0)
+	refs = strideLoads(0, 4096, 100, false, 1)
 	res8, err := Run(context.Background(), Config{Spec: spec, Threads: 1, Cores: 1}, singleStream(refs))
 	if err != nil {
 		t.Fatal(err)

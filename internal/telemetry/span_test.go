@@ -81,7 +81,7 @@ func TestDeriveSpanContextDeterministicAndDistinct(t *testing.T) {
 // output is byte-comparable across runs.
 func deterministicTracer(buf *bytes.Buffer, seed int64) *Tracer {
 	tr := NewTracer(buf)
-	tr.SeedIDs(seed)
+	tr.ids = SeededIDSource(seed)
 	tick := time.Duration(0)
 	tr.clock = func() time.Duration {
 		tick += 10 * time.Microsecond
@@ -189,7 +189,6 @@ func TestNilTracerSpansNoop(t *testing.T) {
 	}
 	sp.End("k", 1) // must not panic
 	tr.StartSpanAt(DeriveSpanContext(1, 1), "load.request").End()
-	tr.SeedIDs(4)
 }
 
 func TestSpanZeroAllocWhenOff(t *testing.T) {

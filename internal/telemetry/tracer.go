@@ -54,16 +54,6 @@ func NewTracer(w io.Writer) *Tracer {
 	return t
 }
 
-// SeedIDs switches the tracer to a deterministic ID sequence for the
-// given seed (see SeededIDSource). Call before the first StartSpan; it is
-// not synchronized with concurrent span starts.
-func (t *Tracer) SeedIDs(seed int64) {
-	if t == nil {
-		return
-	}
-	t.ids = SeededIDSource(seed)
-}
-
 // now returns the monotonic offset from the tracer epoch.
 func (t *Tracer) now() time.Duration { return t.clock() }
 

@@ -13,13 +13,6 @@ func drainN(b *testing.B, s Stream, n int) {
 	}
 }
 
-func BenchmarkStrideStream(b *testing.B) {
-	b.ReportAllocs()
-	s := StrideSpec{Stride: 64, Count: 1 << 30}.Stream()
-	b.ResetTimer()
-	drainN(b, s, b.N)
-}
-
 func BenchmarkGenStream(b *testing.B) {
 	s := Gen(func(emit func(Ref) bool) {
 		for i := uint64(0); ; i++ {

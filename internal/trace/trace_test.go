@@ -31,33 +31,18 @@ func TestFromSliceAndCollect(t *testing.T) {
 }
 
 func TestCollectMax(t *testing.T) {
-	s := StrideSpec{Count: 100, Stride: 8}.Stream()
-	got := Collect(s, 10)
+	got := Collect(FromSlice(make([]Ref, 100)), 10)
 	if len(got) != 10 {
 		t.Errorf("Collect(max=10) returned %d", len(got))
 	}
 }
 
 func TestCount(t *testing.T) {
-	if n := Count(StrideSpec{Count: 57, Stride: 64}.Stream()); n != 57 {
+	if n := Count(FromSlice(make([]Ref, 57))); n != 57 {
 		t.Errorf("Count = %d, want 57", n)
 	}
 	if n := Count(FromSlice(nil)); n != 0 {
 		t.Errorf("Count(empty) = %d", n)
-	}
-}
-
-func TestStrideAddresses(t *testing.T) {
-	sp := StrideSpec{Base: 1000, Stride: 64, Count: 4, Kind: Store, Work: 3}
-	refs := Collect(sp.Stream(), 0)
-	want := []uint64{1000, 1064, 1128, 1192}
-	for i, w := range want {
-		if refs[i].Addr != w {
-			t.Errorf("addr %d = %d, want %d", i, refs[i].Addr, w)
-		}
-		if refs[i].Kind != Store || refs[i].Work != 3 {
-			t.Errorf("ref %d metadata wrong: %+v", i, refs[i])
-		}
 	}
 }
 
