@@ -36,7 +36,10 @@
 //
 //   - The fit table is guarded by a read-write mutex: Analytical takes
 //     only the read lock, so fast-path queries never serialize behind one
-//     another or behind a fit in progress.
+//     another or behind a fit in progress. Each fit's answer table is
+//     built before the fit is stored and never written after, so every
+//     request goroutine reads it, and the Fit and MCUtilization of the
+//     Predictions it hands out, without further locking.
 //
 //   - Simulation fallbacks inherit every guarantee of experiments.Runner
 //     (singleflight dedup, bounded worker pool, context-first

@@ -77,6 +77,11 @@ type FitInfo struct {
 }
 
 // Prediction is one answered contention query.
+//
+// Analytical answers come from their fit's answer table, so every answer
+// of one fit shares its Fit pointer and each core count's MCUtilization
+// slice with every other caller. Both are read-only: no caller in this
+// module writes them, and none may.
 type Prediction struct {
 	// Machine, Program, Class, Cores and Scale echo the resolved query.
 	Machine string
@@ -120,10 +125,16 @@ type fitKey struct {
 	scale   float64
 }
 
-// fitEntry is one stored fit with its precomputed confidence stats.
+// fitEntry is one stored fit: the spec it was fitted on, the model, its
+// confidence stats and its answer table.
 type fitEntry struct {
+	spec  machine.Spec
 	model core.Model
-	info  FitInfo
+	info  *FitInfo
+	// answers[n-1] is the analytical answer at n cores on spec, the zero
+	// Prediction where the closed form saturates. Built once by fit and
+	// never written after, so readers share it without a lock.
+	answers []Prediction
 }
 
 // Predictor answers contention queries analytically when a trustworthy
@@ -150,14 +161,14 @@ type Predictor struct {
 	runner *experiments.Runner
 
 	mu   sync.RWMutex
-	fits map[fitKey]fitEntry
+	fits map[fitKey]*fitEntry
 }
 
 // New returns a Predictor backed by the given runner. The runner supplies
 // the simulation fallback, the content-addressed result cache the anchors
 // are fitted from, and (when attached) the NDJSON persistence journal.
 func New(r *experiments.Runner) *Predictor {
-	return &Predictor{runner: r, fits: make(map[fitKey]fitEntry)}
+	return &Predictor{runner: r, fits: make(map[fitKey]*fitEntry)}
 }
 
 // Scale returns the workload scale of the backing runner. Every cache
@@ -199,32 +210,35 @@ func (p *Predictor) key(spec machine.Spec, program string, class workload.Class,
 }
 
 // Analytical answers the query from the fitted closed form, or declines
-// with the reason. It never simulates, never blocks on the runner, and
-// costs one read-locked map lookup plus O(sockets) arithmetic — the
-// microsecond path. An empty DeclineReason means the Prediction is valid.
+// with the reason. It never simulates and never blocks on the runner: it
+// applies the confidence gates and indexes the fit's answer table, which
+// fit built once — one read-locked map lookup, no hashing, no
+// arithmetic, no allocation. An empty DeclineReason means the Prediction
+// is valid; its Fit and MCUtilization are shared and read-only.
 func (p *Predictor) Analytical(spec machine.Spec, program string, class workload.Class, cores int) (Prediction, DeclineReason) {
 	if cores < 1 || cores > spec.TotalCores() {
 		// Range errors are caught properly by Predict; analytically this
 		// is simply not answerable.
 		return Prediction{}, DeclineNoFit
 	}
-	entry, gate := p.lookupFit(spec, program, class)
+	entry, gate := p.lookupFit(spec.Name, program, class)
 	if gate != "" {
 		return Prediction{}, p.decline(gate, spec, program, class, cores)
 	}
-	return p.analyticalAt(entry, spec, program, class, cores)
+	return p.answer(entry, &spec, spec.Equal(entry.spec), program, class, cores)
 }
 
 // lookupFit resolves the pair's stored fit and applies the fit-level
-// confidence gates (existence, R², residual). An empty DeclineReason
-// means the entry is trustworthy; the per-point saturation check stays
-// in analyticalAt.
-func (p *Predictor) lookupFit(spec machine.Spec, program string, class workload.Class) (fitEntry, DeclineReason) {
+// confidence gates (existence, R², residual). They read MinR2 and
+// MaxResidual on every call, so only fit-invariant content is tabled.
+// An empty DeclineReason means the entry is trustworthy; saturation is
+// per point, in answer.
+func (p *Predictor) lookupFit(machineName, program string, class workload.Class) (*fitEntry, DeclineReason) {
 	p.mu.RLock()
-	entry, ok := p.fits[fitKey{spec.Name, program, class, p.Scale()}]
+	entry, ok := p.fits[fitKey{machineName, program, class, p.Scale()}]
 	p.mu.RUnlock()
 	if !ok {
-		return fitEntry{}, DeclineNoFit
+		return nil, DeclineNoFit
 	}
 	if entry.info.R2 < p.minR2() {
 		return entry, DeclineLowR2
@@ -235,31 +249,49 @@ func (p *Predictor) lookupFit(spec machine.Spec, program string, class workload.
 	return entry, ""
 }
 
-// analyticalAt evaluates one core count against an already-gated fit
-// entry — the shared tail of Analytical and AnalyticalCurve, so a curve
-// point and a single query at the same coordinate are computed by the
-// same arithmetic.
-func (p *Predictor) analyticalAt(entry fitEntry, spec machine.Spec, program string, class workload.Class, cores int) (Prediction, DeclineReason) {
-	cn := entry.model.C(cores)
-	if math.IsInf(cn, 0) || cn <= 0 {
-		return Prediction{}, p.decline(DeclineSaturated, spec, program, class, cores)
+// answer returns an already-gated fit's answer at one core count — the
+// shared tail of Analytical and AnalyticalCurve, so a curve point and a
+// single query at the same coordinate are the same value. tabled says
+// spec equals the spec the fit was made on, so the answer table holds
+// the point; a different spec under the same name (a mutated preset) is
+// computed by analyticalAt, the function that filled the table. spec is
+// a pointer only to spare the hot path a copy.
+func (p *Predictor) answer(entry *fitEntry, spec *machine.Spec, tabled bool, program string, class workload.Class, cores int) (Prediction, DeclineReason) {
+	var pred Prediction
+	if tabled {
+		pred = entry.answers[cores-1]
+	} else {
+		pred = p.analyticalAt(entry.model, entry.info, *spec, program, class, cores)
 	}
-	info := entry.info
+	if pred.Tier == "" {
+		return Prediction{}, p.decline(DeclineSaturated, *spec, program, class, cores)
+	}
+	return pred, ""
+}
+
+// analyticalAt evaluates the fitted closed form at one core count on
+// spec, or returns the zero Prediction where it saturates (C(n) infinite
+// or not positive).
+func (p *Predictor) analyticalAt(m core.Model, info *FitInfo, spec machine.Spec, program string, class workload.Class, cores int) Prediction {
+	cn := m.C(cores)
+	if math.IsInf(cn, 0) || cn <= 0 {
+		return Prediction{}
+	}
 	return Prediction{
 		Machine:        spec.Name,
 		Program:        program,
 		Class:          class,
 		Cores:          cores,
 		Scale:          p.Scale(),
-		Omega:          entry.model.Omega(cores),
+		Omega:          m.Omega(cores),
 		Cycles:         cn,
-		BaselineCycles: entry.model.C1,
+		BaselineCycles: m.C1,
 		MakespanCycles: cn / float64(cores),
-		MCUtilization:  analyticalMCUtil(spec, entry.model.Single, cores),
+		MCUtilization:  analyticalMCUtil(spec, m.Single, cores),
 		Tier:           TierAnalytical,
-		Fit:            &info,
+		Fit:            info,
 		ConfigHash:     p.key(spec, program, class, cores).Hash(),
-	}, ""
+	}
 }
 
 // AnalyticalCurve evaluates the fitted closed form at every requested
@@ -273,7 +305,8 @@ func (p *Predictor) analyticalAt(entry fitEntry, spec machine.Spec, program stri
 func (p *Predictor) AnalyticalCurve(spec machine.Spec, program string, class workload.Class, cores []int) ([]Prediction, []DeclineReason) {
 	preds := make([]Prediction, len(cores))
 	reasons := make([]DeclineReason, len(cores))
-	entry, gate := p.lookupFit(spec, program, class)
+	entry, gate := p.lookupFit(spec.Name, program, class)
+	tabled := gate == "" && spec.Equal(entry.spec)
 	for i, n := range cores {
 		if n < 1 || n > spec.TotalCores() {
 			reasons[i] = DeclineNoFit
@@ -283,7 +316,7 @@ func (p *Predictor) AnalyticalCurve(spec machine.Spec, program string, class wor
 			reasons[i] = p.decline(gate, spec, program, class, n)
 			continue
 		}
-		preds[i], reasons[i] = p.analyticalAt(entry, spec, program, class, n)
+		preds[i], reasons[i] = p.answer(entry, &spec, tabled, program, class, n)
 	}
 	return preds, reasons
 }
@@ -450,7 +483,8 @@ func (p *Predictor) refitFromCache(ctx context.Context, spec machine.Spec, progr
 }
 
 // fit runs the core regression over anchor measurements, computes the
-// confidence stats and stores the entry.
+// confidence stats, builds the answer table for every core count of spec
+// and stores the entry.
 func (p *Predictor) fit(spec machine.Spec, program string, class workload.Class, plan []int, meas []core.Measurement) (FitInfo, error) {
 	kind := experiments.ModelKindFor(spec)
 	m, err := core.Fit(kind, spec.Sockets, spec.CoresPerSocket, meas, p.Opts)
@@ -468,14 +502,18 @@ func (p *Predictor) fit(spec machine.Spec, program string, class workload.Class,
 			residual = rel
 		}
 	}
-	info := FitInfo{
+	info := &FitInfo{
 		Anchors:         append([]int(nil), plan...),
 		R2:              m.Single.R2,
 		Residual:        residual,
 		SaturationCores: m.Single.SaturationCores(),
 	}
+	entry := &fitEntry{spec: spec, model: m, info: info, answers: make([]Prediction, spec.TotalCores())}
+	for n := range entry.answers {
+		entry.answers[n] = p.analyticalAt(m, info, spec, program, class, n+1)
+	}
 	p.mu.Lock()
-	p.fits[fitKey{spec.Name, program, class, p.Scale()}] = fitEntry{model: m, info: info}
+	p.fits[fitKey{spec.Name, program, class, p.Scale()}] = entry
 	p.mu.Unlock()
 	if p.Metrics != nil {
 		p.Metrics.Counter("model_fits_total").Inc()
@@ -486,7 +524,7 @@ func (p *Predictor) fit(spec machine.Spec, program string, class workload.Class,
 			"anchors", len(plan), "r2", info.R2, "residual", info.Residual,
 			"saturation_cores", info.SaturationCores)
 	}
-	return info, nil
+	return *info, nil
 }
 
 // analyticalMCUtil derives per-controller utilization from the fitted

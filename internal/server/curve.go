@@ -23,11 +23,12 @@ import (
 // simulation-tier point before any response byte is written, so a curve
 // that needs nothing the instance can give gets its 429 as cheaply as a
 // single predict would. In streaming mode (Accept:
-// application/x-ndjson) the analytical points flush immediately and the
-// simulation points stream in completion order; batched mode gathers
-// everything and responds in request order. Either way each simulation
-// point releases its token the moment it settles, so a long curve does
-// not hold the queue hostage while its slowest point simulates.
+// application/x-ndjson) the analytical points go out together, in one
+// flush before any simulation starts, and the simulation points stream
+// in completion order; batched mode gathers everything and responds in
+// request order. Either way each simulation point releases its token the
+// moment it settles, so a long curve does not hold the queue hostage
+// while its slowest point simulates.
 
 // curveParams is one parsed and validated curve request.
 type curveParams struct {
@@ -123,7 +124,7 @@ func (s *Server) handleCurve(w http.ResponseWriter, r *http.Request) {
 		rt.finishCurve(herr.status, 0, 0, 0, 0)
 		return
 	}
-	s.metrics.Counter("simserved_curve_requests_total").Inc()
+	s.curveRequests.Inc()
 	start := time.Now()
 
 	// Analytical sweep: one fit lookup answers every point it can, in
@@ -197,7 +198,7 @@ func (s *Server) handleCurve(w http.ResponseWriter, r *http.Request) {
 			}
 			sp := rt.startPoint()
 			sp.End("cores", pt.Cores, "tier", pt.Tier)
-			s.metrics.Counter("simserved_curve_analytical_points_total").Inc()
+			s.curveAnalyticalPoints.Inc()
 		case !granted[i]:
 			points[i] = &api.CurvePoint{
 				Cores: p.cores[i],
@@ -224,12 +225,17 @@ func (s *Server) handleCurve(w http.ResponseWriter, r *http.Request) {
 			}
 		}
 		// Everything already known — the analytical sweep and the shed
-		// verdicts — flushes before the first simulation is dispatched:
-		// the cheap points never wait on the expensive ones.
-		for i := range points {
-			if points[i] != nil {
-				emit(points[i])
+		// verdicts — is encoded now and flushed once, before the first
+		// simulation is dispatched: the cheap points never wait on the
+		// expensive ones. A curve with nothing to simulate leaves the
+		// flush to its summary.
+		for _, pt := range points {
+			if pt != nil {
+				_ = enc.Encode(api.CurveFrame{Point: pt})
 			}
+		}
+		if grantedCount > 0 && flusher != nil {
+			flusher.Flush()
 		}
 	}
 
@@ -286,7 +292,7 @@ func (s *Server) handleCurve(w http.ResponseWriter, r *http.Request) {
 		Fit:        fit,
 	}
 	ms := float64(time.Since(start).Microseconds()) / 1000
-	s.metrics.Histogram("simserved_curve_ms", predictBounds...).ObserveExemplar(ms, rt.traceID())
+	s.curveMs.ObserveExemplar(ms, rt.traceID())
 	if s.tracer.Enabled() {
 		s.tracer.Emit("server.curve_served",
 			"machine", p.spec.Name, "program", p.req.Program, "class", p.req.Class,

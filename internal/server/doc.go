@@ -9,8 +9,9 @@
 //	                   backend that answered (analytical | simulation)
 //	POST /v1/curve     a whole ω(n) sweep in one request: batched JSON,
 //	                   or streaming NDJSON (Accept: application/x-ndjson)
-//	                   where analytical points flush immediately and
-//	                   simulation points stream in completion order
+//	                   where analytical points go out in one flush up
+//	                   front and simulation points stream in completion
+//	                   order
 //	GET  /v1/catalog   the machines, programs and classes this instance
 //	                   can answer for, plus its workload scale
 //	GET  /healthz      liveness + fit/cache occupancy

@@ -106,6 +106,12 @@ type Server struct {
 	// so a cold server neither promises instant retry nor stalls clients.
 	latMu       sync.Mutex
 	simLatencyS float64
+
+	// Hot-path metric handles, resolved once by New so an answered
+	// analytical request takes no registry lock by name. The names are
+	// the ones /metrics exports.
+	requests, analytical, curveRequests, curveAnalyticalPoints *telemetry.Counter
+	analyticalMs, predictMs, curveMs                           *telemetry.Histogram
 }
 
 // New returns a Server over the given backend.
@@ -126,11 +132,18 @@ func New(cfg Config) *Server {
 		reg = telemetry.NewRegistry()
 	}
 	return &Server{
-		pred:        cfg.Predictor,
-		metrics:     reg,
-		tracer:      cfg.Tracer,
-		adm:         newAdmitter(maxQueue, perTenant),
-		simLatencyS: 1,
+		pred:                  cfg.Predictor,
+		metrics:               reg,
+		tracer:                cfg.Tracer,
+		adm:                   newAdmitter(maxQueue, perTenant),
+		simLatencyS:           1,
+		requests:              reg.Counter("simserved_requests_total"),
+		analytical:            reg.Counter("simserved_analytical_total"),
+		curveRequests:         reg.Counter("simserved_curve_requests_total"),
+		curveAnalyticalPoints: reg.Counter("simserved_curve_analytical_points_total"),
+		analyticalMs:          reg.Histogram("simserved_analytical_ms", analyticalBounds...),
+		predictMs:             reg.Histogram("simserved_predict_ms", predictBounds...),
+		curveMs:               reg.Histogram("simserved_curve_ms", predictBounds...),
 	}
 }
 
@@ -229,7 +242,7 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 		rt.finish(herr.status, "")
 		return
 	}
-	s.metrics.Counter("simserved_requests_total").Inc()
+	s.requests.Inc()
 
 	// Fast path first: microseconds, no admission, no queueing.
 	start := time.Now()
@@ -370,14 +383,14 @@ func (s *Server) respond(w http.ResponseWriter, rt *requestTrace, pred model.Pre
 	trace := rt.traceID()
 	switch pred.Tier {
 	case model.TierAnalytical:
-		s.metrics.Counter("simserved_analytical_total").Inc()
-		s.metrics.Histogram("simserved_analytical_ms", analyticalBounds...).ObserveExemplar(ms, trace)
+		s.analytical.Inc()
+		s.analyticalMs.ObserveExemplar(ms, trace)
 	case model.TierSimulation:
 		s.metrics.Counter("simserved_simulation_total").Inc()
 		s.metrics.Histogram("simserved_simulate_ms", simulateBounds...).ObserveExemplar(ms, trace)
 		s.observeSimLatency(elapsed)
 	}
-	s.metrics.Histogram("simserved_predict_ms", predictBounds...).ObserveExemplar(ms, trace)
+	s.predictMs.ObserveExemplar(ms, trace)
 	if s.tracer.Enabled() {
 		s.tracer.Emit("server.request",
 			"machine", pred.Machine, "program", pred.Program, "class", string(pred.Class),
@@ -418,24 +431,20 @@ func fitBody(fi *model.FitInfo) *api.Fit {
 }
 
 // validateWorkload checks program and class against the registry without
-// constructing the (potentially large) workload.
+// constructing the (potentially large) workload. Every registered program
+// has at least one class, so no classes means no such program; the
+// sorted catalog is built only for that error message.
 func validateWorkload(program, class string) error {
-	found := false
-	for _, name := range workload.Names() {
-		if name == program {
-			found = true
-			break
-		}
-	}
-	if !found {
+	classes := workload.ClassesFor(program)
+	if len(classes) == 0 {
 		return fmt.Errorf("unknown program %q (have %v)", program, workload.Names())
 	}
-	for _, cl := range workload.ClassesFor(program) {
+	for _, cl := range classes {
 		if string(cl) == class {
 			return nil
 		}
 	}
-	return fmt.Errorf("program %s has no class %q (have %v)", program, class, workload.ClassesFor(program))
+	return fmt.Errorf("program %s has no class %q (have %v)", program, class, classes)
 }
 
 func (s *Server) handleCatalog(w http.ResponseWriter, r *http.Request) {
@@ -470,7 +479,7 @@ func (s *Server) handleCatalog(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	h := s.metrics.Histogram("simserved_predict_ms", predictBounds...)
+	h := s.predictMs
 	s.writeJSON(w, http.StatusOK, api.HealthzResponse{
 		Status:       "ok",
 		Scale:        s.pred.Scale(),

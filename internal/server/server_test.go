@@ -252,6 +252,43 @@ func TestCatalogAndHealthz(t *testing.T) {
 	}
 }
 
+// TestWorkloadErrorMessages pins the whole 400 message for an unknown
+// program and for an unknown class, on both query endpoints: the program
+// list is the sorted catalog, the class list the program's own order.
+func TestWorkloadErrorMessages(t *testing.T) {
+	h := newStubServer(&stubPredictor{}, 4).Handler()
+	const (
+		unknownProgram = `unknown program "LU" (have [CG EP FT IS MG SP canneal fluidanimate streamcluster x264])`
+		unknownClass   = `program CG has no class "Z" (have [S W A B C])`
+	)
+	cases := []struct {
+		name string
+		post func(testing.TB, http.Handler, string) *httptest.ResponseRecorder
+		body string
+		want string
+	}{
+		{"predict program", postPredict, `{"machine":"IntelUMA8","program":"LU","class":"W"}`, unknownProgram},
+		{"predict class", postPredict, `{"machine":"IntelUMA8","program":"CG","class":"Z"}`, unknownClass},
+		{"curve program", postCurve, `{"machine":"IntelUMA8","program":"LU","class":"W"}`, unknownProgram},
+		{"curve class", postCurve, `{"machine":"IntelUMA8","program":"CG","class":"Z"}`, unknownClass},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			w := tc.post(t, h, tc.body)
+			if w.Code != http.StatusBadRequest {
+				t.Fatalf("status %d, want 400: %s", w.Code, w.Body.String())
+			}
+			var e api.Error
+			if err := json.Unmarshal(w.Body.Bytes(), &e); err != nil {
+				t.Fatalf("error body is not JSON: %q", w.Body.String())
+			}
+			if e.Error != tc.want {
+				t.Errorf("error = %q\nwant    %q", e.Error, tc.want)
+			}
+		})
+	}
+}
+
 // TestConcurrentClients hammers the handler from many goroutines mixing
 // analytical hits, catalog reads and health checks; run under -race this
 // is the server's data-race certificate.

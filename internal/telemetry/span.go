@@ -265,7 +265,7 @@ func (s Span) End(args ...any) {
 }
 
 // offsetUs renders a monotonic offset as fractional microseconds: span
-// timings need sub-µs resolution (the analytical tier answers in ~1.5 µs)
+// timings need sub-µs resolution (the analytical tier answers in ~0.2 µs)
 // but µs-scale readability in the NDJSON.
 func offsetUs(d time.Duration) float64 {
 	return float64(d.Nanoseconds()) / 1e3

@@ -44,6 +44,12 @@ func TestClassesFor(t *testing.T) {
 	if got := ClassesFor("nope"); got != nil {
 		t.Errorf("unknown program classes = %v", got)
 	}
+	// simserved tells an unknown program by its empty class list.
+	for _, name := range Names() {
+		if len(ClassesFor(name)) == 0 {
+			t.Errorf("%s has no classes", name)
+		}
+	}
 }
 
 func TestDescribe(t *testing.T) {
