@@ -11,12 +11,14 @@ import (
 	"bytes"
 	"context"
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
 
 	"repro/internal/experiments"
 	"repro/internal/machine"
+	"repro/internal/sim"
 	"repro/internal/workload"
 )
 
@@ -156,4 +158,56 @@ func TestGoldenAblationController(t *testing.T) {
 	var buf bytes.Buffer
 	experiments.RenderAblationController(&buf, res)
 	checkGolden(t, "ablation_controller_IntelUMA8.txt", buf.Bytes())
+}
+
+// amdTune is the AMDNUMA48 counter fixture's scale: SP.C's 48 threads
+// finish each point in a fraction of a second, and the controllers still
+// saturate from one socket on.
+var amdTune = workload.Tuning{RefScale: 0.02}
+
+// TestGoldenSimCountersAMDNUMA48 pins the raw simulator counters of SP.C on
+// AMDNUMA48: FR-FCFS controllers, two per socket, reached over the
+// two-hop circulant fabric. The first-touch points cover one core, each
+// socket filled and the first core of the next; the interleaved ones
+// spread pages over every active controller. Page placement decides
+// every request's home controller and hop count, so a change to it moves
+// Remote and the per-controller columns here.
+func TestGoldenSimCountersAMDNUMA48(t *testing.T) {
+	if testing.Short() {
+		t.Skip("golden artifacts skipped in -short mode")
+	}
+	spec := machine.AMDNUMA48()
+	wl, err := workload.NewTuned("SP", workload.C, amdTune)
+	if err != nil {
+		t.Fatal(err)
+	}
+	points := []struct {
+		placement sim.Placement
+		cores     int
+	}{
+		{sim.FirstTouch, 1}, {sim.FirstTouch, 12}, {sim.FirstTouch, 13},
+		{sim.FirstTouch, 25}, {sim.FirstTouch, 37}, {sim.FirstTouch, 48},
+		{sim.Interleave, 25}, {sim.Interleave, 48},
+	}
+	var buf bytes.Buffer
+	fmt.Fprintf(&buf, "# %s %s.%s at scale %g, %d threads\n",
+		spec.Name, wl.Name(), wl.Class(), amdTune.RefScale, spec.TotalCores())
+	for _, p := range points {
+		cfg, err := sim.NewConfig(spec, sim.WithCores(p.cores), sim.WithPlacement(p.placement))
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := sim.Run(context.Background(), cfg, wl.Streams(spec.TotalCores()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		fmt.Fprintf(&buf, "%s n=%d total_cycles=%d makespan=%d events=%d offchip=%d remote=%d\n",
+			p.placement, p.cores, res.TotalCycles, res.Makespan, res.Events,
+			res.OffChipRequests, res.RemoteRequests)
+		for i, mc := range res.MCStats {
+			fmt.Fprintf(&buf, "  mc%d requests=%d row_hits=%d total_wait=%d\n",
+				i, mc.Requests, mc.RowHits, mc.TotalWait)
+		}
+	}
+	checkGolden(t, "sim_counters_AMDNUMA48.txt", buf.Bytes())
 }
