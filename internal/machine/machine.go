@@ -110,6 +110,10 @@ type Spec struct {
 	SMTSlowdown float64
 }
 
+// MaxMCs is the most memory controllers a machine may have: the
+// simulator records each page's home controller in 16 bits.
+const MaxMCs = 1<<16 - 1
+
 // Validate checks structural consistency.
 func (s Spec) Validate() error {
 	if s.Sockets < 1 || s.CoresPerSocket < 1 {
@@ -120,6 +124,10 @@ func (s Spec) Validate() error {
 	}
 	if s.MCsPerSocket < 0 {
 		return fmt.Errorf("machine %s: negative MCsPerSocket", s.Name)
+	}
+	if s.MCsPerSocket > MaxMCs/s.Sockets {
+		return fmt.Errorf("machine %s: %d sockets x %d controllers exceeds the %d-controller limit",
+			s.Name, s.Sockets, s.MCsPerSocket, MaxMCs)
 	}
 	if s.MSHRs < 1 {
 		return fmt.Errorf("machine %s: MSHRs must be >= 1", s.Name)

@@ -40,6 +40,7 @@ func TestSpecValidate(t *testing.T) {
 		func(s *Spec) { s.CoresPerSocket = 0 },
 		func(s *Spec) { s.Levels = nil },
 		func(s *Spec) { s.MCsPerSocket = -1 },
+		func(s *Spec) { s.Sockets, s.MCsPerSocket = 2, MaxMCs/2+1 },
 		func(s *Spec) { s.MSHRs = 0 },
 		func(s *Spec) { s.MC.Channels = 0 },
 	}
@@ -49,6 +50,12 @@ func TestSpecValidate(t *testing.T) {
 		if err := s.Validate(); err == nil {
 			t.Errorf("case %d: invalid spec accepted", i)
 		}
+	}
+	// The controller limit is inclusive.
+	s := testSpec()
+	s.Sockets, s.MCsPerSocket = 3, MaxMCs/3
+	if err := s.Validate(); err != nil {
+		t.Errorf("%d controllers rejected: %v", MaxMCs, err)
 	}
 }
 

@@ -10,8 +10,13 @@ const (
 	// batchLimit bounds how many cycles a core may advance per simulation
 	// event while executing cache hits.
 	batchLimit = 2000
-	// pageBytes is the page-placement granularity.
-	pageBytes = 4096
+	// pageShift is log2 of the page-placement granularity (4 KiB pages).
+	pageShift = 12
+	// denseRegions and densePages bound the dense page-home tables: the
+	// first 4 GiB of each of the first 64 trace.RegionBits regions, which
+	// holds every array the workloads lay out. Other pages go to a map.
+	denseRegions = 64
+	densePages   = 1 << 20
 )
 
 // thread is one program thread: a reference stream plus execution state.
@@ -66,8 +71,12 @@ type engine struct {
 	// considered fully pipelined (no stall).
 	l1Latency uint64
 
-	// Page placement.
-	pageHome map[uint64]int // page number -> MC index
+	// Page placement. pageHome[r][p] is 1 + the home controller of page p
+	// of region r (0 while the page is untouched); each table grows to its
+	// highest touched page, below densePages. farHome maps the page
+	// numbers of every other address to their home controller.
+	pageHome [denseRegions][]uint16
+	farHome  map[uint64]int
 	// firstTouchRR rotates among a socket's local controllers.
 	firstTouchRR []int
 	// localMCs caches Spec.LocalMCs per socket: homeMC runs once per
@@ -107,7 +116,7 @@ func newEngine(cfg Config, m *machine.Machine, q *eventq.Queue) *engine {
 		cfg:             cfg,
 		m:               m,
 		q:               q,
-		pageHome:        make(map[uint64]int),
+		farHome:         make(map[uint64]int),
 		firstTouchRR:    make([]int, cfg.Spec.Sockets),
 		barrierArrivals: make(map[int]int),
 	}
@@ -623,10 +632,31 @@ func (e *engine) homeMC(addr uint64, c *core) int {
 	if len(e.m.MCs) == 1 {
 		return 0
 	}
-	page := addr / pageBytes
-	if home, ok := e.pageHome[page]; ok {
+	r, p := addr>>trace.RegionBits, addr&(1<<trace.RegionBits-1)>>pageShift
+	if r < denseRegions && p < densePages {
+		tab := e.pageHome[r]
+		if p < uint64(len(tab)) && tab[p] != 0 {
+			return int(tab[p]) - 1
+		}
+		home := e.placePage(c)
+		if n := uint64(len(tab)); p >= n {
+			tab = append(tab, make([]uint16, p+1-n)...)
+			e.pageHome[r] = tab
+		}
+		tab[p] = uint16(home + 1) // machine.MaxMCs keeps home+1 in 16 bits
 		return home
 	}
+	page := addr >> pageShift
+	if home, ok := e.farHome[page]; ok {
+		return home
+	}
+	home := e.placePage(c)
+	e.farHome[page] = home
+	return home
+}
+
+// placePage picks the home controller of a page core c touches first.
+func (e *engine) placePage(c *core) int {
 	var home int
 	switch e.cfg.Placement {
 	case Interleave:
@@ -637,7 +667,6 @@ func (e *engine) homeMC(addr uint64, c *core) int {
 		home = local[e.firstTouchRR[c.socket]%len(local)]
 		e.firstTouchRR[c.socket]++
 	}
-	e.pageHome[page] = home
 	return home
 }
 

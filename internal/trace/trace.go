@@ -14,6 +14,12 @@
 // of contention the paper measures.
 package trace
 
+// RegionBits sets the address layout the workloads share with the
+// simulator: each array lives in its own 1<<RegionBits (64 GiB) region,
+// so arrays never alias, and the simulator keeps one dense page-home table
+// per region.
+const RegionBits = 36
+
 // Kind distinguishes loads from stores.
 type Kind uint8
 

@@ -157,13 +157,10 @@ func Describe(name string) string {
 	return registry[name].desc
 }
 
-// Array bases: each logical array lives in its own 64 GB region so arrays
-// never alias and NUMA page homing follows whichever thread touches a page
-// first.
-const regionBits = 36
-
-// base returns the byte address where array id begins.
-func base(id int) uint64 { return uint64(id+1) << regionBits }
+// base returns the byte address where array id begins. Each logical array
+// lives in its own trace.RegionBits region, so arrays never alias and NUMA
+// page homing follows whichever thread touches a page first.
+func base(id int) uint64 { return uint64(id+1) << trace.RegionBits }
 
 // partition splits n items across threads, returning the [lo, hi) range of
 // thread t. The remainder spreads over the first threads, matching OpenMP

@@ -291,8 +291,8 @@ func TestX264AddressesInBounds(t *testing.T) {
 				if r.Sync {
 					continue
 				}
-				region := int(r.Addr>>regionBits) - 1
-				off := r.Addr & ((1 << regionBits) - 1)
+				region := int(r.Addr>>trace.RegionBits) - 1
+				off := r.Addr & ((1 << trace.RegionBits) - 1)
 				switch region {
 				case x264Ref, x264Cur, x264Out:
 					if off >= planeSize {
@@ -336,7 +336,7 @@ func TestCGRowLenRange(t *testing.T) {
 func TestBaseRegionsDisjoint(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		for j := i + 1; j < 8; j++ {
-			if base(i)>>regionBits == base(j)>>regionBits {
+			if base(i)>>trace.RegionBits == base(j)>>trace.RegionBits {
 				t.Fatalf("regions %d and %d collide", i, j)
 			}
 		}
@@ -344,7 +344,7 @@ func TestBaseRegionsDisjoint(t *testing.T) {
 }
 
 // regionOf extracts the array id of an address.
-func regionOf(addr uint64) int { return int(addr>>regionBits) - 1 }
+func regionOf(addr uint64) int { return int(addr>>trace.RegionBits) - 1 }
 
 func TestFTAddressesInBounds(t *testing.T) {
 	w, _ := NewTuned("FT", S, Tuning{RefScale: 0.2})
@@ -357,7 +357,7 @@ func TestFTAddressesInBounds(t *testing.T) {
 					continue
 				}
 				region := regionOf(r.Addr)
-				off := r.Addr & ((1 << regionBits) - 1)
+				off := r.Addr & ((1 << trace.RegionBits) - 1)
 				switch region {
 				case ftU0, ftU1:
 					if off >= cells*16 {
@@ -384,7 +384,7 @@ func TestSPAddressesInBounds(t *testing.T) {
 					continue
 				}
 				region := regionOf(r.Addr)
-				off := r.Addr & ((1 << regionBits) - 1)
+				off := r.Addr & ((1 << trace.RegionBits) - 1)
 				switch region {
 				case spU, spRHS, spLHS:
 					if off >= cells*spCellBytes {
@@ -443,7 +443,7 @@ func TestStreamclusterAddressesInBounds(t *testing.T) {
 					continue
 				}
 				region := regionOf(r.Addr)
-				off := r.Addr & ((1 << regionBits) - 1)
+				off := r.Addr & ((1 << trace.RegionBits) - 1)
 				switch region {
 				case scPoints:
 					if off >= uint64(p.points)*pointBytes {
@@ -478,7 +478,7 @@ func TestCGAddressesInBounds(t *testing.T) {
 					continue
 				}
 				region := regionOf(r.Addr)
-				off := r.Addr & ((1 << regionBits) - 1)
+				off := r.Addr & ((1 << trace.RegionBits) - 1)
 				switch region {
 				case cgAVal:
 					if off >= maxNNZ*8 {
@@ -522,7 +522,7 @@ func TestCannealAddressesInBounds(t *testing.T) {
 					continue
 				}
 				region := regionOf(r.Addr)
-				off := r.Addr & ((1 << regionBits) - 1)
+				off := r.Addr & ((1 << trace.RegionBits) - 1)
 				switch region {
 				case cannealNetlist:
 					if off >= uint64(p.elements)*64 {
@@ -552,7 +552,7 @@ func TestFluidanimateAddressesInBounds(t *testing.T) {
 					deps++
 				}
 				region := regionOf(r.Addr)
-				off := r.Addr & ((1 << regionBits) - 1)
+				off := r.Addr & ((1 << trace.RegionBits) - 1)
 				switch region {
 				case fluidCells:
 					if off >= cells*fluidCellBytes {
