@@ -196,16 +196,14 @@ func (s *Server) handleCurve(w http.ResponseWriter, r *http.Request) {
 			if fit == nil {
 				fit = fitBody(preds[i].Fit)
 			}
-			sp := rt.startPoint()
-			sp.End("cores", pt.Cores, "tier", pt.Tier)
+			rt.endPoint(rt.startPoint(), pt.Cores, pt.Tier)
 			s.curveAnalyticalPoints.Inc()
 		case !granted[i]:
 			points[i] = &api.CurvePoint{
 				Cores: p.cores[i],
 				Error: fmt.Sprintf("shed (%s): %s", shedScope[i], s.shedMessage(reasons[i], shedScope[i])),
 			}
-			sp := rt.startPoint()
-			sp.End("cores", p.cores[i], "error", "shed")
+			rt.failPoint(rt.startPoint(), p.cores[i], "shed")
 		}
 	}
 
@@ -269,13 +267,13 @@ func (s *Server) handleCurve(w http.ResponseWriter, r *http.Request) {
 					if isCanceled(err) {
 						msg = "canceled before the simulation finished"
 					}
-					simSpans[j].End("cores", simCores[j], "error", msg)
+					rt.failPoint(simSpans[j], simCores[j], msg)
 					points[i] = &api.CurvePoint{Cores: simCores[j], Error: msg}
 				} else {
 					simulation++
 					s.metrics.Counter("simserved_curve_simulation_points_total").Inc()
 					s.observeSimLatency(time.Since(simStart[j]))
-					simSpans[j].End("cores", pred.Cores, "tier", string(pred.Tier))
+					rt.endPoint(simSpans[j], pred.Cores, string(pred.Tier))
 					pt := curvePoint(pred)
 					points[i] = &pt
 				}

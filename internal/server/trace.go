@@ -210,6 +210,26 @@ func (rt *requestTrace) startPoint() telemetry.Span {
 	return rt.tracer.StartSpan(rt.root.Context(), "server.point")
 }
 
+// endPoint closes a point span with the point's core count and the tier
+// that answered it. Like every method here it returns before building
+// the attributes when tracing is off, so a traced-off curve boxes nothing
+// per point.
+func (rt *requestTrace) endPoint(sp telemetry.Span, cores int, tier string) {
+	if rt == nil {
+		return
+	}
+	sp.End("cores", cores, "tier", tier)
+}
+
+// failPoint closes a point span with the point's core count and why it
+// was not answered.
+func (rt *requestTrace) failPoint(sp telemetry.Span, cores int, msg string) {
+	if rt == nil {
+		return
+	}
+	sp.End("cores", cores, "error", msg)
+}
+
 // finishCurve closes the curve root span with the final status and the
 // per-tier point counts.
 func (rt *requestTrace) finishCurve(status, analytical, simulation, shed, failed int) {

@@ -229,6 +229,8 @@ func TestRequestTraceNilSafe(t *testing.T) {
 		rt.beginRespond()
 		rt.endRespond()
 		rt.finish(200, "analytical")
+		rt.endPoint(rt.startPoint(), 3, "analytical")
+		rt.failPoint(rt.startPoint(), 4, "shed")
 		if rt.context(ctx) != ctx {
 			t.Fatal("nil requestTrace must return ctx unchanged")
 		}
@@ -280,5 +282,30 @@ func TestPredictTracingOffAllocations(t *testing.T) {
 	// baseline handler cost (recorder, decoder, response encoding).
 	if offAllocs >= onAllocs && onAllocs > 0 {
 		t.Errorf("tracing off (%.1f allocs/req) costs as much as on (%.1f)", offAllocs, onAllocs)
+	}
+}
+
+// TestCurveTracingOffAllocations pins what a traced-off curve pays per
+// analytical point: the allocation of its response point and nothing for
+// its span. It compares a one-point curve with the full 48-point sweep;
+// the marginal allocations per added point must stay at one, give or take
+// half an allocation for the slices the handler grows. Boxing the tier
+// attribute before the span sees that tracing is off cost one more. The
+// shed and simulated points' span calls are covered by
+// TestRequestTraceNilSafe.
+func TestCurveTracingOffAllocations(t *testing.T) {
+	h := newStubServer(&stubPredictor{}, 0).Handler()
+	measure := func(cores string) float64 {
+		body := `{"machine":"AMDNUMA48","program":"CG","class":"W"` + cores + `}`
+		return testing.AllocsPerRun(100, func() {
+			if w := postCurve(t, h, body); w.Code != http.StatusOK {
+				t.Fatalf("status %d: %s", w.Code, w.Body.String())
+			}
+		})
+	}
+	one, full := measure(`,"cores":[1]`), measure("")
+	if perPoint := (full - one) / 47; perPoint > 1.5 {
+		t.Errorf("tracing off: %.2f allocs per analytical point (%.0f for one point, %.0f for all 48), want 1",
+			perPoint, one, full)
 	}
 }
