@@ -8,7 +8,9 @@
 # against the committed BENCH.json: a (workload, metric) pair is judged
 # only when the baseline's and the fresh spread are both within the bound,
 # and fails when its fresh median exceeds the baseline's by more than the
-# bound. Pass or fail, BENCH.json stays as it is, so the baseline never
+# bound. The traced ledger's simulated counts (the `exact` list below)
+# must equal the baseline's exactly. Pass or fail, BENCH.json stays as it
+# is, so the baseline never
 # creeps up by a series of passes within the bound; a failure exits 1.
 # Re-baseline deliberately with `mv BENCH.json.new BENCH.json`. With no
 # BENCH.json yet, the fresh run becomes it. Run it from anywhere on an
@@ -69,10 +71,28 @@ verdicts=$(jq -r --slurpfile base BENCH.json '
             + " (\($d * 1000 | round / 10)%, bound \($n.bound * 100)%)"
         end
     end' BENCH.json.new)
+
+# The ledger's simulated counts come from each workload's fixed point
+# set: they depend on neither seed nor host, so a tree that simulates
+# the same machine reports them bit for bit. Any difference is a change
+# in simulated behaviour, which a speed-up must not make.
+exact='["sim.events", "sim.offchip_requests", "sim.remote_requests",
+  "sim.makespan_cycles", "memctrl.mean_wait_cycles", "memctrl.row_hit_ratio",
+  "memctrl.peak_utilization", "workload.refs"]'
+verdicts+=$'\n'$(jq -r --slurpfile base BENCH.json --argjson exact "$exact" '
+  ($base[0].workloads // {}) as $b
+  | .workloads | to_entries[] | .key as $w | select($b[$w] != null)
+  | .value.ledger as $l | $b[$w].ledger as $o
+  | [$exact[] | select($o[.] != null)] as $judged
+  | [$judged[] | select($l[.].value != $o[.].value)
+      | "\(.) \($o[.].value) -> \($l[.].value)"] as $diff
+  | if $diff == [] then "ok          \($w) ledger: \($judged | length) simulated counts identical"
+    else "FAIL        \($w) ledger: \($diff | join(", ")); must be identical"
+    end' BENCH.json.new)
 echo "$verdicts"
 
 if grep -q '^FAIL' <<<"$verdicts"; then
-  echo "bench: regression; fresh results in BENCH.json.new, BENCH.json untouched" >&2
+  echo "bench: a regression or a changed simulated count; fresh results in BENCH.json.new, BENCH.json untouched" >&2
   exit 1
 fi
 echo "bench: pass; fresh results in BENCH.json.new, BENCH.json untouched" >&2
