@@ -13,8 +13,9 @@ const (
 	// pageShift is log2 of the page-placement granularity (4 KiB pages).
 	pageShift = 12
 	// denseRegions and densePages bound the dense page-home tables: the
-	// first 4 GiB of each of the first 64 trace.RegionBits regions, which
-	// holds every array the workloads lay out. Other pages go to a map.
+	// first 4 GiB of each of the first 64 trace.RegionBits regions. Every
+	// workload array starts at a region's base and fits in that span,
+	// except MG's coarser grids (4 GiB apart); other pages go to a map.
 	denseRegions = 64
 	densePages   = 1 << 20
 )
