@@ -289,9 +289,9 @@ func TestPredictTracingOffAllocations(t *testing.T) {
 // analytical point: the allocation of its response point and nothing for
 // its span. It compares a one-point curve with the full 48-point sweep;
 // the marginal allocations per added point must stay at one, give or take
-// half an allocation for the slices the handler grows. Boxing the tier
-// attribute before the span sees that tracing is off cost one more. The
-// shed and simulated points' span calls are covered by
+// half an allocation for the slices the handler grows. A span call that
+// boxes the tier attribute before checking that tracing is on adds one.
+// The shed and simulated points' span calls are covered by
 // TestRequestTraceNilSafe.
 func TestCurveTracingOffAllocations(t *testing.T) {
 	h := newStubServer(&stubPredictor{}, 0).Handler()
