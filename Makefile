@@ -65,9 +65,9 @@ race:
 
 ## bench: the tracked end-to-end benchmark. scripts/bench.sh runs
 ## perfbench on every BENCHMARK.json workload (5 runs each plus one traced
-## seed-41 ledger), writes BENCH.json.new and fails if a median regressed
-## past its bound against the committed BENCH.json, which it never
-## rewrites. Run it on an otherwise idle, dedicated machine; re-baseline
+## seed-41 ledger), writes BENCH.json.new and fails if a median (or, for
+## a metric too noisy for medians, its whole quartile box) regressed past
+## its bound against the committed BENCH.json, which it never rewrites. Run it on an otherwise idle, dedicated machine; re-baseline
 ## deliberately with `mv BENCH.json.new BENCH.json`.
 bench:
 	scripts/bench.sh

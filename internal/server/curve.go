@@ -86,6 +86,28 @@ func (s *Server) parseCurve(r *http.Request) (curveParams, *httpError) {
 	return p, nil
 }
 
+// shedText is one shed point's error text, kept per (reason, scope) for
+// the points of one curve.
+type shedText struct {
+	reason model.DeclineReason
+	scope  string
+	text   string
+}
+
+// shedPointText returns the error text of a point shed for reason in
+// scope, building it only the first time texts lacks that pair. A curve's
+// shed points mostly share one pair, so a long curve formats its text
+// once rather than once per point.
+func (s *Server) shedPointText(texts []shedText, reason model.DeclineReason, scope string) ([]shedText, string) {
+	for _, t := range texts {
+		if t.reason == reason && t.scope == scope {
+			return texts, t.text
+		}
+	}
+	text := fmt.Sprintf("shed (%s): %s", scope, s.shedMessage(reason, scope))
+	return append(texts, shedText{reason, scope, text}), text
+}
+
 // wantsNDJSON reports whether the client asked for the streaming curve
 // mode.
 func wantsNDJSON(r *http.Request) bool {
@@ -188,6 +210,7 @@ func (s *Server) handleCurve(w http.ResponseWriter, r *http.Request) {
 	// as the runner completes them.
 	points := make([]*api.CurvePoint, len(p.cores))
 	var fit *api.Fit
+	var shedTexts []shedText
 	for i := range p.cores {
 		switch {
 		case reasons[i] == "":
@@ -199,10 +222,9 @@ func (s *Server) handleCurve(w http.ResponseWriter, r *http.Request) {
 			rt.endPoint(rt.startPoint(), pt.Cores, pt.Tier)
 			s.curveAnalyticalPoints.Inc()
 		case !granted[i]:
-			points[i] = &api.CurvePoint{
-				Cores: p.cores[i],
-				Error: fmt.Sprintf("shed (%s): %s", shedScope[i], s.shedMessage(reasons[i], shedScope[i])),
-			}
+			var text string
+			shedTexts, text = s.shedPointText(shedTexts, reasons[i], shedScope[i])
+			points[i] = &api.CurvePoint{Cores: p.cores[i], Error: text}
 			rt.failPoint(rt.startPoint(), p.cores[i], "shed")
 		}
 	}

@@ -309,3 +309,31 @@ func TestCurveTracingOffAllocations(t *testing.T) {
 			perPoint, one, full)
 	}
 }
+
+// TestCurveShedPointAllocations pins what a traced-off curve pays per shed
+// point: the allocation of its response point, not a fresh error text. On
+// one admission slot every point past the first granted one is shed for
+// the same reason and scope, so the text is built once per curve. The
+// marginal allocations per added shed point between a 3-point and the full
+// 48-point curve must stay at one, give or take half an allocation for the
+// slices the handler grows.
+func TestCurveShedPointAllocations(t *testing.T) {
+	declined := map[int]bool{}
+	for n := 1; n <= 48; n++ {
+		declined[n] = true
+	}
+	h := newStubServer(&stubPredictor{declineSet: declined}, 1).Handler()
+	measure := func(cores string) float64 {
+		body := `{"machine":"AMDNUMA48","program":"CG","class":"W"` + cores + `}`
+		return testing.AllocsPerRun(100, func() {
+			if w := postCurve(t, h, body); w.Code != http.StatusOK {
+				t.Fatalf("status %d: %s", w.Code, w.Body.String())
+			}
+		})
+	}
+	three, full := measure(`,"cores":[1,2,3]`), measure("")
+	if perPoint := (full - three) / 45; perPoint > 1.5 {
+		t.Errorf("tracing off: %.2f allocs per shed point (%.0f for 3 points, %.0f for all 48), want 1",
+			perPoint, three, full)
+	}
+}

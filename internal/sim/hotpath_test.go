@@ -130,9 +130,9 @@ func TestRunGenMatchesFromSlice(t *testing.T) {
 	gen := make([]trace.Stream, threads)
 	for i, rs := range refs {
 		fromSlice[i] = trace.FromSlice(rs)
-		gen[i] = trace.Gen(func(emit func(trace.Ref) bool) {
+		gen[i] = trace.Gen(func(w *trace.Writer) {
 			for _, r := range rs {
-				if !emit(r) {
+				if !w.Emit(r) {
 					return
 				}
 			}

@@ -83,9 +83,9 @@ func TestRunStopsStreamsOnError(t *testing.T) {
 			exited := make(chan struct{}, tc.cfg.Threads)
 			streams := make([]trace.Stream, tc.cfg.Threads)
 			for i := range streams {
-				streams[i] = trace.Gen(func(emit func(trace.Ref) bool) {
+				streams[i] = trace.Gen(func(w *trace.Writer) {
 					defer func() { exited <- struct{}{} }()
-					for a := uint64(0); emit(trace.Ref{Addr: a * 64}); a++ {
+					for a := uint64(0); w.Emit(trace.Ref{Addr: a * 64}); a++ {
 					}
 				})
 			}

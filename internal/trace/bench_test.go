@@ -14,9 +14,9 @@ func drainN(b *testing.B, s Stream, n int) {
 }
 
 func BenchmarkGenStream(b *testing.B) {
-	s := Gen(func(emit func(Ref) bool) {
+	s := Gen(func(w *Writer) {
 		for i := uint64(0); ; i++ {
-			if !emit(Ref{Addr: i * 64, Work: 1}) {
+			if !w.Emit(Ref{Addr: i * 64, Work: 1}) {
 				return
 			}
 		}

@@ -111,10 +111,11 @@ func Count(s Stream) int {
 	return n
 }
 
-// Gen adapts a push-style generator function into a pull-style Stream. gen
-// receives an emit callback and must return when emit reports false. This
-// supports kernels whose access patterns are easiest to express as
-// straight-line code (e.g. nested loops over a grid).
+// Gen adapts a push-style generator into a pull-style Stream. gen
+// receives a *Writer, calls its Emit once per reference and must return
+// once Emit reports false. This supports kernels whose access patterns
+// are easiest to express as straight-line code (e.g. nested loops over a
+// grid).
 //
 // The generator runs on its own goroutine, double-buffered: each stream
 // owns exactly two buffers of genChunk refs. The producer fills one while
@@ -125,71 +126,99 @@ func Count(s Stream) int {
 // could run, and allocates nothing after it starts. Stop is observed only
 // at chunk boundaries, so a stopped generator returns within genChunk
 // further refs.
-func Gen(gen func(emit func(Ref) bool)) Stream {
+func Gen(gen func(w *Writer)) Stream {
 	g := &genStream{
 		full: make(chan []Ref),
 		// Capacity 2 holds both buffers, so returning one never blocks.
-		free: make(chan []Ref, 2),
+		free: make(chan *[genChunk]Ref, 2),
 		stop: make(chan struct{}),
 	}
-	g.free <- make([]Ref, 0, genChunk)
-	g.free <- make([]Ref, 0, genChunk)
+	g.free <- new([genChunk]Ref)
+	g.free <- new([genChunk]Ref)
 	//simcheck:allow(detlint) generator goroutine hands chunks over a synchronized channel; the consumer sees refs in emit order regardless of scheduling
 	go g.produce(gen)
 	return g
 }
 
 // genChunk is the number of refs per buffer: 4 KiB at 16 bytes per Ref.
-// Larger buffers cost no less CPU and raise peak memory.
+// Larger buffers hand over less often and so cost less per ref, but every
+// stream holds two of them: at 256 a 48-thread point's buffers take
+// 384 KiB.
 const genChunk = 256
 
 type genStream struct {
-	full  chan []Ref // producer → consumer, unbuffered; closed when gen returns
-	free  chan []Ref // consumer → producer, buffers already read
+	full  chan []Ref          // producer → consumer, unbuffered; closed when gen returns
+	free  chan *[genChunk]Ref // consumer → producer, buffers already read
 	stop  chan struct{}
 	chunk []Ref // the run last returned by Next, still the consumer's
 	done  bool
 }
 
-// produce runs gen, filling one buffer at a time and handing each over
-// when it is full. It closes g.full when gen returns.
-func (g *genStream) produce(gen func(emit func(Ref) bool)) {
-	defer close(g.full)
-	buf := <-g.free
-	stopped := false
-	// send hands buf over, or reports false once Stop has been called.
-	send := func() bool {
-		select {
-		case g.full <- buf:
-			return true
-		case <-g.stop:
-			return false
-		}
+// Writer is a Gen generator's end of its stream. Emit is small enough to
+// inline into the kernel's loop: it stores the ref in the current buffer,
+// and only a full buffer costs a call.
+type Writer struct {
+	buf     *[genChunk]Ref // the buffer being filled; always the producer's own
+	n       int            // refs in buf
+	stopped bool
+	g       *genStream
+}
+
+// Emit appends r to the stream and reports whether the generator should
+// go on. After Stop it reports false when the buffer next fills, at most
+// genChunk refs later; that ref and every later one are dropped, and every
+// later Emit reports false too.
+func (w *Writer) Emit(r Ref) bool {
+	w.buf[w.n] = r
+	w.n++
+	if w.n < genChunk {
+		return true
 	}
-	gen(func(r Ref) bool {
-		if stopped {
-			return false
-		}
-		buf = append(buf, r)
-		if len(buf) < genChunk {
-			return true
-		}
-		if stopped = !send(); stopped {
-			return false
-		}
-		// Take the other buffer back. It is normally waiting, since Next
-		// returns the run it read before it receives the next;
-		// Stop's drain returns none, so watch stop too.
+	return w.flush()
+}
+
+// flush takes the other buffer back and hands the full one to the
+// consumer, or reports false once Stop has been called. It stays out of
+// line: inlined, it would push Emit past the inliner's budget, and a call
+// per ref costs more than the buffer saves.
+//
+//go:noinline
+func (w *Writer) flush() bool {
+	if !w.stopped {
+		// Take the other buffer back before handing this one over, so
+		// the writer always owns buf, even after a stop. Next returns
+		// the run it read before it receives the next, so the two
+		// cannot deadlock; Stop's drain returns no buffer, so watch stop
+		// too.
 		select {
-		case buf = <-g.free:
-			return true
-		case <-g.stop:
-			stopped = true
-			return false
+		case next := <-w.g.free:
+			select {
+			case w.g.full <- w.buf[:]:
+				w.buf, w.n = next, 0
+				return true
+			case <-w.g.stop:
+			}
+		case <-w.g.stop:
 		}
-	})
-	if !stopped && len(buf) > 0 {
-		send()
+		w.stopped = true
+	}
+	// Leave one slot free, so that an Emit after false writes into the
+	// writer's own buffer and lands here again.
+	w.n = genChunk - 1
+	return false
+}
+
+// produce runs gen and hands over the last, partly filled buffer when it
+// returns. It closes g.full when gen returns.
+func (g *genStream) produce(gen func(w *Writer)) {
+	defer close(g.full)
+	w := &Writer{buf: <-g.free, g: g}
+	gen(w)
+	if !w.stopped && w.n > 0 {
+		select {
+		case g.full <- w.buf[:w.n]:
+		case <-g.stop:
+		}
 	}
 }
 
@@ -201,7 +230,7 @@ func (g *genStream) Next() []Ref {
 		return nil
 	}
 	if g.chunk != nil {
-		g.free <- g.chunk[:0]
+		g.free <- (*[genChunk]Ref)(g.chunk[:genChunk])
 		g.chunk = nil
 	}
 	chunk, ok := <-g.full

@@ -47,9 +47,9 @@ func TestCount(t *testing.T) {
 }
 
 func TestGenStream(t *testing.T) {
-	s := Gen(func(emit func(Ref) bool) {
+	s := Gen(func(w *Writer) {
 		for i := 0; i < 10000; i++ {
-			if !emit(Ref{Addr: uint64(i) * 64}) {
+			if !w.Emit(Ref{Addr: uint64(i) * 64}) {
 				return
 			}
 		}
@@ -89,10 +89,10 @@ func TestGenStreamStopEarly(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			const total = 1_000_000
 			produced := make(chan int, 1)
-			s := Gen(func(emit func(Ref) bool) {
+			s := Gen(func(w *Writer) {
 				n := 0
 				for i := 0; i < total; i++ {
-					if !emit(Ref{Addr: uint64(i)}) {
+					if !w.Emit(Ref{Addr: uint64(i)}) {
 						break
 					}
 					n++
@@ -135,12 +135,12 @@ func TestGenStreamStopEarly(t *testing.T) {
 }
 
 // seqGen returns a generator that emits n distinct refs and records each
-// one emit accepted in *emitted.
-func seqGen(n int, emitted *[]Ref) func(emit func(Ref) bool) {
-	return func(emit func(Ref) bool) {
+// one Emit accepted in *emitted.
+func seqGen(n int, emitted *[]Ref) func(w *Writer) {
+	return func(w *Writer) {
 		for i := 0; i < n; i++ {
 			r := Ref{Addr: uint64(i) * 64, Kind: Kind(i % 2), Dep: i%3 == 0, Sync: i%97 == 0, Work: uint32(i % 7)}
-			if !emit(r) {
+			if !w.Emit(r) {
 				return
 			}
 			*emitted = append(*emitted, r)
@@ -208,9 +208,9 @@ func TestGenRunsStopMidBuffer(t *testing.T) {
 func TestGenStreamAllocsBounded(t *testing.T) {
 	drain := func(n int) float64 {
 		return testing.AllocsPerRun(5, func() {
-			s := Gen(func(emit func(Ref) bool) {
+			s := Gen(func(w *Writer) {
 				for i := 0; i < n; i++ {
-					if !emit(Ref{Addr: uint64(i) * 64}) {
+					if !w.Emit(Ref{Addr: uint64(i) * 64}) {
 						return
 					}
 				}
@@ -223,6 +223,116 @@ func TestGenStreamAllocsBounded(t *testing.T) {
 	short, long := drain(16<<10), drain(1<<20)
 	if short != long {
 		t.Errorf("allocs per drained stream: %v for 16K refs, %v for 1M refs; want equal", short, long)
+	}
+}
+
+// TestGenEmitAfterFalse stops a Gen stream in each state its producer can
+// be in, under a generator that ignores the first false and keeps emitting
+// for three more buffers: every later Emit must report false again, without
+// panicking, blocking or writing into the run the consumer holds, and Stop
+// must return.
+func TestGenEmitAfterFalse(t *testing.T) {
+	for _, reads := range []int{0, 1, 2} {
+		t.Run(fmt.Sprint(reads), func(t *testing.T) {
+			type result struct{ accepted, lateTrue int }
+			res := make(chan result, 1)
+			s := Gen(func(w *Writer) {
+				var r result
+				for w.Emit(Ref{Addr: uint64(r.accepted)}) {
+					r.accepted++
+				}
+				for i := 0; i < 3*genChunk; i++ {
+					if w.Emit(Ref{Addr: uint64(i)}) {
+						r.lateTrue++
+					}
+				}
+				res <- r
+			})
+			var held, want []Ref
+			for i := 0; i < reads; i++ {
+				if held = s.Next(); len(held) != genChunk {
+					t.Fatal("short run from an unbounded generator")
+				}
+			}
+			want = slices.Clone(held)
+			stopped := make(chan struct{})
+			go func() {
+				StopAll(s)
+				close(stopped)
+			}()
+			select {
+			case <-stopped:
+			case <-time.After(10 * time.Second):
+				t.Fatal("Stop did not return")
+			}
+			r := <-res
+			if !slices.Equal(held, want) {
+				t.Error("an Emit after false wrote into the run the consumer holds")
+			}
+			if r.lateTrue != 0 {
+				t.Errorf("%d of %d Emits after a false reported true", r.lateTrue, 3*genChunk)
+			}
+			if r.accepted > (reads+2)*genChunk {
+				t.Errorf("%d refs accepted after %d runs were read", r.accepted, reads)
+			}
+			if run := s.Next(); len(run) != 0 {
+				t.Errorf("stopped stream returned %d refs", len(run))
+			}
+		})
+	}
+}
+
+// TestGenStopGeneratorEndsMidBuffer stops a Gen stream while its generator
+// is partway through a buffer and lets the generator return on its own,
+// without ever seeing a false: the partly filled buffer must not block the
+// producer or reach the consumer.
+func TestGenStopGeneratorEndsMidBuffer(t *testing.T) {
+	release := make(chan struct{})
+	s := Gen(func(w *Writer) {
+		for i := 0; i < genChunk/2; i++ {
+			w.Emit(Ref{Addr: uint64(i)})
+		}
+		<-release
+		for i := genChunk / 2; i < genChunk-1; i++ {
+			w.Emit(Ref{Addr: uint64(i)})
+		}
+	})
+	stopped := make(chan struct{})
+	go func() {
+		StopAll(s)
+		close(stopped)
+	}()
+	<-s.(*genStream).stop
+	close(release)
+	select {
+	case <-stopped:
+	case <-time.After(10 * time.Second):
+		t.Fatal("Stop did not return")
+	}
+	if run := s.Next(); len(run) != 0 {
+		t.Errorf("stopped stream returned %d refs", len(run))
+	}
+}
+
+// TestGenNoAllocAfterStart pins the steady state: once a Gen stream is
+// running, handing runs over between producer and consumer allocates
+// nothing.
+func TestGenNoAllocAfterStart(t *testing.T) {
+	s := Gen(func(w *Writer) {
+		for i := uint64(0); w.Emit(Ref{Addr: i * 64}); i++ {
+		}
+	})
+	defer StopAll(s)
+	s.Next()
+	allocs := testing.AllocsPerRun(20, func() {
+		for i := 0; i < 64; i++ {
+			if len(s.Next()) != genChunk {
+				t.Fatal("short run from an unbounded generator")
+			}
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("%v allocs per 64 runs, want 0", allocs)
 	}
 }
 

@@ -70,7 +70,7 @@ func (c *canneal) Streams(threads int) []trace.Stream {
 	for t := 0; t < threads; t++ {
 		tt := t
 		seed := uint64(seedFor("canneal", c.class, t)) | 1
-		streams[t] = trace.Gen(func(emit func(trace.Ref) bool) {
+		streams[t] = trace.Gen(func(w *trace.Writer) {
 			rng := seed
 			elem := func() uint64 {
 				rng = xorshift64(rng)
@@ -80,26 +80,26 @@ func (c *canneal) Streams(threads int) []trace.Stream {
 				for move := 0; move < p.moves; move++ {
 					// Load both swap candidates.
 					for pick := 0; pick < 2; pick++ {
-						if !emit(trace.Ref{Addr: elem(), Kind: trace.Load, Dep: true, Work: 3}) {
+						if !w.Emit(trace.Ref{Addr: elem(), Kind: trace.Load, Dep: true, Work: 3}) {
 							return
 						}
 						// Chase two of the element's net pointers.
 						for hop := 0; hop < 2; hop++ {
-							if !emit(trace.Ref{Addr: elem(), Kind: trace.Load, Dep: true, Work: 2}) {
+							if !w.Emit(trace.Ref{Addr: elem(), Kind: trace.Load, Dep: true, Work: 2}) {
 								return
 							}
 						}
 					}
 					// Commit the swap (stores drain via the write buffer).
-					if !emit(trace.Ref{Addr: elem(), Kind: trace.Store, Work: 4}) {
+					if !w.Emit(trace.Ref{Addr: elem(), Kind: trace.Store, Work: 4}) {
 						return
 					}
-					if !emit(trace.Ref{Addr: elem(), Kind: trace.Store, Work: 4}) {
+					if !w.Emit(trace.Ref{Addr: elem(), Kind: trace.Store, Work: 4}) {
 						return
 					}
 				}
 				// Temperature update: synchronized across threads.
-				if !emitBarrier(emit, tt, step) {
+				if !emitBarrier(w, tt, step) {
 					return
 				}
 			}

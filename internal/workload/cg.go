@@ -103,7 +103,7 @@ func (c *cg) Streams(threads int) []trace.Stream {
 		lo, hi := partition(c.p.rows, threads, t)
 		n := uint64(c.p.rows)
 		avg := c.p.nnzPerRow
-		streams[t] = trace.Gen(func(emit func(trace.Ref) bool) {
+		streams[t] = trace.Gen(func(w *trace.Writer) {
 			// Precompute the thread's starting nonzero offset so aVal/aCol
 			// addresses are globally consistent.
 			startNNZ := uint64(0)
@@ -121,21 +121,21 @@ func (c *cg) Streams(threads int) []trace.Stream {
 						seed = xorshift64(seed)
 						col := seed % n
 						// Stream the matrix value (independent, 2-cycle FMA).
-						if !emit(trace.Ref{Addr: base(cgAVal) + k*8, Kind: trace.Load, Work: 2}) {
+						if !w.Emit(trace.Ref{Addr: base(cgAVal) + k*8, Kind: trace.Load, Work: 2}) {
 							return
 						}
 						// Stream the column index (packed int32).
-						if !emit(trace.Ref{Addr: base(cgACol) + k*4, Kind: trace.Load, Work: 0}) {
+						if !w.Emit(trace.Ref{Addr: base(cgACol) + k*4, Kind: trace.Load, Work: 0}) {
 							return
 						}
 						// Gather p[col]: address depends on the index load.
-						if !emit(trace.Ref{Addr: base(cgVecP) + col*8, Kind: trace.Load, Dep: true, Work: 0}) {
+						if !w.Emit(trace.Ref{Addr: base(cgVecP) + col*8, Kind: trace.Load, Dep: true, Work: 0}) {
 							return
 						}
 						k++
 					}
 					// Store the accumulated q[row].
-					if !emit(trace.Ref{Addr: base(cgVecQ) + uint64(row)*8, Kind: trace.Store, Work: 2}) {
+					if !w.Emit(trace.Ref{Addr: base(cgVecQ) + uint64(row)*8, Kind: trace.Store, Work: 2}) {
 						return
 					}
 				}
@@ -146,16 +146,16 @@ func (c *cg) Streams(threads int) []trace.Stream {
 					{cgVecZ, cgVecP}, {cgVecR, cgVecQ}, {cgVecR, cgVecR}, {cgVecP, cgVecR},
 				} {
 					for i := lo; i < hi; i++ {
-						if !emit(trace.Ref{Addr: base(sweep[1]) + uint64(i)*8, Kind: trace.Load, Work: 1}) {
+						if !w.Emit(trace.Ref{Addr: base(sweep[1]) + uint64(i)*8, Kind: trace.Load, Work: 1}) {
 							return
 						}
-						if !emit(trace.Ref{Addr: base(sweep[0]) + uint64(i)*8, Kind: trace.Store, Work: 1}) {
+						if !w.Emit(trace.Ref{Addr: base(sweep[0]) + uint64(i)*8, Kind: trace.Store, Work: 1}) {
 							return
 						}
 					}
 				}
 				// Iteration barrier + dot-product reductions.
-				if !emitBarrier(emit, tt, it) {
+				if !emitBarrier(w, tt, it) {
 					return
 				}
 			}

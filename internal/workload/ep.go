@@ -76,7 +76,7 @@ func (e *ep) Streams(threads int) []trace.Stream {
 		resultBase := base(epResults) + uint64(t)<<24
 		tableMask := e.p.tableBytes - 1 // tableBytes is a power of two
 		p := e.p
-		streams[t] = trace.Gen(func(emit func(trace.Ref) bool) {
+		streams[t] = trace.Gen(func(w *trace.Writer) {
 			rng := seed
 			nextResult := resultBase
 			for i := 0; i < iters; i++ {
@@ -84,14 +84,14 @@ func (e *ep) Streams(threads int) []trace.Stream {
 				// plus one table lookup that stays cache-resident.
 				rng = xorshift64(rng)
 				off := (rng & tableMask) &^ 7
-				if !emit(trace.Ref{Addr: tableBase + off, Kind: trace.Load, Work: 100}) {
+				if !w.Emit(trace.Ref{Addr: tableBase + off, Kind: trace.Load, Work: 100}) {
 					return
 				}
 				if (i+1)%p.flushEvery == 0 {
 					// Flush accumulated results: a short burst of streaming
 					// stores to fresh lines.
 					for l := 0; l < p.flushLines; l++ {
-						if !emit(trace.Ref{Addr: nextResult, Kind: trace.Store, Work: 1}) {
+						if !w.Emit(trace.Ref{Addr: nextResult, Kind: trace.Store, Work: 1}) {
 							return
 						}
 						nextResult += 64

@@ -76,29 +76,29 @@ func (f *fluid) Streams(threads int) []trace.Stream {
 	for t := 0; t < threads; t++ {
 		tt := t
 		zlo, zhi := partition(p.nz, threads, t)
-		streams[t] = trace.Gen(func(emit func(trace.Ref) bool) {
+		streams[t] = trace.Gen(func(w *trace.Writer) {
 			sweep := func() bool {
 				for z := zlo; z < zhi; z++ {
 					for y := 0; y < p.ny; y++ {
 						for x := 0; x < p.nx; x++ {
 							// Own cell: load + store.
-							if !emit(trace.Ref{Addr: f.cellAddr(x, y, z), Kind: trace.Load, Work: 6}) {
+							if !w.Emit(trace.Ref{Addr: f.cellAddr(x, y, z), Kind: trace.Load, Work: 6}) {
 								return false
 							}
 							// Face neighbours in y and z reach other rows
 							// and planes (the x neighbours share the cache
 							// line with the own cell).
 							if y+1 < p.ny {
-								if !emit(trace.Ref{Addr: f.cellAddr(x, y+1, z), Kind: trace.Load, Work: 3}) {
+								if !w.Emit(trace.Ref{Addr: f.cellAddr(x, y+1, z), Kind: trace.Load, Work: 3}) {
 									return false
 								}
 							}
 							if z+1 < p.nz {
-								if !emit(trace.Ref{Addr: f.cellAddr(x, y, z+1), Kind: trace.Load, Work: 3}) {
+								if !w.Emit(trace.Ref{Addr: f.cellAddr(x, y, z+1), Kind: trace.Load, Work: 3}) {
 									return false
 								}
 							}
-							if !emit(trace.Ref{Addr: f.cellAddr(x, y, z), Kind: trace.Store, Work: 4}) {
+							if !w.Emit(trace.Ref{Addr: f.cellAddr(x, y, z), Kind: trace.Store, Work: 4}) {
 								return false
 							}
 						}
@@ -111,13 +111,13 @@ func (f *fluid) Streams(threads int) []trace.Stream {
 				if !sweep() {
 					return
 				}
-				if !emitBarrier(emit, tt, 2*frame) {
+				if !emitBarrier(w, tt, 2*frame) {
 					return
 				}
 				if !sweep() {
 					return
 				}
-				if !emitBarrier(emit, tt, 2*frame+1) {
+				if !emitBarrier(w, tt, 2*frame+1) {
 					return
 				}
 			}

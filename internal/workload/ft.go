@@ -76,7 +76,7 @@ func (f *ft) Streams(threads int) []trace.Stream {
 	p := f.p
 	for t := 0; t < threads; t++ {
 		tt := t
-		streams[t] = trace.Gen(func(emit func(trace.Ref) bool) {
+		streams[t] = trace.Gen(func(w *trace.Writer) {
 			src, dst := ftU0, ftU1
 			// Per-element butterfly work: the transform along a length-n
 			// line does n log n work over n elements.
@@ -96,12 +96,12 @@ func (f *ft) Streams(threads int) []trace.Stream {
 				for l := lo; l < hi; l++ {
 					y, z := l%p.ny, l/p.ny
 					for x := 0; x < p.nx; x++ {
-						if !emit(trace.Ref{Addr: f.cellAddr(src, x, y, z), Kind: trace.Load, Work: wx}) {
+						if !w.Emit(trace.Ref{Addr: f.cellAddr(src, x, y, z), Kind: trace.Load, Work: wx}) {
 							return
 						}
 					}
 					for x := 0; x < p.nx; x++ {
-						if !emit(trace.Ref{Addr: f.cellAddr(dst, x, y, z), Kind: trace.Store, Work: 1}) {
+						if !w.Emit(trace.Ref{Addr: f.cellAddr(dst, x, y, z), Kind: trace.Store, Work: 1}) {
 							return
 						}
 					}
@@ -114,12 +114,12 @@ func (f *ft) Streams(threads int) []trace.Stream {
 				for l := lo; l < hi; l++ {
 					x, z := l%p.nx, l/p.nx
 					for y := 0; y < p.ny; y++ {
-						if !emit(trace.Ref{Addr: f.cellAddr(src, x, y, z), Kind: trace.Load, Work: wy}) {
+						if !w.Emit(trace.Ref{Addr: f.cellAddr(src, x, y, z), Kind: trace.Load, Work: wy}) {
 							return
 						}
 					}
 					for y := 0; y < p.ny; y++ {
-						if !emit(trace.Ref{Addr: f.cellAddr(dst, x, y, z), Kind: trace.Store, Work: 1}) {
+						if !w.Emit(trace.Ref{Addr: f.cellAddr(dst, x, y, z), Kind: trace.Store, Work: 1}) {
 							return
 						}
 					}
@@ -133,12 +133,12 @@ func (f *ft) Streams(threads int) []trace.Stream {
 				for l := lo; l < hi; l++ {
 					x, y := l%p.nx, l/p.nx
 					for z := 0; z < p.nz; z++ {
-						if !emit(trace.Ref{Addr: f.cellAddr(src, x, y, z), Kind: trace.Load, Work: wz}) {
+						if !w.Emit(trace.Ref{Addr: f.cellAddr(src, x, y, z), Kind: trace.Load, Work: wz}) {
 							return
 						}
 					}
 					for z := 0; z < p.nz; z++ {
-						if !emit(trace.Ref{Addr: f.cellAddr(dst, x, y, z), Kind: trace.Store, Work: 1}) {
+						if !w.Emit(trace.Ref{Addr: f.cellAddr(dst, x, y, z), Kind: trace.Store, Work: 1}) {
 							return
 						}
 					}
@@ -149,15 +149,15 @@ func (f *ft) Streams(threads int) []trace.Stream {
 				cells := p.nx * p.ny * p.nz
 				clo, chi := partition(cells, threads, tt)
 				for i := clo; i < chi; i++ {
-					if !emit(trace.Ref{Addr: base(src) + uint64(i)*16, Kind: trace.Load, Work: 2}) {
+					if !w.Emit(trace.Ref{Addr: base(src) + uint64(i)*16, Kind: trace.Load, Work: 2}) {
 						return
 					}
-					if !emit(trace.Ref{Addr: base(src) + uint64(i)*16, Kind: trace.Store, Work: 0}) {
+					if !w.Emit(trace.Ref{Addr: base(src) + uint64(i)*16, Kind: trace.Store, Work: 0}) {
 						return
 					}
 				}
 				// Iteration barrier + checksum reduction.
-				if !emitBarrier(emit, tt, it) {
+				if !emitBarrier(w, tt, it) {
 					return
 				}
 			}

@@ -48,14 +48,14 @@ func init() {
 		})
 }
 
-func (w *is) Name() string        { return "IS" }
-func (w *is) Class() Class        { return w.class }
-func (w *is) Description() string { return Describe("IS") }
+func (s *is) Name() string        { return "IS" }
+func (s *is) Class() Class        { return s.class }
+func (s *is) Description() string { return Describe("IS") }
 
 // FootprintBytes covers input keys, output keys and the key-range
 // histogram.
-func (w *is) FootprintBytes() uint64 {
-	return uint64(w.p.keys)*4*2 + uint64(w.p.keyRange)*4
+func (s *is) FootprintBytes() uint64 {
+	return uint64(s.p.keys)*4*2 + uint64(s.p.keyRange)*4
 }
 
 const (
@@ -68,16 +68,16 @@ const (
 // three phases of NPB IS: count (stream keys, bump the key's histogram
 // entry), rank (prefix-sum sweep over the histogram), and permute (stream
 // keys again, store each at its rank), followed by the iteration barrier.
-func (w *is) Streams(threads int) []trace.Stream {
-	iters := w.tune.scale(w.p.iterations)
+func (s *is) Streams(threads int) []trace.Stream {
+	iters := s.tune.scale(s.p.iterations)
 	streams := make([]trace.Stream, threads)
 	for t := 0; t < threads; t++ {
 		tt := t
-		lo, hi := partition(w.p.keys, threads, t)
-		seed := uint64(seedFor("IS", w.class, t)) | 1
-		p := w.p
+		lo, hi := partition(s.p.keys, threads, t)
+		seed := uint64(seedFor("IS", s.class, t)) | 1
+		p := s.p
 		keys := uint64(p.keys)
-		streams[t] = trace.Gen(func(emit func(trace.Ref) bool) {
+		streams[t] = trace.Gen(func(w *trace.Writer) {
 			for it := 0; it < iters; it++ {
 				// --- Count phase: load key (with the shift/mask work of
 				// key extraction), then increment its histogram entry. The
@@ -85,15 +85,15 @@ func (w *is) Streams(threads int) []trace.Stream {
 				// the same line drains through the write buffer. ---
 				rng := seed
 				for i := lo; i < hi; i++ {
-					if !emit(trace.Ref{Addr: base(isKeys) + uint64(i)*4, Kind: trace.Load, Work: 4}) {
+					if !w.Emit(trace.Ref{Addr: base(isKeys) + uint64(i)*4, Kind: trace.Load, Work: 4}) {
 						return
 					}
 					rng = xorshift64(rng)
 					entry := rng % uint64(p.keyRange)
-					if !emit(trace.Ref{Addr: base(isHist) + entry*4, Kind: trace.Load, Dep: true, Work: 1}) {
+					if !w.Emit(trace.Ref{Addr: base(isHist) + entry*4, Kind: trace.Load, Dep: true, Work: 1}) {
 						return
 					}
-					if !emit(trace.Ref{Addr: base(isHist) + entry*4, Kind: trace.Store, Work: 1}) {
+					if !w.Emit(trace.Ref{Addr: base(isHist) + entry*4, Kind: trace.Store, Work: 1}) {
 						return
 					}
 				}
@@ -101,7 +101,7 @@ func (w *is) Streams(threads int) []trace.Stream {
 				// of the histogram (independent streaming). ---
 				hlo, hhi := partition(p.keyRange, threads, tt)
 				for b := hlo; b < hhi; b++ {
-					if !emit(trace.Ref{Addr: base(isHist) + uint64(b)*4, Kind: trace.Load, Work: 1}) {
+					if !w.Emit(trace.Ref{Addr: base(isHist) + uint64(b)*4, Kind: trace.Load, Work: 1}) {
 						return
 					}
 				}
@@ -111,22 +111,22 @@ func (w *is) Streams(threads int) []trace.Stream {
 				// the output through the write buffer. ---
 				rng = seed
 				for i := lo; i < hi; i++ {
-					if !emit(trace.Ref{Addr: base(isKeys) + uint64(i)*4, Kind: trace.Load, Work: 4}) {
+					if !w.Emit(trace.Ref{Addr: base(isKeys) + uint64(i)*4, Kind: trace.Load, Work: 4}) {
 						return
 					}
 					rng = xorshift64(rng)
 					entry := rng % uint64(p.keyRange)
-					if !emit(trace.Ref{Addr: base(isHist) + entry*4, Kind: trace.Load, Dep: true, Work: 1}) {
+					if !w.Emit(trace.Ref{Addr: base(isHist) + entry*4, Kind: trace.Load, Dep: true, Work: 1}) {
 						return
 					}
 					// The store serializes through the bucket pointer's
 					// read-modify-write (key_buff_ptr[key]++ in NPB IS).
 					pos := rng % keys
-					if !emit(trace.Ref{Addr: base(isOutput) + pos*4, Kind: trace.Store, Dep: true, Work: 1}) {
+					if !w.Emit(trace.Ref{Addr: base(isOutput) + pos*4, Kind: trace.Store, Dep: true, Work: 1}) {
 						return
 					}
 				}
-				if !emitBarrier(emit, tt, it) {
+				if !emitBarrier(w, tt, it) {
 					return
 				}
 			}

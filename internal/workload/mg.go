@@ -82,7 +82,7 @@ func (m *mg) Streams(threads int) []trace.Stream {
 	streams := make([]trace.Stream, threads)
 	for t := 0; t < threads; t++ {
 		tt := t
-		streams[t] = trace.Gen(func(emit func(trace.Ref) bool) {
+		streams[t] = trace.Gen(func(w *trace.Writer) {
 			// smooth sweeps level l's grid with a 27-point stencil: for
 			// each cell, loads of the three adjacent planes (affine) and a
 			// store of the updated cell.
@@ -97,18 +97,18 @@ func (m *mg) Streams(threads int) []trace.Stream {
 					// Stencil: own cell, the plane above and below (the
 					// row/column neighbors share cache lines with the
 					// central load and are omitted).
-					if !emit(trace.Ref{Addr: addr, Kind: trace.Load, Work: 4}) {
+					if !w.Emit(trace.Ref{Addr: addr, Kind: trace.Load, Work: 4}) {
 						return false
 					}
-					if !emit(trace.Ref{Addr: addr + plane, Kind: trace.Load, Work: 2}) {
+					if !w.Emit(trace.Ref{Addr: addr + plane, Kind: trace.Load, Work: 2}) {
 						return false
 					}
 					if addr >= ub+plane {
-						if !emit(trace.Ref{Addr: addr - plane, Kind: trace.Load, Work: 2}) {
+						if !w.Emit(trace.Ref{Addr: addr - plane, Kind: trace.Load, Work: 2}) {
 							return false
 						}
 					}
-					if !emit(trace.Ref{Addr: rb + uint64(i)*8, Kind: trace.Store, Work: 3}) {
+					if !w.Emit(trace.Ref{Addr: rb + uint64(i)*8, Kind: trace.Store, Work: 3}) {
 						return false
 					}
 				}
@@ -130,17 +130,17 @@ func (m *mg) Streams(threads int) []trace.Stream {
 					z := i / (coarseN * coarseN)
 					fi := uint64(2*z)*uint64(fineN)*uint64(fineN) + uint64(2*y)*uint64(fineN) + uint64(2*x)
 					if down {
-						if !emit(trace.Ref{Addr: fb + fi*8, Kind: trace.Load, Work: 3}) {
+						if !w.Emit(trace.Ref{Addr: fb + fi*8, Kind: trace.Load, Work: 3}) {
 							return false
 						}
-						if !emit(trace.Ref{Addr: cb + uint64(i)*8, Kind: trace.Store, Work: 1}) {
+						if !w.Emit(trace.Ref{Addr: cb + uint64(i)*8, Kind: trace.Store, Work: 1}) {
 							return false
 						}
 					} else {
-						if !emit(trace.Ref{Addr: cb + uint64(i)*8, Kind: trace.Load, Work: 1}) {
+						if !w.Emit(trace.Ref{Addr: cb + uint64(i)*8, Kind: trace.Load, Work: 1}) {
 							return false
 						}
-						if !emit(trace.Ref{Addr: fb + fi*8, Kind: trace.Store, Work: 3}) {
+						if !w.Emit(trace.Ref{Addr: fb + fi*8, Kind: trace.Store, Work: 3}) {
 							return false
 						}
 					}
@@ -175,7 +175,7 @@ func (m *mg) Streams(threads int) []trace.Stream {
 						return
 					}
 				}
-				if !emitBarrier(emit, tt, it) {
+				if !emitBarrier(w, tt, it) {
 					return
 				}
 			}

@@ -85,7 +85,7 @@ func (s *sp) Streams(threads int) []trace.Stream {
 	streams := make([]trace.Stream, threads)
 	for t := 0; t < threads; t++ {
 		tt := t
-		streams[t] = trace.Gen(func(emit func(trace.Ref) bool) {
+		streams[t] = trace.Gen(func(w *trace.Writer) {
 			// solveLine emits the accesses of the pentadiagonal recurrence
 			// along one grid line: forward elimination reading LHS and
 			// updating RHS, then back substitution updating U. The
@@ -98,19 +98,19 @@ func (s *sp) Streams(threads int) []trace.Stream {
 			// position to a cell address in the given array.
 			solveLine := func(cellAt func(arr, i int) uint64) bool {
 				for i := 0; i < n; i++ {
-					if !emit(trace.Ref{Addr: cellAt(spLHS, i), Kind: trace.Load, Work: 5}) {
+					if !w.Emit(trace.Ref{Addr: cellAt(spLHS, i), Kind: trace.Load, Work: 5}) {
 						return false
 					}
-					if !emit(trace.Ref{Addr: cellAt(spRHS, i), Kind: trace.Store, Work: 3}) {
+					if !w.Emit(trace.Ref{Addr: cellAt(spRHS, i), Kind: trace.Store, Work: 3}) {
 						return false
 					}
 				}
 				// Back substitution, reverse order.
 				for i := n - 1; i >= 0; i-- {
-					if !emit(trace.Ref{Addr: cellAt(spRHS, i), Kind: trace.Load, Work: 4}) {
+					if !w.Emit(trace.Ref{Addr: cellAt(spRHS, i), Kind: trace.Load, Work: 4}) {
 						return false
 					}
-					if !emit(trace.Ref{Addr: cellAt(spU, i), Kind: trace.Store, Work: 2}) {
+					if !w.Emit(trace.Ref{Addr: cellAt(spU, i), Kind: trace.Store, Work: 2}) {
 						return false
 					}
 				}
@@ -121,10 +121,10 @@ func (s *sp) Streams(threads int) []trace.Stream {
 				cells := n * n * n
 				clo, chi := partition(cells, threads, tt)
 				for i := clo; i < chi; i++ {
-					if !emit(trace.Ref{Addr: base(spU) + uint64(i)*spCellBytes, Kind: trace.Load, Work: 3}) {
+					if !w.Emit(trace.Ref{Addr: base(spU) + uint64(i)*spCellBytes, Kind: trace.Load, Work: 3}) {
 						return
 					}
-					if !emit(trace.Ref{Addr: base(spRHS) + uint64(i)*spCellBytes, Kind: trace.Store, Work: 2}) {
+					if !w.Emit(trace.Ref{Addr: base(spRHS) + uint64(i)*spCellBytes, Kind: trace.Store, Work: 2}) {
 						return
 					}
 				}
@@ -154,7 +154,7 @@ func (s *sp) Streams(threads int) []trace.Stream {
 					}
 				}
 				// ADI iteration barrier + residual reduction.
-				if !emitBarrier(emit, tt, it) {
+				if !emitBarrier(w, tt, it) {
 					return
 				}
 			}

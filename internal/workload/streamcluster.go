@@ -77,13 +77,13 @@ func (s *sc) Streams(threads int) []trace.Stream {
 	for t := 0; t < threads; t++ {
 		tt := t
 		lo, hi := partition(p.points, threads, t)
-		streams[t] = trace.Gen(func(emit func(trace.Ref) bool) {
+		streams[t] = trace.Gen(func(w *trace.Writer) {
 			for pass := 0; pass < passes; pass++ {
 				for pt := lo; pt < hi; pt++ {
 					// Stream the point's coordinates line by line.
 					baseAddr := base(scPoints) + uint64(pt)*pointBytes
 					for off := uint64(0); off < pointBytes; off += 64 {
-						if !emit(trace.Ref{Addr: baseAddr + off, Kind: trace.Load, Work: 6}) {
+						if !w.Emit(trace.Ref{Addr: baseAddr + off, Kind: trace.Load, Work: 6}) {
 							return
 						}
 					}
@@ -91,17 +91,17 @@ func (s *sc) Streams(threads int) []trace.Stream {
 					// cache-resident; the distance computation dominates.
 					for c := 0; c < p.centers; c++ {
 						addr := base(scCenters) + uint64(c)*pointBytes
-						if !emit(trace.Ref{Addr: addr, Kind: trace.Load, Work: uint32(3 * p.dim)}) {
+						if !w.Emit(trace.Ref{Addr: addr, Kind: trace.Load, Work: uint32(3 * p.dim)}) {
 							return
 						}
 					}
 					// Update the point's best cost (read-modify-write).
 					costAddr := base(scCosts) + uint64(pt)*8
-					if !emit(trace.Ref{Addr: costAddr, Kind: trace.Store, Work: 2}) {
+					if !w.Emit(trace.Ref{Addr: costAddr, Kind: trace.Store, Work: 2}) {
 						return
 					}
 				}
-				if !emitBarrier(emit, tt, pass) {
+				if !emitBarrier(w, tt, pass) {
 					return
 				}
 			}

@@ -207,7 +207,7 @@ const barrierRegion = 62
 // gives cache-resident problem sizes their long-tailed burst-size
 // distribution (paper Fig. 4); for large problem sizes the barrier traffic
 // is negligible against the streaming misses.
-func emitBarrier(emit func(trace.Ref) bool, thread, iter int) bool {
+func emitBarrier(w *trace.Writer, thread, iter int) bool {
 	h := xorshift64(uint64(iter)*0x9E3779B97F4A7C15 + 1)
 	// u in (0, 1]; lines ~ u^(-0.85)/4, clamped: a heavy-tailed burst size
 	// whose volume stays small against the compute phase of one iteration.
@@ -224,10 +224,10 @@ func emitBarrier(emit func(trace.Ref) bool, thread, iter int) bool {
 	start := (uint64(iter)*16384 + uint64(thread)*512) % (1 << 20)
 	for l := 0; l < lines; l++ {
 		addr := base(barrierRegion) + ((start+uint64(l))%(1<<20))*64
-		if !emit(trace.Ref{Addr: addr, Kind: trace.Load, Dep: l == lines-1, Work: 2}) {
+		if !w.Emit(trace.Ref{Addr: addr, Kind: trace.Load, Dep: l == lines-1, Work: 2}) {
 			return false
 		}
 	}
 	// Rendezvous: the thread blocks here until all threads arrive.
-	return emit(trace.Ref{Sync: true, Work: 20})
+	return w.Emit(trace.Ref{Sync: true, Work: 20})
 }

@@ -87,7 +87,7 @@ func (x *x264) Streams(threads int) []trace.Stream {
 	for t := 0; t < threads; t++ {
 		tt := t
 		seed := uint64(seedFor("x264", x.class, t)) | 1
-		streams[t] = trace.Gen(func(emit func(trace.Ref) bool) {
+		streams[t] = trace.Gen(func(w *trace.Writer) {
 			rng := seed
 			frameBytes := uint64(p.width) * uint64(p.height)
 			for f := 0; f < frames; f++ {
@@ -112,7 +112,7 @@ func (x *x264) Streams(threads int) []trace.Stream {
 				sliceBytes := uint64(hi-lo) * 16 * uint64(p.width)
 				loadBytes := sliceBytes * activity / 100
 				for off := uint64(0); off < loadBytes; off += 64 {
-					if !emit(trace.Ref{Addr: inBase + sliceLo + off, Kind: trace.Load, Work: 1}) {
+					if !w.Emit(trace.Ref{Addr: inBase + sliceLo + off, Kind: trace.Load, Work: 1}) {
 						return
 					}
 				}
@@ -122,7 +122,7 @@ func (x *x264) Streams(threads int) []trace.Stream {
 						// Load the current macroblock (one row = 16 bytes,
 						// so rows share cache lines with neighbors).
 						for r := 0; r < 16; r++ {
-							if !emit(trace.Ref{Addr: x.pixAddr(x264Cur, bx, by+r), Kind: trace.Load, Work: 2}) {
+							if !w.Emit(trace.Ref{Addr: x.pixAddr(x264Cur, bx, by+r), Kind: trace.Load, Work: 2}) {
 								return
 							}
 						}
@@ -138,21 +138,21 @@ func (x *x264) Streams(threads int) []trace.Stream {
 							}
 							cx, cy := clamp(bx+dx, 0, p.width-16), clamp(by+dy, 0, p.height-16)
 							for r := 0; r < 16; r++ {
-								if !emit(trace.Ref{Addr: x.pixAddr(x264Ref, cx, cy+r), Kind: trace.Load, Work: 3}) {
+								if !w.Emit(trace.Ref{Addr: x.pixAddr(x264Ref, cx, cy+r), Kind: trace.Load, Work: 3}) {
 									return
 								}
 							}
 						}
 						// Write the encoded block.
 						for r := 0; r < 16; r++ {
-							if !emit(trace.Ref{Addr: x.pixAddr(x264Out, bx, by+r), Kind: trace.Store, Work: 2}) {
+							if !w.Emit(trace.Ref{Addr: x.pixAddr(x264Out, bx, by+r), Kind: trace.Store, Work: 2}) {
 								return
 							}
 						}
 					}
 				}
 				// Frame boundary: threads synchronize before the next frame.
-				if !emit(trace.Ref{Sync: true, Work: 20}) {
+				if !w.Emit(trace.Ref{Sync: true, Work: 20}) {
 					return
 				}
 			}

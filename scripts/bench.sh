@@ -6,9 +6,12 @@
 # spread (interquartile range over median) and bound, then runs one traced
 # seed-41 ledger. It writes the result to BENCH.json.new and gates it
 # against the committed BENCH.json: a (workload, metric) pair is judged
-# only when the baseline's and the fresh spread are both within the bound,
-# and fails when its fresh median exceeds the baseline's by more than the
-# bound. The traced ledger's simulated counts (the `exact` list below)
+# on its medians when the baseline's and the fresh spread are both within
+# the bound, and fails when its fresh median exceeds the baseline's by
+# more than the bound. A pair with a wider spread is judged on its
+# quartile boxes instead: it fails when the fresh q1 exceeds the
+# baseline's q3 by more than the bound, and is otherwise left
+# unresolved. The traced ledger's simulated counts (the `exact` list below)
 # must equal the baseline's exactly. Pass or fail, BENCH.json stays as it
 # is, so the baseline never
 # creeps up by a series of passes within the bound; a failure exits 1.
@@ -64,7 +67,12 @@ verdicts=$(jq -r --slurpfile base BENCH.json '
       | "\($w) \($m)" as $pair
       | if $o == null then "new         \($pair): not in the baseline, not judged"
         elif $o.spread > $n.bound or $n.spread > $n.bound then
-          "unresolved  \($pair): spread \($o.spread) -> \($n.spread), bound \($n.bound)"
+          ($n.q1 / $o.q3 - 1) as $gap
+          | if $gap > $n.bound then
+              "FAIL        \($pair): spread \($o.spread) -> \($n.spread), but q1 \($n.q1) is above"
+              + " the baseline q3 \($o.q3) (\($gap * 1000 | round / 10)%, bound \($n.bound * 100)%)"
+            else "unresolved  \($pair): spread \($o.spread) -> \($n.spread), bound \($n.bound)"
+            end
         else ($n.median / $o.median - 1) as $d
           | (if $d > $n.bound then "FAIL      " else "ok        " end)
             + "  \($pair): median \($o.median) -> \($n.median) \($n.unit)"
