@@ -38,7 +38,8 @@ lint: $(SIMCHECK)
 
 ## lint-allows: audit every //simcheck:allow directive in shipped code —
 ## one table row per exemption, nonzero exit if any justification is
-## empty. The table in docs/ARCHITECTURE.md §8 snapshots this output.
+## empty. The table in docs/ARCHITECTURE.md §8 snapshots this output;
+## docs-check fails when its sites drift from it.
 lint-allows:
 	scripts/lint_allows.sh
 
@@ -110,8 +111,9 @@ trace-smoke:
 	scripts/trace_smoke.sh
 
 ## docs-check: grep fenced sh blocks in README/EXPERIMENTS/docs for
-## commands, flags and make targets that no longer exist, so the docs
-## cannot silently go stale.
+## commands, flags and make targets that no longer exist, and compare the
+## allow-directive table in docs/ARCHITECTURE.md §8 with lint-allows'
+## sites, so the docs cannot silently go stale.
 docs-check:
 	scripts/docs_check.sh
 

@@ -6,7 +6,10 @@
 #      exists;
 #   2. every -flag on such a command line is registered somewhere in that
 #      command's sources or the shared flag set (internal/cli/cli.go);
-#   3. every `make TARGET` names a target defined in the Makefile.
+#   3. every `make TARGET` names a target defined in the Makefile;
+#   4. the allow-directive table in docs/ARCHITECTURE.md §8 lists exactly
+#      the sites scripts/lint_allows.sh reports. A comma list such as
+#      `engine.go:463,465,477` stands for one site per line number.
 #
 # This is deliberately a textual check: it cannot prove an example is
 # correct, but it catches the common staleness — a renamed flag, a
@@ -59,8 +62,21 @@ for doc in "${DOCS[@]}"; do
   done < <(extract_sh "$doc")
 done
 
+# Rule 4: the §8 allow table against the directives themselves. The
+# audit's own exit status (an empty justification) is make lint-allows'
+# business; only its site column matters here.
+table_sites=$(awk '/^### Allow-directive inventory/ { on = 1; next } /^#/ { on = 0 } on' docs/ARCHITECTURE.md \
+  | grep -oE '^\| `[^`]+:[0-9,]+`' | sed -E 's/^\| `//; s/`$//' \
+  | awk -F: '{ n = split($2, lines, ","); for (i = 1; i <= n; i++) print $1 ":" lines[i] }' | LC_ALL=C sort)
+allow_sites=$({ scripts/lint_allows.sh || true; } | awk 'NR > 1 && $1 ~ /:[0-9]+$/ { print $1 }' | LC_ALL=C sort)
+if [ "$table_sites" != "$allow_sites" ]; then
+  echo "docs/ARCHITECTURE.md: §8 allow table (<) differs from scripts/lint_allows.sh (>):" >&2
+  diff <(echo "$table_sites") <(echo "$allow_sites") >&2 || true
+  FAIL=1
+fi
+
 if [ "$FAIL" -ne 0 ]; then
-  echo "docs-check: FAIL — examples above reference things that no longer exist" >&2
+  echo "docs-check: FAIL — the docs above reference things that no longer exist or sit elsewhere" >&2
   exit 1
 fi
-echo "docs-check: OK — every ./cmd reference, flag and make target in the docs' sh blocks exists"
+echo "docs-check: OK — every ./cmd reference, flag and make target in the docs' sh blocks exists, and the §8 allow table matches make lint-allows"

@@ -9,7 +9,8 @@
 # exercise the directive machinery rather than exempting real code.
 #
 # `make lint-allows` runs this; `make check` includes it. The table in
-# docs/ARCHITECTURE.md §8 is a snapshot of this output.
+# docs/ARCHITECTURE.md §8 is a snapshot of this output, and
+# scripts/docs_check.sh fails when its sites differ from this one's.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
