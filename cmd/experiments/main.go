@@ -134,43 +134,32 @@ func main() {
 		}
 		return nil
 	})
-	run("fig5", func() error {
-		for _, spec := range specs {
-			fig, err := r.Fig5(ctx, spec, experiments.CoarseSweepCounts(spec, *step))
-			if err != nil {
-				return err
-			}
-			experiments.RenderModelFig(os.Stdout, fig, "Fig. 5")
-			if *datDir != "" {
-				if err := experiments.WriteModelFigDat(*datDir, "fig5", fig); err != nil {
+	for _, f := range []struct {
+		name, title string
+		fit         func(context.Context, machine.Spec, []int) (experiments.ModelFig, error)
+	}{{"fig5", "Fig. 5", r.Fig5}, {"fig6", "Fig. 6", r.Fig6}} {
+		run(f.name, func() error {
+			for _, spec := range specs {
+				fig, err := f.fit(ctx, spec, experiments.CoarseSweepCounts(spec, *step))
+				if err != nil {
 					return err
 				}
-			}
-			if *jsonDir != "" {
-				if err := experiments.WriteJSON(*jsonDir, "fig5_"+spec.Name, fig); err != nil {
-					return err
+				experiments.RenderModelFig(os.Stdout, fig, f.title)
+				if *datDir != "" {
+					if err := experiments.WriteModelFigDat(*datDir, f.name, fig); err != nil {
+						return err
+					}
 				}
-			}
-			fmt.Println()
-		}
-		return nil
-	})
-	run("fig6", func() error {
-		for _, spec := range specs {
-			fig, err := r.Fig6(ctx, spec, experiments.CoarseSweepCounts(spec, *step))
-			if err != nil {
-				return err
-			}
-			experiments.RenderModelFig(os.Stdout, fig, "Fig. 6")
-			if *datDir != "" {
-				if err := experiments.WriteModelFigDat(*datDir, "fig6", fig); err != nil {
-					return err
+				if *jsonDir != "" {
+					if err := experiments.WriteJSON(*jsonDir, f.name+"_"+spec.Name, fig); err != nil {
+						return err
+					}
 				}
+				fmt.Println()
 			}
-			fmt.Println()
-		}
-		return nil
-	})
+			return nil
+		})
+	}
 	run("tableIV", func() error {
 		cells, err := r.TableIV(ctx, specs)
 		if err != nil {

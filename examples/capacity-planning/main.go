@@ -30,7 +30,7 @@ func main() {
 	fmt.Fprintln(tw, "machine\tfit inputs\tsaturation\tmax cores with ω <= 1.0\tω at full machine")
 
 	for _, spec := range machine.All() {
-		model, plan, err := runner.FitFromPlan(context.Background(), spec, "CG", workload.C, core.Options{})
+		fit, err := runner.FitPlan(context.Background(), spec, "CG", workload.C, core.Options{})
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -38,13 +38,13 @@ func main() {
 		// Walk the predicted curve to find the largest acceptable count.
 		best := 1
 		for n := 1; n <= spec.TotalCores(); n++ {
-			if model.Omega(n) <= contentionBudget {
+			if fit.Model.Omega(n) <= contentionBudget {
 				best = n
 			}
 		}
 		fmt.Fprintf(tw, "%s\t%v\t%.1f cores\t%d of %d\t%.2f\n",
-			spec.Name, plan, model.Single.SaturationCores(),
-			best, spec.TotalCores(), model.Omega(spec.TotalCores()))
+			spec.Name, fit.Anchors, fit.SaturationCores,
+			best, spec.TotalCores(), fit.Model.Omega(spec.TotalCores()))
 	}
 	tw.Flush()
 

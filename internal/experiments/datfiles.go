@@ -36,7 +36,7 @@ func WriteModelFigDat(dir, figName string, fig ModelFig) error {
 	}
 	defer f.Close()
 	fmt.Fprintf(f, "# %s.%s on %s; inputs %v; MRE %.3f\n",
-		fig.Program, fig.Class, fig.Machine, fig.InputPlan, fig.Validation.MeanRelErr)
+		fig.Program, fig.Class, fig.Machine, fig.Fit.Anchors, fig.Validation.MeanRelErr)
 	fmt.Fprintln(f, "# cores measuredOmega modelOmega")
 	for i, n := range fig.Validation.Cores {
 		fmt.Fprintf(f, "%d %.4f %.4f\n", n, fig.Validation.Measured[i], fig.Validation.Modeled[i])

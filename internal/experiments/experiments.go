@@ -235,25 +235,17 @@ type ModelFig struct {
 	Machine    string
 	Program    string
 	Class      workload.Class
-	InputPlan  []int // core counts used to fit the model
+	Fit        Fit // the anchor fit the modeled curve comes from
 	Validation core.Validation
-	Model      core.Model
 }
 
 // ModelVsMeasurement fits the model from the paper's input plan and
-// validates it against a measured sweep. The fit-plan runs and the
-// validation sweep are submitted together, so they overlap (and share
-// their common core counts) instead of executing back to back.
+// validates it against a measured sweep. The validation sweep starts
+// before the fit-plan runs, so the two overlap (and share their common
+// core counts) instead of executing back to back.
 func (r *Runner) ModelVsMeasurement(ctx context.Context, spec machine.Spec, program string, class workload.Class, coreCounts []int, opts core.Options) (ModelFig, error) {
-	kind := ModelKindFor(spec)
-	plan := core.PaperInputs(kind, spec.Sockets, spec.CoresPerSocket)
-	fitWait := r.SweepAsync(ctx, spec, program, class, plan)
 	sweepWait := r.SweepAsync(ctx, spec, program, class, coreCounts)
-	fitMeas, err := fitWait()
-	if err != nil {
-		return ModelFig{}, err
-	}
-	model, err := core.Fit(kind, spec.Sockets, spec.CoresPerSocket, fitMeas, opts)
+	fit, err := r.FitPlan(ctx, spec, program, class, opts)
 	if err != nil {
 		return ModelFig{}, err
 	}
@@ -261,7 +253,7 @@ func (r *Runner) ModelVsMeasurement(ctx context.Context, spec machine.Spec, prog
 	if err != nil {
 		return ModelFig{}, err
 	}
-	v, err := core.Validate(model, sweep)
+	v, err := core.Validate(fit.Model, sweep)
 	if err != nil {
 		return ModelFig{}, err
 	}
@@ -269,9 +261,8 @@ func (r *Runner) ModelVsMeasurement(ctx context.Context, spec machine.Spec, prog
 		Machine:    spec.Name,
 		Program:    program,
 		Class:      class,
-		InputPlan:  plan,
+		Fit:        fit,
 		Validation: v,
-		Model:      model,
 	}, nil
 }
 
@@ -383,8 +374,8 @@ func (r *Runner) AblationInputs(ctx context.Context, spec machine.Spec, coreCoun
 		Machine:           spec.Name,
 		HeterogeneousMRE:  het.Validation.MeanRelErr,
 		HomogeneousMRE:    hom.Validation.MeanRelErr,
-		HeterogeneousRhos: het.Model.Rho,
-		HomogeneousRhos:   hom.Model.Rho,
+		HeterogeneousRhos: het.Fit.Model.Rho,
+		HomogeneousRhos:   hom.Fit.Model.Rho,
 	}, nil
 }
 

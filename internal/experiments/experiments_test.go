@@ -169,8 +169,8 @@ func TestFig5UMA(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(fig.InputPlan) != 3 {
-		t.Errorf("input plan = %v", fig.InputPlan)
+	if len(fig.Fit.Anchors) != 3 {
+		t.Errorf("anchors = %v", fig.Fit.Anchors)
 	}
 	if len(fig.Validation.Cores) != 5 {
 		t.Errorf("validation points = %d", len(fig.Validation.Cores))

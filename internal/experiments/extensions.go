@@ -149,7 +149,7 @@ type SpeedupData struct {
 // compares predicted speedups n/(1+ω(n)) against the measured sweep.
 func (r *Runner) SpeedupStudy(ctx context.Context, spec machine.Spec, program string, class workload.Class, coreCounts []int) (SpeedupData, error) {
 	sweepWait := r.SweepAsync(ctx, spec, program, class, coreCounts)
-	model, _, err := r.FitFromPlan(ctx, spec, program, class, core.Options{})
+	fit, err := r.FitPlan(ctx, spec, program, class, core.Options{})
 	if err != nil {
 		return SpeedupData{}, err
 	}
@@ -161,9 +161,9 @@ func (r *Runner) SpeedupStudy(ctx context.Context, spec machine.Spec, program st
 	d.Measured = core.SpeedupFromMeasurements(sweep)
 	for _, m := range sweep {
 		d.Cores = append(d.Cores, m.Cores)
-		d.Predicted = append(d.Predicted, model.Speedup(m.Cores))
+		d.Predicted = append(d.Predicted, fit.Model.Speedup(m.Cores))
 	}
-	d.OptimalCores, d.OptimalS = model.OptimalCores(spec.TotalCores())
+	d.OptimalCores, d.OptimalS = fit.Model.OptimalCores(spec.TotalCores())
 	return d, nil
 }
 

@@ -90,7 +90,7 @@ func RenderModelFig(w io.Writer, f ModelFig, figName string) {
 	fmt.Fprintf(w, "%s (%s): %s.%s — measured vs modeled degree of contention\n",
 		figName, f.Machine, f.Program, f.Class)
 	fmt.Fprintf(w, "model inputs: C(n) at n=%v; mean rel err %.1f%% (max %.1f%%)\n",
-		f.InputPlan, 100*f.Validation.MeanRelErr, 100*f.Validation.MaxRelErr)
+		f.Fit.Anchors, 100*f.Validation.MeanRelErr, 100*f.Validation.MaxRelErr)
 	fmt.Fprintf(w, "%6s %12s %12s\n", "cores", "measured ω", "model ω")
 	for i, n := range f.Validation.Cores {
 		fmt.Fprintf(w, "%6d %12.3f %12.3f\n", n, f.Validation.Measured[i], f.Validation.Modeled[i])

@@ -666,6 +666,21 @@ func (r *Runner) CacheLen() int {
 	return len(r.cache)
 }
 
+// CachedSweep returns program.class's measurements at coreCounts, in
+// order, when every one of those runs is already cached, and false
+// otherwise. Like Cached it never schedules a simulation.
+func (r *Runner) CachedSweep(spec machine.Spec, program string, class workload.Class, coreCounts []int) ([]core.Measurement, bool) {
+	meas := make([]core.Measurement, len(coreCounts))
+	for i, n := range coreCounts {
+		res, ok := r.Cached(r.KeyFor(spec, program, class, n))
+		if !ok {
+			return nil, false
+		}
+		meas[i] = measurementOf(n, res)
+	}
+	return meas, true
+}
+
 func measurementOf(cores int, res sim.Result) core.Measurement {
 	return core.Measurement{
 		Cores:     cores,
@@ -760,28 +775,4 @@ func CoarseSweepCounts(spec machine.Spec, step int) []int {
 		}
 	}
 	return counts
-}
-
-// ModelKindFor maps a machine spec to the model variant.
-func ModelKindFor(spec machine.Spec) core.Kind {
-	if spec.UMA() {
-		return core.UMA
-	}
-	return core.NUMA
-}
-
-// FitFromPlan fits the analytical model using the paper's measurement plan
-// for the machine.
-func (r *Runner) FitFromPlan(ctx context.Context, spec machine.Spec, program string, class workload.Class, opts core.Options) (core.Model, []int, error) {
-	kind := ModelKindFor(spec)
-	plan := core.PaperInputs(kind, spec.Sockets, spec.CoresPerSocket)
-	meas, err := r.Sweep(ctx, spec, program, class, plan)
-	if err != nil {
-		return core.Model{}, nil, err
-	}
-	model, err := core.Fit(kind, spec.Sockets, spec.CoresPerSocket, meas, opts)
-	if err != nil {
-		return core.Model{}, nil, err
-	}
-	return model, plan, nil
 }

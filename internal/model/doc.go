@@ -13,14 +13,14 @@
 //     without simulating. docs/MODEL.md derives every reported quantity
 //     from the fitted (μ/r, L/r) pair and maps each equation to the code.
 //
-//   - The model declines rather than guesses. Analytical answers are
-//     refused — and the query falls through to simulation — when no fit
-//     exists yet (DeclineNoFit), when the single-socket 1/C(n) regression
-//     fit poorly (DeclineLowR2, threshold Predictor.MinR2), when the fit's
-//     own anchor points are not reproduced within Predictor.MaxResidual
-//     (DeclineResidual), or when the requested core count sits at or past
-//     the fitted saturation point μ/L where the M/M/1 closed form diverges
-//     (DeclineSaturated).
+//   - The model declines rather than guesses. Every fit, here and in the
+//     reproduction's figures, comes from experiments.FitAnchors, and its
+//     fit-level verdict from experiments.Fit.Gate: the query falls through
+//     to simulation when no fit exists yet (DeclineNoFit), when R² is
+//     below Predictor.MinR2 (DeclineLowR2), when the fit misses its own
+//     anchors by more than Predictor.MaxResidual (DeclineResidual), or
+//     when the core count sits at or past the fitted saturation point μ/L
+//     (DeclineSaturated). The reasons are experiments.DeclineReason values.
 //
 //   - Simulation results self-improve the tier. Every fallback runs
 //     through experiments.Runner, so it lands in the content-addressed run

@@ -27,27 +27,6 @@ const (
 	TierSimulation Tier = "simulation"
 )
 
-// DeclineReason explains why the analytical tier refused a query and the
-// predictor fell back to simulation. The empty string means it answered.
-type DeclineReason string
-
-const (
-	// DeclineNoFit: no anchor fit exists yet for this
-	// (machine, program, class, scale) pair.
-	DeclineNoFit DeclineReason = "no_fit"
-	// DeclineLowR2: the single-socket 1/C(n) regression fit worse than
-	// Predictor.MinR2 — the workload does not behave like the M/M/1 model
-	// (the paper's Table IV shows this for EP and x264), so closed-form
-	// answers would be guesses.
-	DeclineLowR2 DeclineReason = "low_r2"
-	// DeclineResidual: the fitted model fails to reproduce its own anchor
-	// measurements within Predictor.MaxResidual relative error.
-	DeclineResidual DeclineReason = "high_residual"
-	// DeclineSaturated: the requested core count is at or beyond the
-	// fitted saturation point μ/L, where the M/M/1 closed form diverges.
-	DeclineSaturated DeclineReason = "saturated"
-)
-
 // Default confidence bounds for the analytical tier. MinR2 mirrors the
 // paper's Table IV reading — contended programs fit 1/C(n) with R² well
 // above 0.95, while EP/x264 fall below it — and MaxResidual matches the
@@ -60,21 +39,6 @@ const (
 
 // ErrBadCores reports a requested core count outside 1..TotalCores.
 var ErrBadCores = errors.New("model: cores out of machine range")
-
-// FitInfo summarizes one fitted analytical model, for responses and logs.
-type FitInfo struct {
-	// Anchors are the core counts of the measurement plan the fit used
-	// (core.PaperInputs for the machine's geometry).
-	Anchors []int
-	// R2 is the goodness-of-fit of the single-socket 1/C(n) regression.
-	R2 float64
-	// Residual is the maximum relative error of the fitted C(n) over the
-	// anchor measurements themselves.
-	Residual float64
-	// SaturationCores is the fitted μ/L — the core count at which the
-	// modeled memory system saturates.
-	SaturationCores float64
-}
 
 // Prediction is one answered contention query.
 //
@@ -109,8 +73,8 @@ type Prediction struct {
 	MCUtilization []float64
 	// Tier names the backend that produced the answer.
 	Tier Tier
-	// Fit carries the fit summary for analytical answers, nil otherwise.
-	Fit *FitInfo
+	// Fit is the anchor fit behind an analytical answer, nil otherwise.
+	Fit *experiments.Fit
 	// ConfigHash is the content address of the (machine, program, class,
 	// cores, scale) coordinate — the same key the runner cache and the
 	// NDJSON journal use, hashed canonically (experiments.RunKey.Hash).
@@ -125,14 +89,13 @@ type fitKey struct {
 	scale   float64
 }
 
-// fitEntry is one stored fit: the spec it was fitted on, the model, its
-// confidence stats and its answer table.
+// fitEntry is one stored fit: the spec it was fitted on, the fit and its
+// answer table.
 type fitEntry struct {
-	spec  machine.Spec
-	model core.Model
-	info  *FitInfo
+	spec machine.Spec
+	fit  *experiments.Fit
 	// answers[n-1] is the analytical answer at n cores on spec, the zero
-	// Prediction where the closed form saturates. Built once by fit and
+	// Prediction where the closed form saturates. Built once by store and
 	// never written after, so readers share it without a lock.
 	answers []Prediction
 }
@@ -150,8 +113,6 @@ type Predictor struct {
 	// anchors. Zero means DefaultMaxResidual; values >= 1e9 effectively
 	// disable the check.
 	MaxResidual float64
-	// Opts tunes the core.Fit regression (e.g. Homogeneous).
-	Opts core.Options
 	// Tracer, when non-nil, receives model.fit and model.decline events.
 	Tracer *telemetry.Tracer
 	// Metrics, when non-nil, counts fits (model_fits_total) and declines
@@ -187,39 +148,17 @@ func (p *Predictor) FitCount() int {
 // runner's content-addressed cache.
 func (p *Predictor) CachedRuns() int { return p.runner.CacheLen() }
 
-// minR2 resolves the configured threshold.
-func (p *Predictor) minR2() float64 {
-	if p.MinR2 == 0 {
-		return DefaultMinR2
-	}
-	return p.MinR2
-}
-
-// maxResidual resolves the configured threshold.
-func (p *Predictor) maxResidual() float64 {
-	if p.MaxResidual == 0 {
-		return DefaultMaxResidual
-	}
-	return p.MaxResidual
-}
-
-// key builds the content address of one query against this predictor's
-// scale.
-func (p *Predictor) key(spec machine.Spec, program string, class workload.Class, cores int) experiments.RunKey {
-	return p.runner.KeyFor(spec, program, class, cores)
-}
-
 // Analytical answers the query from the fitted closed form, or declines
 // with the reason. It never simulates and never blocks on the runner: it
 // applies the confidence gates and indexes the fit's answer table, which
-// fit built once — one read-locked map lookup, no hashing, no
-// arithmetic, no allocation. An empty DeclineReason means the Prediction
-// is valid; its Fit and MCUtilization are shared and read-only.
-func (p *Predictor) Analytical(spec machine.Spec, program string, class workload.Class, cores int) (Prediction, DeclineReason) {
+// store built once — one read-locked map lookup, no hashing, no
+// arithmetic, no allocation. An empty reason means the Prediction is
+// valid; its Fit and MCUtilization are shared and read-only.
+func (p *Predictor) Analytical(spec machine.Spec, program string, class workload.Class, cores int) (Prediction, experiments.DeclineReason) {
 	if cores < 1 || cores > spec.TotalCores() {
 		// Range errors are caught properly by Predict; analytically this
 		// is simply not answerable.
-		return Prediction{}, DeclineNoFit
+		return Prediction{}, experiments.DeclineNoFit
 	}
 	entry, gate := p.lookupFit(spec.Name, program, class)
 	if gate != "" {
@@ -229,24 +168,25 @@ func (p *Predictor) Analytical(spec machine.Spec, program string, class workload
 }
 
 // lookupFit resolves the pair's stored fit and applies the fit-level
-// confidence gates (existence, R², residual). They read MinR2 and
-// MaxResidual on every call, so only fit-invariant content is tabled.
-// An empty DeclineReason means the entry is trustworthy; saturation is
-// per point, in answer.
-func (p *Predictor) lookupFit(machineName, program string, class workload.Class) (*fitEntry, DeclineReason) {
+// confidence gates: existence here, R² and residual in Fit.Gate. They
+// read MinR2 and MaxResidual on every call, so only fit-invariant
+// content is tabled. An empty reason means the entry is trustworthy;
+// saturation is per point, in answer.
+func (p *Predictor) lookupFit(machineName, program string, class workload.Class) (*fitEntry, experiments.DeclineReason) {
 	p.mu.RLock()
 	entry, ok := p.fits[fitKey{machineName, program, class, p.Scale()}]
 	p.mu.RUnlock()
 	if !ok {
-		return nil, DeclineNoFit
+		return nil, experiments.DeclineNoFit
 	}
-	if entry.info.R2 < p.minR2() {
-		return entry, DeclineLowR2
+	minR2, maxResidual := p.MinR2, p.MaxResidual
+	if minR2 == 0 {
+		minR2 = DefaultMinR2
 	}
-	if entry.info.Residual > p.maxResidual() {
-		return entry, DeclineResidual
+	if maxResidual == 0 {
+		maxResidual = DefaultMaxResidual
 	}
-	return entry, ""
+	return entry, entry.fit.Gate(minR2, maxResidual)
 }
 
 // answer returns an already-gated fit's answer at one core count — the
@@ -256,15 +196,15 @@ func (p *Predictor) lookupFit(machineName, program string, class workload.Class)
 // the point; a different spec under the same name (a mutated preset) is
 // computed by analyticalAt, the function that filled the table. spec is
 // a pointer only to spare the hot path a copy.
-func (p *Predictor) answer(entry *fitEntry, spec *machine.Spec, tabled bool, program string, class workload.Class, cores int) (Prediction, DeclineReason) {
+func (p *Predictor) answer(entry *fitEntry, spec *machine.Spec, tabled bool, program string, class workload.Class, cores int) (Prediction, experiments.DeclineReason) {
 	var pred Prediction
 	if tabled {
 		pred = entry.answers[cores-1]
 	} else {
-		pred = p.analyticalAt(entry.model, entry.info, *spec, program, class, cores)
+		pred = p.analyticalAt(entry.fit, *spec, program, class, cores)
 	}
 	if pred.Tier == "" {
-		return Prediction{}, p.decline(DeclineSaturated, *spec, program, class, cores)
+		return Prediction{}, p.decline(experiments.DeclineSaturated, *spec, program, class, cores)
 	}
 	return pred, ""
 }
@@ -272,7 +212,8 @@ func (p *Predictor) answer(entry *fitEntry, spec *machine.Spec, tabled bool, pro
 // analyticalAt evaluates the fitted closed form at one core count on
 // spec, or returns the zero Prediction where it saturates (C(n) infinite
 // or not positive).
-func (p *Predictor) analyticalAt(m core.Model, info *FitInfo, spec machine.Spec, program string, class workload.Class, cores int) Prediction {
+func (p *Predictor) analyticalAt(fit *experiments.Fit, spec machine.Spec, program string, class workload.Class, cores int) Prediction {
+	m := &fit.Model
 	cn := m.C(cores)
 	if math.IsInf(cn, 0) || cn <= 0 {
 		return Prediction{}
@@ -289,8 +230,8 @@ func (p *Predictor) analyticalAt(m core.Model, info *FitInfo, spec machine.Spec,
 		MakespanCycles: cn / float64(cores),
 		MCUtilization:  analyticalMCUtil(spec, m.Single, cores),
 		Tier:           TierAnalytical,
-		Fit:            info,
-		ConfigHash:     p.key(spec, program, class, cores).Hash(),
+		Fit:            fit,
+		ConfigHash:     p.runner.KeyFor(spec, program, class, cores).Hash(),
 	}
 }
 
@@ -302,14 +243,14 @@ func (p *Predictor) analyticalAt(m core.Model, info *FitInfo, spec machine.Spec,
 // declines per point, so a curve can mix tiers only past the fitted
 // μ/L. Like Analytical, it never simulates and never blocks on the
 // runner.
-func (p *Predictor) AnalyticalCurve(spec machine.Spec, program string, class workload.Class, cores []int) ([]Prediction, []DeclineReason) {
+func (p *Predictor) AnalyticalCurve(spec machine.Spec, program string, class workload.Class, cores []int) ([]Prediction, []experiments.DeclineReason) {
 	preds := make([]Prediction, len(cores))
-	reasons := make([]DeclineReason, len(cores))
+	reasons := make([]experiments.DeclineReason, len(cores))
 	entry, gate := p.lookupFit(spec.Name, program, class)
 	tabled := gate == "" && spec.Equal(entry.spec)
 	for i, n := range cores {
 		if n < 1 || n > spec.TotalCores() {
-			reasons[i] = DeclineNoFit
+			reasons[i] = experiments.DeclineNoFit
 			continue
 		}
 		if gate != "" {
@@ -323,7 +264,7 @@ func (p *Predictor) AnalyticalCurve(spec machine.Spec, program string, class wor
 
 // decline records one analytical refusal on the telemetry sinks and
 // returns the reason unchanged.
-func (p *Predictor) decline(reason DeclineReason, spec machine.Spec, program string, class workload.Class, cores int) DeclineReason {
+func (p *Predictor) decline(reason experiments.DeclineReason, spec machine.Spec, program string, class workload.Class, cores int) experiments.DeclineReason {
 	if p.Metrics != nil {
 		p.Metrics.Counter("model_declines_total").Inc()
 	}
@@ -378,7 +319,7 @@ func (p *Predictor) simPrediction(spec machine.Spec, program string, class workl
 		MakespanCycles: float64(res.Makespan),
 		MCUtilization:  simMCUtil(spec, res),
 		Tier:           TierSimulation,
-		ConfigHash:     p.key(spec, program, class, cores).Hash(),
+		ConfigHash:     p.runner.KeyFor(spec, program, class, cores).Hash(),
 	}
 }
 
@@ -427,17 +368,16 @@ func (p *Predictor) PredictStream(ctx context.Context, spec machine.Spec, progra
 }
 
 // Warm fits the analytical model for one (machine, program, class) pair
-// by running its anchor plan — core.PaperInputs for the geometry, a
-// handful of runs — through the runner (cache hits and journal replays
-// are free) and storing the fit. It returns the fit summary; serving
-// starts declining or answering per the confidence rules immediately.
-func (p *Predictor) Warm(ctx context.Context, spec machine.Spec, program string, class workload.Class) (FitInfo, error) {
-	plan := core.PaperInputs(experiments.ModelKindFor(spec), spec.Sockets, spec.CoresPerSocket)
-	meas, err := p.runner.Sweep(ctx, spec, program, class, plan)
-	if err != nil {
-		return FitInfo{}, err
+// by running its anchor plan — experiments.AnchorPlan, a handful of runs
+// — through the runner (cache hits and journal replays are free) and
+// storing the fit. It returns the fit; serving starts declining or
+// answering per the confidence rules immediately.
+func (p *Predictor) Warm(ctx context.Context, spec machine.Spec, program string, class workload.Class) (experiments.Fit, error) {
+	fit, err := p.runner.FitPlan(ctx, spec, program, class, core.Options{})
+	if err == nil {
+		p.store(spec, program, class, fit)
 	}
-	return p.fit(spec, program, class, plan, meas)
+	return fit, err
 }
 
 // refitFromCache fits the pair if no fit exists yet and every anchor of
@@ -456,61 +396,30 @@ func (p *Predictor) refitFromCache(ctx context.Context, spec machine.Spec, progr
 	fitted := false
 	defer func() { span.End("fitted", fitted) }()
 
-	k := fitKey{spec.Name, program, class, p.Scale()}
 	p.mu.RLock()
-	_, done := p.fits[k]
+	_, done := p.fits[fitKey{spec.Name, program, class, p.Scale()}]
 	p.mu.RUnlock()
 	if done {
 		return
 	}
-	plan := core.PaperInputs(experiments.ModelKindFor(spec), spec.Sockets, spec.CoresPerSocket)
-	meas := make([]core.Measurement, 0, len(plan))
-	for _, n := range plan {
-		res, ok := p.runner.Cached(p.key(spec, program, class, n))
-		if !ok {
-			return
-		}
-		meas = append(meas, core.Measurement{
-			Cores:     n,
-			Cycles:    float64(res.TotalCycles),
-			LLCMisses: float64(res.LLCMisses),
-		})
+	meas, ok := p.runner.CachedSweep(spec, program, class, experiments.AnchorPlan(spec))
+	if !ok {
+		return
 	}
-	// Errors here mean the cached anchors cannot support a fit (e.g. a
+	// An error means the cached anchors cannot support a fit (e.g. a
 	// degenerate workload); the pair simply stays on the simulation tier.
-	_, err := p.fit(spec, program, class, plan, meas)
-	fitted = err == nil
+	if fit, err := experiments.FitAnchors(spec, meas, core.Options{}); err == nil {
+		p.store(spec, program, class, fit)
+		fitted = true
+	}
 }
 
-// fit runs the core regression over anchor measurements, computes the
-// confidence stats, builds the answer table for every core count of spec
-// and stores the entry.
-func (p *Predictor) fit(spec machine.Spec, program string, class workload.Class, plan []int, meas []core.Measurement) (FitInfo, error) {
-	kind := experiments.ModelKindFor(spec)
-	m, err := core.Fit(kind, spec.Sockets, spec.CoresPerSocket, meas, p.Opts)
-	if err != nil {
-		return FitInfo{}, err
-	}
-	residual := 0.0
-	for _, mm := range meas {
-		pred := m.C(mm.Cores)
-		if math.IsInf(pred, 0) {
-			residual = math.Inf(1)
-			break
-		}
-		if rel := math.Abs(pred-mm.Cycles) / mm.Cycles; rel > residual {
-			residual = rel
-		}
-	}
-	info := &FitInfo{
-		Anchors:         append([]int(nil), plan...),
-		R2:              m.Single.R2,
-		Residual:        residual,
-		SaturationCores: m.Single.SaturationCores(),
-	}
-	entry := &fitEntry{spec: spec, model: m, info: info, answers: make([]Prediction, spec.TotalCores())}
+// store builds the fit's answer table for every core count of spec,
+// stores the entry and records the fit on the telemetry sinks.
+func (p *Predictor) store(spec machine.Spec, program string, class workload.Class, fit experiments.Fit) {
+	entry := &fitEntry{spec: spec, fit: &fit, answers: make([]Prediction, spec.TotalCores())}
 	for n := range entry.answers {
-		entry.answers[n] = p.analyticalAt(m, info, spec, program, class, n+1)
+		entry.answers[n] = p.analyticalAt(entry.fit, spec, program, class, n+1)
 	}
 	p.mu.Lock()
 	p.fits[fitKey{spec.Name, program, class, p.Scale()}] = entry
@@ -521,10 +430,9 @@ func (p *Predictor) fit(spec machine.Spec, program string, class workload.Class,
 	if p.Tracer.Enabled() {
 		p.Tracer.Emit("model.fit",
 			"machine", spec.Name, "program", program, "class", string(class),
-			"anchors", len(plan), "r2", info.R2, "residual", info.Residual,
-			"saturation_cores", info.SaturationCores)
+			"anchors", len(fit.Anchors), "r2", fit.R2, "residual", fit.Residual,
+			"saturation_cores", fit.SaturationCores)
 	}
-	return *info, nil
 }
 
 // analyticalMCUtil derives per-controller utilization from the fitted

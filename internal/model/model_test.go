@@ -31,11 +31,11 @@ func TestDeclineReasons(t *testing.T) {
 	r := experiments.NewRunner(workload.Tuning{RefScale: 0.05})
 	p := model.New(r)
 
-	if _, reason := p.Analytical(spec, "CG", "W", 4); reason != model.DeclineNoFit {
-		t.Fatalf("before Warm: reason = %q, want %q", reason, model.DeclineNoFit)
+	if _, reason := p.Analytical(spec, "CG", "W", 4); reason != experiments.DeclineNoFit {
+		t.Fatalf("before Warm: reason = %q, want %q", reason, experiments.DeclineNoFit)
 	}
-	if _, reason := p.Analytical(spec, "CG", "W", 0); reason != model.DeclineNoFit {
-		t.Fatalf("cores out of range: reason = %q, want %q", reason, model.DeclineNoFit)
+	if _, reason := p.Analytical(spec, "CG", "W", 0); reason != experiments.DeclineNoFit {
+		t.Fatalf("cores out of range: reason = %q, want %q", reason, experiments.DeclineNoFit)
 	}
 
 	info, err := p.Warm(context.Background(), spec, "CG", "W")
@@ -51,15 +51,15 @@ func TestDeclineReasons(t *testing.T) {
 
 	// An impossible R² bound turns every answer into a low_r2 decline.
 	p.MinR2 = 2
-	if _, reason := p.Analytical(spec, "CG", "W", 4); reason != model.DeclineLowR2 {
-		t.Errorf("MinR2=2: reason = %q, want %q", reason, model.DeclineLowR2)
+	if _, reason := p.Analytical(spec, "CG", "W", 4); reason != experiments.DeclineLowR2 {
+		t.Errorf("MinR2=2: reason = %q, want %q", reason, experiments.DeclineLowR2)
 	}
 	p.MinR2 = -1 // disable
 
 	// A negative residual bound rejects even a perfect fit.
 	p.MaxResidual = -1
-	if _, reason := p.Analytical(spec, "CG", "W", 4); reason != model.DeclineResidual {
-		t.Errorf("MaxResidual=-1: reason = %q, want %q", reason, model.DeclineResidual)
+	if _, reason := p.Analytical(spec, "CG", "W", 4); reason != experiments.DeclineResidual {
+		t.Errorf("MaxResidual=-1: reason = %q, want %q", reason, experiments.DeclineResidual)
 	}
 	p.MaxResidual = 1e9 // disable
 
@@ -71,7 +71,7 @@ func TestDeclineReasons(t *testing.T) {
 		t.Errorf("tier = %q, want %q", pred.Tier, model.TierAnalytical)
 	}
 	if pred.Fit == nil {
-		t.Error("analytical answer carries no FitInfo")
+		t.Error("analytical answer carries no Fit")
 	}
 	if pred.ConfigHash == "" {
 		t.Error("analytical answer carries no ConfigHash")

@@ -16,8 +16,8 @@ import (
 // anchors past the first socket measure 1% of the first socket's cycles,
 // which drives ΔC (UMA) or ρ (NUMA) negative and makes C(n) non-positive
 // for larger n: the saturated half of the table.
-func syntheticAnchors(spec machine.Spec, collapse bool) ([]int, []core.Measurement) {
-	plan := core.PaperInputs(experiments.ModelKindFor(spec), spec.Sockets, spec.CoresPerSocket)
+func syntheticAnchors(spec machine.Spec, collapse bool) []core.Measurement {
+	plan := experiments.AnchorPlan(spec)
 	meas := make([]core.Measurement, len(plan))
 	for i, n := range plan {
 		cycles := 1e6 * (1 + 0.05*float64(n) + 0.002*float64(n*n))
@@ -26,7 +26,7 @@ func syntheticAnchors(spec machine.Spec, collapse bool) ([]int, []core.Measureme
 		}
 		meas[i] = core.Measurement{Cores: n, Cycles: cycles, LLCMisses: 1e4 * float64(n)}
 	}
-	return plan, meas
+	return meas
 }
 
 // TestAnswerTable checks the per-fit answer table against the closed form
@@ -44,12 +44,14 @@ func TestAnswerTable(t *testing.T) {
 			}
 			p := New(experiments.NewRunner(workload.Tuning{RefScale: 0.05}))
 			p.MinR2, p.MaxResidual = -1, 1e9
-			plan, meas := syntheticAnchors(spec, collapse)
-			if _, err := p.fit(spec, program, class, plan, meas); err != nil {
+			meas := syntheticAnchors(spec, collapse)
+			fit, err := experiments.FitAnchors(spec, meas, core.Options{})
+			if err != nil {
 				t.Fatalf("%s collapse=%v: fit: %v", name, collapse, err)
 			}
+			p.store(spec, program, class, fit)
 			entry := p.fits[fitKey{spec.Name, program, class, p.Scale()}]
-			m := entry.model
+			m := entry.fit.Model
 
 			curve := make([]int, spec.TotalCores())
 			for i := range curve {
@@ -65,8 +67,8 @@ func TestAnswerTable(t *testing.T) {
 				cn := m.C(n)
 				if math.IsInf(cn, 0) || cn <= 0 {
 					saturated++
-					if reason != DeclineSaturated {
-						t.Errorf("%s n=%d: C(n)=%g answered with reason %q, want %q", name, n, cn, reason, DeclineSaturated)
+					if reason != experiments.DeclineSaturated {
+						t.Errorf("%s n=%d: C(n)=%g answered with reason %q, want %q", name, n, cn, reason, experiments.DeclineSaturated)
 					}
 					continue
 				}
@@ -90,12 +92,12 @@ func TestAnswerTable(t *testing.T) {
 				for i := range wantUtil {
 					bits("MC utilization", pred.MCUtilization[i], wantUtil[i])
 				}
-				if want := p.key(spec, program, class, n).Hash(); pred.ConfigHash != want {
+				if want := p.runner.KeyFor(spec, program, class, n).Hash(); pred.ConfigHash != want {
 					t.Errorf("%s n=%d: ConfigHash %s, want %s", name, n, pred.ConfigHash, want)
 				}
-				if pred.Fit != entry.info || pred.Tier != TierAnalytical || pred.Cores != n || pred.Machine != spec.Name {
+				if pred.Fit != entry.fit || pred.Tier != TierAnalytical || pred.Cores != n || pred.Machine != spec.Name {
 					t.Errorf("%s n=%d: fit %p (want the shared %p), tier %q, cores %d, machine %q",
-						name, n, pred.Fit, entry.info, pred.Tier, pred.Cores, pred.Machine)
+						name, n, pred.Fit, entry.fit, pred.Tier, pred.Cores, pred.Machine)
 				}
 				if allocs := testing.AllocsPerRun(20, func() { p.Analytical(spec, program, class, n) }); allocs != 0 {
 					t.Errorf("%s n=%d: Analytical allocates %v times", name, n, allocs)
@@ -104,13 +106,13 @@ func TestAnswerTable(t *testing.T) {
 
 			// The gates read MinR2 and MaxResidual on every call.
 			p.MinR2 = 2
-			if _, reason := p.Analytical(spec, program, class, 1); reason != DeclineLowR2 {
-				t.Errorf("%s: MinR2 raised after the fit: reason %q, want %q", name, reason, DeclineLowR2)
+			if _, reason := p.Analytical(spec, program, class, 1); reason != experiments.DeclineLowR2 {
+				t.Errorf("%s: MinR2 raised after the fit: reason %q, want %q", name, reason, experiments.DeclineLowR2)
 			}
 			p.MinR2 = -1
 			p.MaxResidual = -1
-			if _, reason := p.Analytical(spec, program, class, 1); reason != DeclineResidual {
-				t.Errorf("%s: MaxResidual lowered after the fit: reason %q, want %q", name, reason, DeclineResidual)
+			if _, reason := p.Analytical(spec, program, class, 1); reason != experiments.DeclineResidual {
+				t.Errorf("%s: MaxResidual lowered after the fit: reason %q, want %q", name, reason, experiments.DeclineResidual)
 			}
 			p.MaxResidual = 1e9
 			if _, reason := p.Analytical(spec, program, class, 1); reason != "" {
@@ -122,7 +124,7 @@ func TestAnswerTable(t *testing.T) {
 			mutated := spec
 			mutated.MSHRs++
 			pred, reason := p.Analytical(mutated, program, class, 1)
-			want := p.analyticalAt(m, entry.info, mutated, program, class, 1)
+			want := p.analyticalAt(entry.fit, mutated, program, class, 1)
 			if reason != "" || pred.ConfigHash != want.ConfigHash || pred.ConfigHash == entry.answers[0].ConfigHash {
 				t.Errorf("%s: mutated spec answered (%q, %q), want hash %q apart from the table's %q",
 					name, pred.ConfigHash, reason, want.ConfigHash, entry.answers[0].ConfigHash)

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"repro/internal/api"
+	"repro/internal/experiments"
 	"repro/internal/machine"
 	"repro/internal/model"
 	"repro/internal/telemetry"
@@ -89,7 +90,7 @@ func (s *Server) parseCurve(r *http.Request) (curveParams, *httpError) {
 // shedText is one shed point's error text, kept per (reason, scope) for
 // the points of one curve.
 type shedText struct {
-	reason model.DeclineReason
+	reason experiments.DeclineReason
 	scope  string
 	text   string
 }
@@ -98,7 +99,7 @@ type shedText struct {
 // scope, building it only the first time texts lacks that pair. A curve's
 // shed points mostly share one pair, so a long curve formats its text
 // once rather than once per point.
-func (s *Server) shedPointText(texts []shedText, reason model.DeclineReason, scope string) ([]shedText, string) {
+func (s *Server) shedPointText(texts []shedText, reason experiments.DeclineReason, scope string) ([]shedText, string) {
 	for _, t := range texts {
 		if t.reason == reason && t.scope == scope {
 			return texts, t.text

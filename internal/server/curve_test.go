@@ -45,16 +45,16 @@ func (s *stubPredictor) pred(spec machine.Spec, program string, class workload.C
 	}
 }
 
-func (s *stubPredictor) Analytical(spec machine.Spec, program string, class workload.Class, cores int) (model.Prediction, model.DeclineReason) {
+func (s *stubPredictor) Analytical(spec machine.Spec, program string, class workload.Class, cores int) (model.Prediction, experiments.DeclineReason) {
 	if s.declineSet[cores] {
-		return model.Prediction{}, model.DeclineNoFit
+		return model.Prediction{}, experiments.DeclineNoFit
 	}
 	return s.pred(spec, program, class, cores, model.TierAnalytical), ""
 }
 
-func (s *stubPredictor) AnalyticalCurve(spec machine.Spec, program string, class workload.Class, cores []int) ([]model.Prediction, []model.DeclineReason) {
+func (s *stubPredictor) AnalyticalCurve(spec machine.Spec, program string, class workload.Class, cores []int) ([]model.Prediction, []experiments.DeclineReason) {
 	preds := make([]model.Prediction, len(cores))
-	reasons := make([]model.DeclineReason, len(cores))
+	reasons := make([]experiments.DeclineReason, len(cores))
 	for i, n := range cores {
 		preds[i], reasons[i] = s.Analytical(spec, program, class, n)
 	}

@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"repro/internal/api"
+	"repro/internal/experiments"
 	"repro/internal/machine"
 	"repro/internal/model"
 	"repro/internal/sim"
@@ -51,11 +52,11 @@ type Predictor interface {
 	CachedRuns() int
 	// Analytical answers from the fitted closed form or declines with a
 	// reason; it must never block.
-	Analytical(spec machine.Spec, program string, class workload.Class, cores int) (model.Prediction, model.DeclineReason)
+	Analytical(spec machine.Spec, program string, class workload.Class, cores int) (model.Prediction, experiments.DeclineReason)
 	// AnalyticalCurve is Analytical over a core sweep with one fit
 	// lookup: point i of the parallel slices is answered iff reasons[i]
 	// is empty.
-	AnalyticalCurve(spec machine.Spec, program string, class workload.Class, cores []int) ([]model.Prediction, []model.DeclineReason)
+	AnalyticalCurve(spec machine.Spec, program string, class workload.Class, cores []int) ([]model.Prediction, []experiments.DeclineReason)
 	// Predict answers one query, falling back to simulation.
 	Predict(ctx context.Context, spec machine.Spec, program string, class workload.Class, cores int) (model.Prediction, error)
 	// PredictStream simulates many core counts of one pair, invoking fn
@@ -305,7 +306,7 @@ func isCanceled(err error) bool {
 // priced off the simulation-latency EWMA, the rejecting scope, and a
 // message naming the full bucket. reason is the analytical tier's decline
 // that routed the request here.
-func (s *Server) shed(w http.ResponseWriter, p predictParams, reason model.DeclineReason, scope string) {
+func (s *Server) shed(w http.ResponseWriter, p predictParams, reason experiments.DeclineReason, scope string) {
 	s.metrics.Counter("simserved_rejected_total").Inc()
 	if scope == api.ScopeTenant {
 		s.metrics.Counter("simserved_tenant_rejected_total").Inc()
@@ -322,7 +323,7 @@ func (s *Server) shed(w http.ResponseWriter, p predictParams, reason model.Decli
 
 // shedMessage names the bucket that rejected a simulation and the
 // decline that routed the work there.
-func (s *Server) shedMessage(reason model.DeclineReason, scope string) string {
+func (s *Server) shedMessage(reason experiments.DeclineReason, scope string) string {
 	if scope == api.ScopeTenant {
 		return fmt.Sprintf(
 			"tenant admission bucket full (cap %d simulations per tenant); the analytical tier declined (%s) — retry after the hint or warm this pair",
@@ -418,7 +419,7 @@ func (s *Server) respond(w http.ResponseWriter, rt *requestTrace, pred model.Pre
 }
 
 // fitBody converts a model fit summary to its wire form (nil for nil).
-func fitBody(fi *model.FitInfo) *api.Fit {
+func fitBody(fi *experiments.Fit) *api.Fit {
 	if fi == nil {
 		return nil
 	}
