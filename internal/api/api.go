@@ -147,8 +147,9 @@ type Fit struct {
 	// Residual is the fit's maximum relative error over its own anchors.
 	Residual float64 `json:"residual"`
 	// SaturationCores is the fitted μ/L: the core count at which the
-	// modeled memory system saturates.
-	SaturationCores float64 `json:"saturation_cores"`
+	// modeled memory system saturates. Omitted when the fit never
+	// saturates (μ/L is infinite, which JSON cannot carry).
+	SaturationCores *float64 `json:"saturation_cores,omitempty"`
 }
 
 // Error is every non-2xx response body.

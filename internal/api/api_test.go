@@ -32,7 +32,7 @@ var wireCases = []struct {
 		Omega: 0.4375, Cycles: 1437500, BaselineCycles: 1000000,
 		MakespanCycles: 239583.3333, MCUtilization: []float64{0.72, 0.68},
 		Tier: TierAnalytical, ConfigHash: "5ec3e4f0c9a1",
-		Fit: &Fit{Anchors: []int{1, 2, 3, 4}, R2: 0.9987, Residual: 0.013, SaturationCores: 9.44},
+		Fit: &Fit{Anchors: []int{1, 2, 3, 4}, R2: 0.9987, Residual: 0.013, SaturationCores: ptr(9.44)},
 	}},
 	{"predict_response_sim.golden.json", PredictResponse{
 		Machine: "IntelUMA8", Program: "EP", Class: "W", Cores: 8, Scale: 0.1,
@@ -60,7 +60,7 @@ var wireCases = []struct {
 		},
 		Summary: CurveSummary{
 			Points: 3, Analytical: 1, Simulation: 1, Shed: 1,
-			Fit: &Fit{Anchors: []int{1, 2, 3, 4}, R2: 0.9987, Residual: 0.013, SaturationCores: 9.44},
+			Fit: &Fit{Anchors: []int{1, 2, 3, 4}, R2: 0.9987, Residual: 0.013, SaturationCores: ptr(9.44)},
 		},
 	}},
 	{"curve_frame_point.golden.json", CurveFrame{
@@ -187,3 +187,6 @@ func decodeAs(t *testing.T, v any, blob []byte) any {
 	}
 	return out
 }
+
+// ptr returns a pointer to v, for the optional numeric wire fields.
+func ptr(v float64) *float64 { return &v }

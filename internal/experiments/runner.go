@@ -574,25 +574,20 @@ func (r *Runner) simulateRun(ctx context.Context, it RunItem) (sim.Result, error
 }
 
 // RunAll submits a whole measurement plan at once and collects results in
-// plan order. Up to Jobs simulations run concurrently; duplicate items —
-// within the plan or against other in-flight work — are coalesced by the
-// singleflight layer. It always returns the results slice: on failure the
-// completed items keep their results (failed slots are zero), alongside
-// the first error in plan order, reported after all items settle so
-// retries observe a quiescent runner. A worker panic fails only its own
-// item; every other item still completes.
+// plan order: it is RunStream, gathered. Up to Jobs simulations run
+// concurrently; duplicate items — within the plan or against other
+// in-flight work — are coalesced by the singleflight layer. It always
+// returns the results slice: on failure the completed items keep their
+// results (failed slots are zero), alongside the first error in plan
+// order, reported after all items settle so retries observe a quiescent
+// runner. A worker panic fails only its own item; every other item still
+// completes.
 func (r *Runner) RunAll(ctx context.Context, items []RunItem) ([]sim.Result, error) {
 	results := make([]sim.Result, len(items))
 	errs := make([]error, len(items))
-	var wg sync.WaitGroup
-	for i, it := range items {
-		wg.Add(1)
-		go func(i int, it RunItem) {
-			defer wg.Done()
-			results[i], errs[i] = r.run(ctx, it)
-		}(i, it)
+	for sr := range r.RunStream(ctx, items) {
+		results[sr.Index], errs[sr.Index] = sr.Res, sr.Err
 	}
-	wg.Wait()
 	for _, err := range errs {
 		if err != nil {
 			return results, err
@@ -613,13 +608,13 @@ type StreamResult struct {
 	Err error
 }
 
-// RunStream submits a batch like RunAll but delivers each result the
-// moment its simulation settles, in completion order — cache hits and
-// coalesced duplicates arrive first, cold runs as the worker pool
-// finishes them. Every submitted item yields exactly one StreamResult
-// (failed and canceled items carry Err), then the channel closes. The
-// caller must drain the channel; cancelling ctx fails the remaining
-// items promptly, so draining after cancel is cheap.
+// RunStream submits a batch and delivers each result the moment its
+// simulation settles, in completion order — cache hits and coalesced
+// duplicates arrive first, cold runs as the worker pool finishes them.
+// Every submitted item yields exactly one StreamResult (failed and
+// canceled items carry Err), then the channel closes. The caller must
+// drain the channel; cancelling ctx fails the remaining items promptly,
+// so draining after cancel is cheap.
 func (r *Runner) RunStream(ctx context.Context, items []RunItem) <-chan StreamResult {
 	out := make(chan StreamResult)
 	var wg sync.WaitGroup
@@ -628,7 +623,7 @@ func (r *Runner) RunStream(ctx context.Context, items []RunItem) <-chan StreamRe
 		go func(i int, it RunItem) {
 			defer wg.Done()
 			res, err := r.run(ctx, it)
-			//simcheck:allow(chanlint) RunStream's contract is that the caller drains out; a ctx.Done arm here would drop settled frames whose admission tokens the curve handler releases per frame, and cancel already fails remaining items promptly
+			//simcheck:allow(chanlint) RunStream's contract is that the caller drains out; a ctx.Done arm here would drop settled frames whose admission tokens the server releases per frame, and cancel already fails remaining items promptly
 			out <- StreamResult{Index: i, Res: res, Err: err}
 		}(i, it)
 	}

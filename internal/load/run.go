@@ -170,12 +170,7 @@ dispatch:
 		wg.Add(1)
 		go func(seq int, scheduled time.Duration) {
 			defer wg.Done()
-			var recs []Record
-			if cfg.Curve {
-				recs = fireCurve(ctx, client, url, cfg, seq, scheduled, start)
-			} else {
-				recs = []Record{fire(ctx, client, url, cfg, seq, scheduled, start)}
-			}
+			recs := fire(ctx, client, url, cfg, seq, scheduled, start)
 			mu.Lock()
 			records = append(records, recs...)
 			mu.Unlock()
@@ -195,14 +190,19 @@ dispatch:
 // fire sends one request and measures it. Each request carries a
 // deterministic traceparent derived from (cfg.Seed, seq); when the tracer
 // is on, the client side is bracketed in a "load.request" span holding
-// exactly that context, so the server's span tree hangs off it.
-func fire(ctx context.Context, client *http.Client, url string, cfg Config, seq int, scheduled time.Duration, start time.Time) (rec Record) {
+// exactly that context, so the server's span tree hangs off it. The
+// returned slice holds the request's record — followed, in curve mode,
+// by one "point" record per streamed point (see readCurve).
+func fire(ctx context.Context, client *http.Client, url string, cfg Config, seq int, scheduled time.Duration, start time.Time) []Record {
 	sc := telemetry.DeriveSpanContext(cfg.Seed, int64(seq))
-	rec = Record{
+	rec := Record{
 		Seq:         seq,
 		ScheduledMs: durationMs(scheduled),
 		Tenant:      cfg.Tenant,
 		TraceID:     sc.Trace.String(),
+	}
+	if cfg.Curve {
+		rec.Kind = "curve"
 	}
 	// sent is assigned before client.Do; the trace callback fires during
 	// Do, so the read is ordered after the write.
@@ -215,9 +215,12 @@ func fire(ctx context.Context, client *http.Client, url string, cfg Config, seq 
 		http.MethodPost, url, bytes.NewReader(cfg.Body))
 	if err != nil {
 		rec.Error = err.Error()
-		return rec
+		return []Record{rec}
 	}
 	req.Header.Set("Content-Type", api.ContentTypeJSON)
+	if cfg.Curve {
+		req.Header.Set("Accept", api.ContentTypeNDJSON)
+	}
 	req.Header.Set(api.HeaderTraceparent, sc.Traceparent())
 	if cfg.Tenant != "" {
 		req.Header.Set(api.HeaderTenant, cfg.Tenant)
@@ -229,9 +232,15 @@ func fire(ctx context.Context, client *http.Client, url string, cfg Config, seq 
 	resp, err := client.Do(req)
 	if err != nil {
 		rec.Error = err.Error()
-		return rec
+		return []Record{rec}
 	}
-	_, copyErr := io.Copy(io.Discard, resp.Body)
+	rec.Status = resp.StatusCode
+	var points []Record
+	if cfg.Curve {
+		points = readCurve(resp.Body, &rec, sent)
+	} else {
+		readPredict(resp, &rec)
+	}
 	resp.Body.Close()
 	rec.TotalMs = durationMs(time.Since(sent))
 	if firstByte > 0 {
@@ -239,107 +248,69 @@ func fire(ctx context.Context, client *http.Client, url string, cfg Config, seq 
 	} else {
 		rec.FirstByteMs = rec.TotalMs
 	}
-	rec.Status = resp.StatusCode
+	return append([]Record{rec}, points...)
+}
+
+// readPredict drains a predict response into its record: the answering
+// tier and, on success, the config hash, both from the headers. The body
+// is discarded; a 429's error text is not logged.
+func readPredict(resp *http.Response, rec *Record) {
+	_, err := io.Copy(io.Discard, resp.Body)
 	rec.Tier = resp.Header.Get(api.HeaderTier)
 	if rec.Status >= 200 && rec.Status < 300 {
 		rec.ConfigHash = resp.Header.Get(api.HeaderConfigHash)
 	}
-	if copyErr != nil {
-		rec.Error = copyErr.Error()
+	if err != nil {
+		rec.Error = err.Error()
 	}
-	return rec
 }
 
-// fireCurve sends one streaming curve request, reading NDJSON frames as
-// they arrive: the returned slice holds the parent "curve" record
-// followed by one "point" record per streamed point, each stamped with
-// its arrival offset (PointMs) — the measurement that shows analytical
-// points landing while simulation points are still running.
-func fireCurve(ctx context.Context, client *http.Client, url string, cfg Config, seq int, scheduled time.Duration, start time.Time) []Record {
-	sc := telemetry.DeriveSpanContext(cfg.Seed, int64(seq))
-	parent := Record{
-		Seq:         seq,
-		Kind:        "curve",
-		ScheduledMs: durationMs(scheduled),
-		Tenant:      cfg.Tenant,
-		TraceID:     sc.Trace.String(),
-	}
-	var sent time.Time
-	var firstByte time.Duration
-	trace := &httptrace.ClientTrace{
-		GotFirstResponseByte: func() { firstByte = time.Since(sent) },
-	}
-	req, err := http.NewRequestWithContext(httptrace.WithClientTrace(ctx, trace),
-		http.MethodPost, url, bytes.NewReader(cfg.Body))
-	if err != nil {
-		parent.Error = err.Error()
-		return []Record{parent}
-	}
-	req.Header.Set("Content-Type", api.ContentTypeJSON)
-	req.Header.Set("Accept", api.ContentTypeNDJSON)
-	req.Header.Set(api.HeaderTraceparent, sc.Traceparent())
-	if cfg.Tenant != "" {
-		req.Header.Set(api.HeaderTenant, cfg.Tenant)
-	}
-	span := cfg.Tracer.StartSpanAt(sc, "load.request")
-	defer func() { span.End("seq", parent.Seq, "status", parent.Status, "tier", parent.Tier) }()
-	sent = time.Now()
-	parent.SendMs = durationMs(sent.Sub(start))
-	resp, err := client.Do(req)
-	if err != nil {
-		parent.Error = err.Error()
-		return []Record{parent}
-	}
-	defer resp.Body.Close()
-	parent.Status = resp.StatusCode
-	if resp.StatusCode != http.StatusOK {
+// readCurve reads a streaming curve response, frame by frame as it
+// arrives, and returns one "point" record per streamed point, each
+// stamped with its arrival offset from sent (PointMs) — the measurement
+// that shows analytical points landing while simulation points are
+// still running. A non-200 response's error text goes on the curve
+// record.
+func readCurve(body io.Reader, rec *Record, sent time.Time) []Record {
+	if rec.Status != http.StatusOK {
 		var apiErr api.Error
-		if json.NewDecoder(resp.Body).Decode(&apiErr) == nil {
-			parent.Error = apiErr.Error
+		if json.NewDecoder(body).Decode(&apiErr) == nil {
+			rec.Error = apiErr.Error
 		}
-		parent.TotalMs = durationMs(time.Since(sent))
-		parent.FirstByteMs = parent.TotalMs
-		return []Record{parent}
+		return nil
 	}
-
 	points := make([]Record, 0, 8)
-	sc2 := bufio.NewScanner(resp.Body)
-	sc2.Buffer(make([]byte, 0, 64<<10), 1<<20)
-	for sc2.Scan() {
+	sc := bufio.NewScanner(body)
+	sc.Buffer(make([]byte, 0, 64<<10), 1<<20)
+	for sc.Scan() {
 		arrived := time.Since(sent)
-		line := bytes.TrimSpace(sc2.Bytes())
+		line := bytes.TrimSpace(sc.Bytes())
 		if len(line) == 0 {
 			continue
 		}
 		var frame api.CurveFrame
 		if err := json.Unmarshal(line, &frame); err != nil {
-			parent.Error = fmt.Sprintf("bad frame: %v", err)
+			rec.Error = fmt.Sprintf("bad frame: %v", err)
 			break
 		}
 		if frame.Point != nil {
 			points = append(points, Record{
-				Seq:        seq,
+				Seq:        rec.Seq,
 				Kind:       "point",
 				Cores:      frame.Point.Cores,
 				Tier:       frame.Point.Tier,
 				ConfigHash: frame.Point.ConfigHash,
 				PointMs:    durationMs(arrived),
-				Tenant:     cfg.Tenant,
-				TraceID:    parent.TraceID,
+				Tenant:     rec.Tenant,
+				TraceID:    rec.TraceID,
 				Error:      frame.Point.Error,
 			})
 		}
 	}
-	if err := sc2.Err(); err != nil && parent.Error == "" {
-		parent.Error = err.Error()
+	if err := sc.Err(); err != nil && rec.Error == "" {
+		rec.Error = err.Error()
 	}
-	parent.TotalMs = durationMs(time.Since(sent))
-	if firstByte > 0 {
-		parent.FirstByteMs = durationMs(firstByte)
-	} else {
-		parent.FirstByteMs = parent.TotalMs
-	}
-	return append([]Record{parent}, points...)
+	return points
 }
 
 // WriteNDJSON writes one JSON object per record, in input order.

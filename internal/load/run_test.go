@@ -227,3 +227,55 @@ func TestRunCancel(t *testing.T) {
 		t.Errorf("records = %d of %d, want a proper prefix", len(recs), len(sched))
 	}
 }
+
+// TestRunCurveAndShed drives both modes through the one send path
+// against a stub that streams two curve points, then sheds every later
+// request with a 429: a curve record is followed by its point records,
+// a shed curve carries the server's error text, and a shed predict
+// carries none (the predict log schema predates curve mode).
+func TestRunCurveAndShed(t *testing.T) {
+	var calls atomic.Int64
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if calls.Add(1) > 1 {
+			w.WriteHeader(http.StatusTooManyRequests)
+			w.Write([]byte(`{"error":"queue full"}`))
+			return
+		}
+		if got := r.Header.Get("Accept"); got != api.ContentTypeNDJSON {
+			t.Errorf("curve request Accept = %q, want %q", got, api.ContentTypeNDJSON)
+		}
+		w.Write([]byte(`{"point":{"cores":1,"tier":"analytical","config_hash":"aa"}}` + "\n" +
+			`{"point":{"cores":2,"error":"shed (global): full"}}` + "\n" +
+			`{"summary":{"points":2,"analytical":1,"simulation":0,"shed":1,"failed":0}}` + "\n"))
+	}))
+	defer ts.Close()
+
+	sched := []time.Duration{0, 50 * time.Millisecond}
+	recs, err := Run(context.Background(), Config{BaseURL: ts.URL, Curve: true, Schedule: sched})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(recs) != 4 {
+		t.Fatalf("records = %+v, want curve + 2 points + shed curve", recs)
+	}
+	if r := recs[0]; r.Kind != "curve" || r.Status != http.StatusOK || r.Error != "" || r.TotalMs <= 0 {
+		t.Errorf("curve record = %+v", r)
+	}
+	if p := recs[1]; p.Kind != "point" || p.Seq != 0 || p.Cores != 1 || p.Tier != "analytical" || p.ConfigHash != "aa" || p.TraceID != recs[0].TraceID {
+		t.Errorf("first point record = %+v", p)
+	}
+	if p := recs[2]; p.Kind != "point" || p.Cores != 2 || p.Error != "shed (global): full" {
+		t.Errorf("second point record = %+v", p)
+	}
+	if r := recs[3]; r.Kind != "curve" || r.Seq != 1 || r.Status != http.StatusTooManyRequests || r.Error != "queue full" {
+		t.Errorf("shed curve record = %+v", r)
+	}
+
+	recs, err = Run(context.Background(), Config{BaseURL: ts.URL, Schedule: sched[:1]})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r := recs[0]; len(recs) != 1 || r.Kind != "" || r.Status != http.StatusTooManyRequests || r.Error != "" {
+		t.Errorf("shed predict records = %+v, want one with no kind and no error text", recs)
+	}
+}

@@ -13,8 +13,8 @@ import (
 )
 
 // TestFitParity checks that every path to a fit gives the same fit for
-// the same anchors: Warm, refitFromCache after Predict fallbacks have
-// cached the plan, the reproduction's Runner.FitPlan and the fit inside
+// the same anchors: Warm, refitFromCache after a PredictStream fallback
+// has cached the plan, the reproduction's Runner.FitPlan and the fit inside
 // ModelVsMeasurement. %#v prints each float in its shortest round-trip
 // form, so equal strings mean bit-equal floats. The gate verdicts at the
 // default bounds pin which presets serve SP.C analytically.
@@ -41,14 +41,14 @@ func TestFitParity(t *testing.T) {
 
 			refit := New(r)
 			plan := experiments.AnchorPlan(spec)
-			for _, n := range plan {
-				if _, err := refit.Predict(ctx, spec, program, class, n); err != nil {
-					t.Fatal(err)
+			refit.PredictStream(ctx, spec, program, class, plan, func(i int, _ Prediction, err error) {
+				if err != nil {
+					t.Errorf("simulating anchor %d: %v", plan[i], err)
 				}
-			}
+			})
 			entry, ok := refit.fits[fitKey{spec.Name, program, class, refit.Scale()}]
 			if !ok {
-				t.Fatalf("no fit after Predict fallbacks at every anchor %v", plan)
+				t.Fatalf("no fit after simulating every anchor %v", plan)
 			}
 
 			warmed, err := New(r).Warm(ctx, spec, program, class)

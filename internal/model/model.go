@@ -156,7 +156,7 @@ func (p *Predictor) CachedRuns() int { return p.runner.CacheLen() }
 // valid; its Fit and MCUtilization are shared and read-only.
 func (p *Predictor) Analytical(spec machine.Spec, program string, class workload.Class, cores int) (Prediction, experiments.DeclineReason) {
 	if cores < 1 || cores > spec.TotalCores() {
-		// Range errors are caught properly by Predict; analytically this
+		// Range errors are reported by PredictStream; analytically this
 		// is simply not answerable.
 		return Prediction{}, experiments.DeclineNoFit
 	}
@@ -276,36 +276,8 @@ func (p *Predictor) decline(reason experiments.DeclineReason, spec machine.Spec,
 	return reason
 }
 
-// Predict answers the query: analytically when the fit allows it, by full
-// simulation otherwise. The simulation path runs C(n) and — for the ω
-// baseline — C(1) through the runner (cached, deduplicated, journaled)
-// and then opportunistically fits the pair if its anchor plan is now
-// fully cached, so repeated cold queries migrate to the fast path.
-// Cancelling ctx aborts a fallback wherever it is; the analytical path
-// never blocks.
-func (p *Predictor) Predict(ctx context.Context, spec machine.Spec, program string, class workload.Class, cores int) (Prediction, error) {
-	if cores < 1 || cores > spec.TotalCores() {
-		return Prediction{}, fmt.Errorf("%w: %d on %s (1..%d)", ErrBadCores, cores, spec.Name, spec.TotalCores())
-	}
-	if pred, reason := p.Analytical(spec, program, class, cores); reason == "" {
-		return pred, nil
-	}
-	res, err := p.runner.Run(ctx, spec, program, class, cores)
-	if err != nil {
-		return Prediction{}, err
-	}
-	base, err := p.runner.Run(ctx, spec, program, class, 1)
-	if err != nil {
-		return Prediction{}, err
-	}
-	p.refitFromCache(ctx, spec, program, class)
-	return p.simPrediction(spec, program, class, cores, res, base), nil
-}
-
 // simPrediction assembles a simulation-tier Prediction from a measured
-// run and its single-core baseline — the shared tail of Predict and
-// PredictStream, so a streamed curve point and a single query at the
-// same coordinate carry identical values.
+// run and its single-core baseline.
 func (p *Predictor) simPrediction(spec machine.Spec, program string, class workload.Class, cores int, res, base sim.Result) Prediction {
 	return Prediction{
 		Machine:        spec.Name,
@@ -323,16 +295,19 @@ func (p *Predictor) simPrediction(spec machine.Spec, program string, class workl
 	}
 }
 
-// PredictStream answers many simulation-tier core counts of one
-// (machine, program, class) pair through the runner's worker pool,
-// invoking fn once per index in completion order — cache hits first,
-// cold runs as they finish. The single-core ω baseline is run (or
+// PredictStream is the simulation tier: it answers core counts of one
+// (machine, program, class) pair by full simulation through the
+// runner's worker pool (cached, deduplicated, journaled), invoking fn
+// once per index in completion order — cache hits first, cold runs as
+// they finish. It never consults the fit: callers ask Analytical or
+// AnalyticalCurve first and simulate only what they declined, so each
+// refusal is counted once. The single-core ω baseline is run (or
 // fetched from cache) before the batch so each point can be assembled
 // the moment its own run settles. fn is called from one goroutine, never
 // concurrently, and exactly once per index: failed and canceled points
-// carry the error. After the batch settles the pair is opportunistically
-// refitted from cache, so a served curve migrates the pair to the
-// analytical tier just like N individual Predict calls would.
+// carry the error; cancelling ctx fails the points still running. After
+// the batch settles the pair is opportunistically refitted from cache,
+// so repeated cold queries migrate the pair to the analytical tier.
 func (p *Predictor) PredictStream(ctx context.Context, spec machine.Spec, program string, class workload.Class, cores []int, fn func(i int, pred Prediction, err error)) {
 	valid := make([]int, 0, len(cores))
 	for i, n := range cores {
@@ -382,7 +357,7 @@ func (p *Predictor) Warm(ctx context.Context, spec machine.Spec, program string,
 
 // refitFromCache fits the pair if no fit exists yet and every anchor of
 // its plan is already in the runner's cache. It never simulates; it is
-// the self-improvement hook Predict calls after each fallback. When the
+// the self-improvement hook PredictStream calls after each batch. When the
 // context carries a request span, the attempt is recorded as a
 // "model.refit" child span (with a fitted attribute) so traceview can
 // show which request paid for a background refit.

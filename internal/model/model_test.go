@@ -2,8 +2,8 @@ package model_test
 
 import (
 	"context"
+	"errors"
 	"math"
-	"strings"
 	"testing"
 
 	"repro/internal/experiments"
@@ -92,14 +92,39 @@ func TestDeclineReasons(t *testing.T) {
 	}
 }
 
-// TestPredictBadCores checks the range error both tiers share.
+// simulate answers one core count on the simulation tier through
+// PredictStream, the tier's only entry point.
+func simulate(t *testing.T, p *model.Predictor, spec machine.Spec, program string, class workload.Class, cores int) (model.Prediction, error) {
+	t.Helper()
+	var pred model.Prediction
+	var err error
+	calls := 0
+	p.PredictStream(context.Background(), spec, program, class, []int{cores}, func(i int, pr model.Prediction, e error) {
+		calls++
+		pred, err = pr, e
+	})
+	if calls != 1 {
+		t.Fatalf("PredictStream called fn %d times for one point, want 1", calls)
+	}
+	return pred, err
+}
+
+// TestPredictBadCores checks the range error: fn sees every
+// out-of-range point exactly once, carrying ErrBadCores.
 func TestPredictBadCores(t *testing.T) {
 	spec := mustSpec(t, "IntelUMA8")
 	p := model.New(experiments.NewRunner(workload.Tuning{RefScale: 0.05}))
-	for _, cores := range []int{0, -3, spec.TotalCores() + 1} {
-		_, err := p.Predict(context.Background(), spec, "CG", "W", cores)
-		if err == nil || !strings.Contains(err.Error(), "cores out of machine range") {
-			t.Errorf("cores=%d: err = %v, want ErrBadCores", cores, err)
+	cores := []int{0, -3, spec.TotalCores() + 1}
+	seen := map[int]int{}
+	p.PredictStream(context.Background(), spec, "CG", "W", cores, func(i int, _ model.Prediction, err error) {
+		seen[i]++
+		if !errors.Is(err, model.ErrBadCores) {
+			t.Errorf("cores=%d: err = %v, want ErrBadCores", cores[i], err)
+		}
+	})
+	for i, n := range cores {
+		if seen[i] != 1 {
+			t.Errorf("cores=%d: fn called %d times, want 1", n, seen[i])
 		}
 	}
 }
@@ -117,11 +142,10 @@ func TestSelfImprovement(t *testing.T) {
 	p := model.New(r)
 	p.MinR2 = -1
 	p.MaxResidual = 1e9
-	ctx := context.Background()
 
 	// Anchors for IntelUMA8 are {1, 4, 5}. The first cold query measures
 	// C(4) and its C(1) baseline — two of three anchors.
-	pred, err := p.Predict(ctx, spec, "CG", "W", 4)
+	pred, err := simulate(t, p, spec, "CG", "W", 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,10 +155,14 @@ func TestSelfImprovement(t *testing.T) {
 	if p.FitCount() != 0 {
 		t.Fatalf("fit appeared with anchors missing: FitCount = %d", p.FitCount())
 	}
+	if _, reason := p.Analytical(spec, "CG", "W", 3); reason != experiments.DeclineNoFit {
+		t.Fatalf("before the plan is cached: reason = %q, want %q", reason, experiments.DeclineNoFit)
+	}
 
-	// The second cold query measures C(5), completing the plan; Predict's
-	// refit hook should fit the pair from cache without new simulations.
-	if _, err := p.Predict(ctx, spec, "CG", "W", 5); err != nil {
+	// The second cold query measures C(5), completing the plan;
+	// PredictStream's refit hook should fit the pair from cache without
+	// new simulations.
+	if _, err := simulate(t, p, spec, "CG", "W", 5); err != nil {
 		t.Fatal(err)
 	}
 	if p.FitCount() != 1 {
@@ -142,12 +170,9 @@ func TestSelfImprovement(t *testing.T) {
 	}
 
 	cached := p.CachedRuns()
-	pred, err = p.Predict(ctx, spec, "CG", "W", 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pred.Tier != model.TierAnalytical {
-		t.Errorf("post-fit query tier = %q, want analytical", pred.Tier)
+	pred, reason := p.Analytical(spec, "CG", "W", 3)
+	if reason != "" || pred.Tier != model.TierAnalytical {
+		t.Errorf("post-fit query: tier %q, reason %q, want analytical", pred.Tier, reason)
 	}
 	if p.CachedRuns() != cached {
 		t.Errorf("analytical answer ran simulations: cache grew %d -> %d", cached, p.CachedRuns())

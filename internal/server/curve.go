@@ -3,21 +3,18 @@ package server
 import (
 	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
-	"strconv"
 	"strings"
 	"time"
 
 	"repro/internal/api"
 	"repro/internal/experiments"
-	"repro/internal/machine"
 	"repro/internal/model"
 	"repro/internal/telemetry"
-	"repro/internal/workload"
 )
 
-// The curve endpoint answers a whole ω(n) sweep in one request.
+// The curve endpoint answers a whole ω(n) sweep in one request, through
+// the same query stages as a predict (server.go).
 //
 // The analytical sweep is evaluated first — one fit lookup, microseconds
 // for the whole curve — and admission is charged one token per
@@ -28,63 +25,41 @@ import (
 // flush before any simulation starts, and the simulation points stream
 // in completion order; batched mode gathers everything and responds in
 // request order. Either way each simulation point releases its token the
-// moment it settles, so a long curve does not hold the queue hostage
-// while its slowest point simulates.
+// moment it settles.
 
-// curveParams is one parsed and validated curve request.
-type curveParams struct {
-	spec   machine.Spec
-	req    api.CurveRequest
-	class  workload.Class
-	cores  []int
-	tenant string
-}
-
-// parseCurve decodes and validates a curve request body. An empty or
-// omitted cores list means the full sweep 1..TotalCores; an explicit
-// list must be in range and duplicate-free (a duplicate would silently
-// double-charge admission).
-func (s *Server) parseCurve(r *http.Request) (curveParams, *httpError) {
-	var p curveParams
-	dec := json.NewDecoder(io.LimitReader(r.Body, maxBodyBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&p.req); err != nil {
-		return p, &httpError{http.StatusBadRequest, fmt.Sprintf("invalid request body: %v", err)}
+// parseCurve parses a curve request. An empty or omitted cores list
+// means the full sweep 1..TotalCores; an explicit list must be in range
+// and duplicate-free (a duplicate would silently double-charge
+// admission).
+func (s *Server) parseCurve(r *http.Request) (query, *httpError) {
+	var req api.CurveRequest
+	if herr := decodeBody(r, &req); herr != nil {
+		return query{}, herr
 	}
-	spec, err := machine.ByName(p.req.Machine)
-	if err != nil {
-		return p, &httpError{http.StatusBadRequest, err.Error()}
+	q, herr := s.newQuery(r, req.Machine, req.Program, req.Class, req.Scale)
+	if herr != nil {
+		return q, herr
 	}
-	p.spec = spec
-	if err := validateWorkload(p.req.Program, p.req.Class); err != nil {
-		return p, &httpError{http.StatusBadRequest, err.Error()}
-	}
-	if herr := s.checkScale(p.req.Scale); herr != nil {
-		return p, herr
-	}
-	if len(p.req.Cores) == 0 {
-		p.cores = make([]int, spec.TotalCores())
-		for i := range p.cores {
-			p.cores[i] = i + 1
+	if len(req.Cores) == 0 {
+		q.cores = make([]int, q.spec.TotalCores())
+		for i := range q.cores {
+			q.cores[i] = i + 1
 		}
-	} else {
-		seen := make(map[int]bool, len(p.req.Cores))
-		for _, n := range p.req.Cores {
-			if n < 1 || n > spec.TotalCores() {
-				return p, &httpError{http.StatusBadRequest, fmt.Sprintf(
-					"cores %d out of range for %s (1..%d)", n, spec.Name, spec.TotalCores())}
-			}
-			if seen[n] {
-				return p, &httpError{http.StatusBadRequest, fmt.Sprintf(
-					"duplicate cores %d in curve request", n)}
-			}
-			seen[n] = true
-		}
-		p.cores = p.req.Cores
+		return q, nil
 	}
-	p.class = workload.Class(p.req.Class)
-	p.tenant = r.Header.Get(api.HeaderTenant)
-	return p, nil
+	seen := make(map[int]bool, len(req.Cores))
+	for _, n := range req.Cores {
+		if herr := checkCores(q.spec, n); herr != nil {
+			return q, herr
+		}
+		if seen[n] {
+			return q, &httpError{http.StatusBadRequest, fmt.Sprintf(
+				"duplicate cores %d in curve request", n)}
+		}
+		seen[n] = true
+	}
+	q.cores = req.Cores
+	return q, nil
 }
 
 // shedText is one shed point's error text, kept per (reason, scope) for
@@ -138,9 +113,9 @@ func (s *Server) handleCurve(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, http.StatusMethodNotAllowed, "POST only")
 		return
 	}
-	rt := s.startCurveTrace(w, r)
+	rt := s.startTrace(w, r, true)
 	rt.beginParse()
-	p, herr := s.parseCurve(r)
+	q, herr := s.parseCurve(r)
 	rt.endParse(herr == nil)
 	if herr != nil {
 		s.fail(w, herr.status, herr.msg)
@@ -150,69 +125,35 @@ func (s *Server) handleCurve(w http.ResponseWriter, r *http.Request) {
 	s.curveRequests.Inc()
 	start := time.Now()
 
-	// Analytical sweep: one fit lookup answers every point it can, in
-	// microseconds.
 	rt.beginModel()
-	preds, reasons := s.pred.AnalyticalCurve(p.spec, p.req.Program, p.class, p.cores)
-	var simIdx []int
-	for i, reason := range reasons {
-		if reason != "" {
-			simIdx = append(simIdx, i)
+	preds, reasons := s.pred.AnalyticalCurve(q.spec, q.program, q.class, q.cores)
+	analytical := 0
+	for _, reason := range reasons {
+		if reason == "" {
+			analytical++
 		}
 	}
-	analytical := len(p.cores) - len(simIdx)
-	rt.endModelCurve(analytical, len(simIdx))
+	rt.endModelCurve(analytical, len(q.cores)-analytical)
 
-	// Charge admission one token per simulation point before any byte is
-	// written: the whole grant/shed verdict must precede the streaming
-	// header, which commits the status code.
-	granted := make([]bool, len(p.cores))
-	shedScope := make([]string, len(p.cores))
-	grantedCount := 0
 	rt.beginAdmit()
-	for _, i := range simIdx {
-		ok, scope := s.adm.Acquire(p.tenant)
-		if ok {
-			granted[i] = true
-			grantedCount++
-		} else {
-			shedScope[i] = scope
-			s.metrics.Counter("simserved_curve_shed_points_total").Inc()
-		}
+	scopes, granted := s.admit(q.tenant, reasons)
+	shed := len(q.cores) - analytical - granted
+	rt.endAdmitCurve(q.tenant, granted, shed)
+	if shed > 0 {
+		s.metrics.Counter("simserved_curve_shed_points_total").Add(uint64(shed))
 	}
-	rt.endAdmitCurve(p.tenant, grantedCount, len(simIdx)-grantedCount)
-	if grantedCount > 0 {
-		s.metrics.Gauge("simserved_queue_depth").Set(float64(s.adm.Depth()))
-	}
-	shed := len(simIdx) - grantedCount
-
-	// A curve the instance can say nothing about — no fit, every point
-	// needs a simulation, every token denied — is one whole-request 429,
-	// same as a shed predict.
-	if analytical == 0 && grantedCount == 0 && len(simIdx) > 0 {
-		scope := shedScope[simIdx[0]]
-		s.metrics.Counter("simserved_rejected_total").Inc()
-		if scope == api.ScopeTenant {
-			s.metrics.Counter("simserved_tenant_rejected_total").Inc()
-		}
-		if s.tracer.Enabled() {
-			s.tracer.Emit("server.rejected", "machine", p.spec.Name, "program", p.req.Program,
-				"class", p.req.Class, "points", len(p.cores), "decline", string(reasons[simIdx[0]]),
-				"tenant", p.tenant, "scope", scope, "queue", s.adm.Cap())
-		}
-		w.Header().Set("Retry-After", strconv.Itoa(s.retryAfterS()))
-		w.Header().Set(api.HeaderAdmissionScope, scope)
-		s.fail(w, http.StatusTooManyRequests, s.shedMessage(reasons[simIdx[0]], scope))
+	if analytical == 0 && granted == 0 {
+		s.reject(w, &q, reasons[0], scopes[0], "points", len(q.cores))
 		rt.finishCurve(http.StatusTooManyRequests, 0, 0, shed, 0)
 		return
 	}
 
 	// Resolve the analytical and shed points now; simulation slots fill
 	// as the runner completes them.
-	points := make([]*api.CurvePoint, len(p.cores))
+	points := make([]*api.CurvePoint, len(q.cores))
 	var fit *api.Fit
 	var shedTexts []shedText
-	for i := range p.cores {
+	for i := range q.cores {
 		switch {
 		case reasons[i] == "":
 			pt := curvePoint(preds[i])
@@ -222,11 +163,11 @@ func (s *Server) handleCurve(w http.ResponseWriter, r *http.Request) {
 			}
 			rt.endPoint(rt.startPoint(), pt.Cores, pt.Tier)
 			s.curveAnalyticalPoints.Inc()
-		case !granted[i]:
+		case scopes[i] != "":
 			var text string
-			shedTexts, text = s.shedPointText(shedTexts, reasons[i], shedScope[i])
-			points[i] = &api.CurvePoint{Cores: p.cores[i], Error: text}
-			rt.failPoint(rt.startPoint(), p.cores[i], "shed")
+			shedTexts, text = s.shedPointText(shedTexts, reasons[i], scopes[i])
+			points[i] = &api.CurvePoint{Cores: q.cores[i], Error: text}
+			rt.failPoint(rt.startPoint(), q.cores[i], "shed")
 		}
 	}
 
@@ -255,57 +196,43 @@ func (s *Server) handleCurve(w http.ResponseWriter, r *http.Request) {
 				_ = enc.Encode(api.CurveFrame{Point: pt})
 			}
 		}
-		if grantedCount > 0 && flusher != nil {
+		if granted > 0 && flusher != nil {
 			flusher.Flush()
 		}
 	}
 
-	// Dispatch the granted simulation points through the runner's pool.
-	// PredictStream invokes the callback on this goroutine, one point at
-	// a time, in completion order.
 	simulation, failed := 0, 0
-	if grantedCount > 0 {
-		simCores := make([]int, 0, grantedCount)
-		simMap := make([]int, 0, grantedCount)
-		for _, i := range simIdx {
-			if granted[i] {
-				simCores = append(simCores, p.cores[i])
-				simMap = append(simMap, i)
+	if granted > 0 {
+		// Point spans open at dispatch and close as each point settles.
+		cores, spans := q.cores, make([]telemetry.Span, len(q.cores))
+		for i, pt := range points {
+			if pt == nil {
+				spans[i] = rt.startPoint()
 			}
 		}
-		simSpans := make([]telemetry.Span, len(simCores))
-		simStart := make([]time.Time, len(simCores))
-		for j := range simCores {
-			simSpans[j] = rt.startPoint()
-			simStart[j] = time.Now()
-		}
-		s.pred.PredictStream(rt.context(r.Context()), p.spec, p.req.Program, p.class, simCores,
-			func(j int, pred model.Prediction, err error) {
-				i := simMap[j]
-				s.release(p.tenant)
-				if err != nil {
-					failed++
-					s.metrics.Counter("simserved_curve_failed_points_total").Inc()
-					msg := err.Error()
-					if isCanceled(err) {
-						msg = "canceled before the simulation finished"
-					}
-					rt.failPoint(simSpans[j], simCores[j], msg)
-					points[i] = &api.CurvePoint{Cores: simCores[j], Error: msg}
-				} else {
-					simulation++
-					s.metrics.Counter("simserved_curve_simulation_points_total").Inc()
-					s.observeSimLatency(time.Since(simStart[j]))
-					rt.endPoint(simSpans[j], pred.Cores, string(pred.Tier))
-					pt := curvePoint(pred)
-					points[i] = &pt
+		s.simulate(rt.context(r.Context()), &q, reasons, scopes, func(i int, pred model.Prediction, err error) {
+			if err != nil {
+				failed++
+				s.metrics.Counter("simserved_curve_failed_points_total").Inc()
+				msg := err.Error()
+				if isCanceled(err) {
+					msg = "canceled before the simulation finished"
 				}
-				emit(points[i])
-			})
+				rt.failPoint(spans[i], cores[i], msg)
+				points[i] = &api.CurvePoint{Cores: cores[i], Error: msg}
+			} else {
+				simulation++
+				s.metrics.Counter("simserved_curve_simulation_points_total").Inc()
+				rt.endPoint(spans[i], pred.Cores, string(pred.Tier))
+				pt := curvePoint(pred)
+				points[i] = &pt
+			}
+			emit(points[i])
+		})
 	}
 
 	summary := api.CurveSummary{
-		Points:     len(p.cores),
+		Points:     len(q.cores),
 		Analytical: analytical,
 		Simulation: simulation,
 		Shed:       shed,
@@ -316,8 +243,8 @@ func (s *Server) handleCurve(w http.ResponseWriter, r *http.Request) {
 	s.curveMs.ObserveExemplar(ms, rt.traceID())
 	if s.tracer.Enabled() {
 		s.tracer.Emit("server.curve_served",
-			"machine", p.spec.Name, "program", p.req.Program, "class", p.req.Class,
-			"points", len(p.cores), "analytical", analytical, "simulation", simulation,
+			"machine", q.spec.Name, "program", q.program, "class", string(q.class),
+			"points", len(q.cores), "analytical", analytical, "simulation", simulation,
 			"shed", shed, "failed", failed, "elapsed_ms", ms)
 	}
 
@@ -339,9 +266,9 @@ func (s *Server) handleCurve(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	resp := api.CurveResponse{
-		Machine: p.spec.Name,
-		Program: p.req.Program,
-		Class:   p.req.Class,
+		Machine: q.spec.Name,
+		Program: q.program,
+		Class:   string(q.class),
 		Scale:   s.pred.Scale(),
 		Points:  make([]api.CurvePoint, len(points)),
 		Summary: summary,

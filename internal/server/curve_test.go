@@ -30,6 +30,7 @@ type stubPredictor struct {
 	declineSet map[int]bool
 	gate       chan struct{}         // PredictStream blocks here when non-nil
 	simErr     func(cores int) error // per-point simulation failure when non-nil
+	fit        *experiments.Fit      // the fit behind every analytical answer
 }
 
 func (s *stubPredictor) Scale() float64  { return 1 }
@@ -45,27 +46,18 @@ func (s *stubPredictor) pred(spec machine.Spec, program string, class workload.C
 	}
 }
 
-func (s *stubPredictor) Analytical(spec machine.Spec, program string, class workload.Class, cores int) (model.Prediction, experiments.DeclineReason) {
-	if s.declineSet[cores] {
-		return model.Prediction{}, experiments.DeclineNoFit
-	}
-	return s.pred(spec, program, class, cores, model.TierAnalytical), ""
-}
-
 func (s *stubPredictor) AnalyticalCurve(spec machine.Spec, program string, class workload.Class, cores []int) ([]model.Prediction, []experiments.DeclineReason) {
 	preds := make([]model.Prediction, len(cores))
 	reasons := make([]experiments.DeclineReason, len(cores))
 	for i, n := range cores {
-		preds[i], reasons[i] = s.Analytical(spec, program, class, n)
+		if s.declineSet[n] {
+			reasons[i] = experiments.DeclineNoFit
+			continue
+		}
+		preds[i] = s.pred(spec, program, class, n, model.TierAnalytical)
+		preds[i].Fit = s.fit
 	}
 	return preds, reasons
-}
-
-func (s *stubPredictor) Predict(ctx context.Context, spec machine.Spec, program string, class workload.Class, cores int) (model.Prediction, error) {
-	if err := ctx.Err(); err != nil {
-		return model.Prediction{}, err
-	}
-	return s.pred(spec, program, class, cores, model.TierSimulation), nil
 }
 
 func (s *stubPredictor) PredictStream(ctx context.Context, spec machine.Spec, program string, class workload.Class, cores []int, fn func(i int, pred model.Prediction, err error)) {

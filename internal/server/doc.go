@@ -19,6 +19,12 @@
 //	                   admission-queue and backend metrics
 //	/debug/pprof/*     the standard pprof handlers
 //
+// Both query endpoints run one query path, and a predict is a one-point
+// curve: one parse of the shared fields, one model decision
+// (Predictor.AnalyticalCurve), one admission stage with one 429, and one
+// simulation dispatch (Predictor.PredictStream). Each handler keeps only
+// its framing, so a refusal is counted once whichever endpoint asked.
+//
 // # Admission and backpressure
 //
 // Analytical-tier answers cost microseconds and are never queued: every

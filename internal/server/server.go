@@ -43,6 +43,8 @@ const (
 // tiered backend. *model.Predictor implements it; tests substitute
 // stubs to pin serving contracts — like mixed-tier streaming order —
 // that the real physics only produces past a fitted saturation point.
+// Both query endpoints use the same two calls: a predict is a one-point
+// curve.
 type Predictor interface {
 	// Scale is the workload fidelity of this instance; every answer and
 	// config hash is at this scale.
@@ -50,15 +52,11 @@ type Predictor interface {
 	// FitCount and CachedRuns feed /healthz occupancy.
 	FitCount() int
 	CachedRuns() int
-	// Analytical answers from the fitted closed form or declines with a
-	// reason; it must never block.
-	Analytical(spec machine.Spec, program string, class workload.Class, cores int) (model.Prediction, experiments.DeclineReason)
-	// AnalyticalCurve is Analytical over a core sweep with one fit
-	// lookup: point i of the parallel slices is answered iff reasons[i]
-	// is empty.
+	// AnalyticalCurve answers from the fitted closed form at every core
+	// count with one fit lookup, or declines with a reason: point i of
+	// the parallel slices is answered iff reasons[i] is empty. It must
+	// never block.
 	AnalyticalCurve(spec machine.Spec, program string, class workload.Class, cores []int) ([]model.Prediction, []experiments.DeclineReason)
-	// Predict answers one query, falling back to simulation.
-	Predict(ctx context.Context, spec machine.Spec, program string, class workload.Class, cores int) (model.Prediction, error)
 	// PredictStream simulates many core counts of one pair, invoking fn
 	// exactly once per index in completion order from a single
 	// goroutine; failed or canceled points carry the error.
@@ -168,13 +166,17 @@ func (s *Server) Handler() http.Handler {
 // scalars and a core list, so anything past a few KB is a client bug.
 const maxBodyBytes = 1 << 20
 
-// predictParams is one parsed and validated predict request.
-type predictParams struct {
-	spec   machine.Spec
-	req    api.PredictRequest
-	class  workload.Class
-	cores  int
-	tenant string
+// query is one parsed and validated request of either query endpoint:
+// a (machine, program, class) pair, the core counts to answer and the
+// tenant charged for their simulations. A predict is a one-point query;
+// both endpoints run it through the same stages — AnalyticalCurve,
+// admit (and reject), simulate — and differ only in their framing.
+type query struct {
+	spec    machine.Spec
+	program string
+	class   workload.Class
+	cores   []int
+	tenant  string
 }
 
 // httpError is a failure that maps to one HTTP status.
@@ -183,49 +185,74 @@ type httpError struct {
 	msg    string
 }
 
-// parsePredict decodes and validates a predict request body. It performs
-// no I/O beyond reading the body and writes nothing, so the handler can
-// bracket it in a span and route the error itself.
-func (s *Server) parsePredict(r *http.Request) (predictParams, *httpError) {
-	var p predictParams
+// decodeBody decodes a request body into req, a pointer to the
+// endpoint's request type, rejecting unknown fields.
+func decodeBody(r *http.Request, req any) *httpError {
 	dec := json.NewDecoder(io.LimitReader(r.Body, maxBodyBytes))
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(&p.req); err != nil {
-		return p, &httpError{http.StatusBadRequest, fmt.Sprintf("invalid request body: %v", err)}
+	if err := dec.Decode(req); err != nil {
+		return &httpError{http.StatusBadRequest, fmt.Sprintf("invalid request body: %v", err)}
 	}
-	spec, err := machine.ByName(p.req.Machine)
-	if err != nil {
-		return p, &httpError{http.StatusBadRequest, err.Error()}
-	}
-	p.spec = spec
-	if err := validateWorkload(p.req.Program, p.req.Class); err != nil {
-		return p, &httpError{http.StatusBadRequest, err.Error()}
-	}
-	if herr := s.checkScale(p.req.Scale); herr != nil {
-		return p, herr
-	}
-	p.cores = p.req.Cores
-	if p.cores == 0 {
-		p.cores = spec.TotalCores()
-	}
-	if p.cores < 1 || p.cores > spec.TotalCores() {
-		return p, &httpError{http.StatusBadRequest, fmt.Sprintf(
-			"cores %d out of range for %s (1..%d)", p.cores, spec.Name, spec.TotalCores())}
-	}
-	p.class = workload.Class(p.req.Class)
-	p.tenant = r.Header.Get(api.HeaderTenant)
-	return p, nil
+	return nil
 }
 
-// checkScale rejects a request naming a different fidelity than this
-// instance simulates at (zero means "whatever the server runs").
-func (s *Server) checkScale(scale float64) *httpError {
+// newQuery validates the request fields both endpoints share and returns
+// the query without its core counts, which the endpoint's parser
+// resolves. Parsing performs no I/O beyond reading the body and writes
+// nothing, so the handler can bracket it in a span and route the error
+// itself.
+func (s *Server) newQuery(r *http.Request, machineName, program, class string, scale float64) (query, *httpError) {
+	spec, err := machine.ByName(machineName)
+	if err != nil {
+		return query{}, &httpError{http.StatusBadRequest, err.Error()}
+	}
+	if err := validateWorkload(program, class); err != nil {
+		return query{}, &httpError{http.StatusBadRequest, err.Error()}
+	}
+	// Zero means "whatever the server runs".
 	if scale != 0 && scale != s.pred.Scale() {
-		return &httpError{http.StatusBadRequest, fmt.Sprintf(
+		return query{}, &httpError{http.StatusBadRequest, fmt.Sprintf(
 			"this instance simulates at scale %g, not %g; run one simserved per fidelity (see docs/SERVER.md)",
 			s.pred.Scale(), scale)}
 	}
+	return query{spec: spec, program: program, class: workload.Class(class), tenant: r.Header.Get(api.HeaderTenant)}, nil
+}
+
+// checkCores rejects a core count outside 1..TotalCores.
+func checkCores(spec machine.Spec, n int) *httpError {
+	if n < 1 || n > spec.TotalCores() {
+		return &httpError{http.StatusBadRequest, fmt.Sprintf(
+			"cores %d out of range for %s (1..%d)", n, spec.Name, spec.TotalCores())}
+	}
 	return nil
+}
+
+// parsePredict parses a predict request as a one-point query; omitted
+// cores means the whole machine.
+func (s *Server) parsePredict(r *http.Request) (query, *httpError) {
+	// The decoder moves req to the heap, so the one-point core list
+	// lives beside it rather than in an allocation of its own.
+	var body struct {
+		req   api.PredictRequest
+		cores [1]int
+	}
+	if herr := decodeBody(r, &body.req); herr != nil {
+		return query{}, herr
+	}
+	q, herr := s.newQuery(r, body.req.Machine, body.req.Program, body.req.Class, body.req.Scale)
+	if herr != nil {
+		return q, herr
+	}
+	n := body.req.Cores
+	if n == 0 {
+		n = q.spec.TotalCores()
+	}
+	if herr := checkCores(q.spec, n); herr != nil {
+		return q, herr
+	}
+	body.cores[0] = n
+	q.cores = body.cores[:]
+	return q, nil
 }
 
 func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
@@ -234,9 +261,9 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, http.StatusMethodNotAllowed, "POST only")
 		return
 	}
-	rt := s.startTrace(w, r)
+	rt := s.startTrace(w, r, false)
 	rt.beginParse()
-	p, herr := s.parsePredict(r)
+	q, herr := s.parsePredict(r)
 	rt.endParse(herr == nil)
 	if herr != nil {
 		s.fail(w, herr.status, herr.msg)
@@ -248,29 +275,31 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	// Fast path first: microseconds, no admission, no queueing.
 	start := time.Now()
 	rt.beginModel()
-	pred, reason := s.pred.Analytical(p.spec, p.req.Program, p.class, p.cores)
-	rt.endModel(string(reason))
-	if reason == "" {
+	preds, reasons := s.pred.AnalyticalCurve(q.spec, q.program, q.class, q.cores)
+	rt.endModel(string(reasons[0]))
+	if reasons[0] == "" {
 		rt.beginRespond()
-		s.respond(w, rt, pred, time.Since(start))
+		s.respond(w, rt, preds[0], time.Since(start))
 		rt.endRespond()
-		rt.finish(http.StatusOK, string(pred.Tier))
+		rt.finish(http.StatusOK, string(preds[0].Tier))
 		return
 	}
 
 	rt.beginAdmit()
-	ok, scope := s.adm.Acquire(p.tenant)
-	rt.endAdmit(p.tenant, ok, scope)
-	if !ok {
-		s.shed(w, p, reason, scope)
+	scopes, granted := s.admit(q.tenant, reasons)
+	rt.endAdmit(q.tenant, granted == 1, scopes[0])
+	if granted == 0 {
+		s.reject(w, &q, reasons[0], scopes[0], "cores", q.cores[0])
 		rt.finish(http.StatusTooManyRequests, "")
 		return
 	}
-	s.metrics.Gauge("simserved_queue_depth").Set(float64(s.adm.Depth()))
-	defer s.release(p.tenant)
 
+	var pred model.Prediction
+	var err error
 	rt.beginSim()
-	pred, err := s.pred.Predict(rt.context(r.Context()), p.spec, p.req.Program, p.class, p.cores)
+	s.simulate(rt.context(r.Context()), &q, reasons, scopes, func(_ int, p model.Prediction, e error) {
+		pred, err = p, e
+	})
 	rt.endSim(err)
 	switch {
 	case err == nil:
@@ -288,8 +317,8 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	default:
 		s.metrics.Counter("simserved_errors_total").Inc()
 		if s.tracer.Enabled() {
-			s.tracer.Emit("server.error", "machine", p.spec.Name, "program", p.req.Program,
-				"class", p.req.Class, "cores", p.cores, "error", err.Error())
+			s.tracer.Emit("server.error", "machine", q.spec.Name, "program", q.program,
+				"class", string(q.class), "cores", q.cores[0], "error", err.Error())
 		}
 		s.fail(w, http.StatusInternalServerError, err.Error())
 		rt.finish(http.StatusInternalServerError, "")
@@ -302,19 +331,46 @@ func isCanceled(err error) bool {
 	return errors.Is(err, sim.ErrCanceled) || errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
 }
 
-// shed writes the 429 for a request that failed admission: Retry-After
-// priced off the simulation-latency EWMA, the rejecting scope, and a
-// message naming the full bucket. reason is the analytical tier's decline
-// that routed the request here.
-func (s *Server) shed(w http.ResponseWriter, p predictParams, reason experiments.DeclineReason, scope string) {
+// admit charges one admission token per point the model declined,
+// before any response byte is written: the whole grant/shed verdict must
+// precede a streaming header, which commits the status code. scopes[i]
+// names the full bucket that shed declined point i, and is "" for a
+// granted or answered point; granted counts the tokens taken, which
+// simulate returns one per settled point.
+func (s *Server) admit(tenant string, reasons []experiments.DeclineReason) (scopes []string, granted int) {
+	scopes = make([]string, len(reasons))
+	for i, reason := range reasons {
+		if reason == "" {
+			continue
+		}
+		if ok, scope := s.adm.Acquire(tenant); ok {
+			granted++
+		} else {
+			scopes[i] = scope
+		}
+	}
+	if granted > 0 {
+		s.metrics.Gauge("simserved_queue_depth").Set(float64(s.adm.Depth()))
+	}
+	return scopes, granted
+}
+
+// reject writes the whole-request 429 for a query the instance can say
+// nothing about — the model answered no point and admission granted no
+// token: Retry-After priced off the simulation-latency EWMA, the
+// rejecting scope, and a message naming the full bucket. reason is the
+// analytical tier's decline that routed the query here; sizeKey and size
+// name the query's extent in the server.rejected event (a predict's
+// cores, a curve's points).
+func (s *Server) reject(w http.ResponseWriter, q *query, reason experiments.DeclineReason, scope, sizeKey string, size int) {
 	s.metrics.Counter("simserved_rejected_total").Inc()
 	if scope == api.ScopeTenant {
 		s.metrics.Counter("simserved_tenant_rejected_total").Inc()
 	}
 	if s.tracer.Enabled() {
-		s.tracer.Emit("server.rejected", "machine", p.spec.Name, "program", p.req.Program,
-			"class", p.req.Class, "cores", p.cores, "decline", string(reason),
-			"tenant", p.tenant, "scope", scope, "queue", s.adm.Cap())
+		s.tracer.Emit("server.rejected", "machine", q.spec.Name, "program", q.program,
+			"class", string(q.class), sizeKey, size, "decline", string(reason),
+			"tenant", q.tenant, "scope", scope, "queue", s.adm.Cap())
 	}
 	w.Header().Set("Retry-After", strconv.Itoa(s.retryAfterS()))
 	w.Header().Set(api.HeaderAdmissionScope, scope)
@@ -332,6 +388,30 @@ func (s *Server) shedMessage(reason experiments.DeclineReason, scope string) str
 	return fmt.Sprintf(
 		"simulation admission queue full (%d in flight); the analytical tier declined (%s) — retry after the hint or warm this pair",
 		s.adm.Cap(), reason)
+}
+
+// simulate dispatches the query's granted points (declined by the model,
+// not shed by admit) through the runner's pool and hands each to fn by
+// its index in q.cores, in completion order, on this goroutine. Each
+// point returns its admission token the moment it settles, so a long
+// curve does not hold the queue hostage while its slowest point
+// simulates, and each success feeds the Retry-After estimate.
+func (s *Server) simulate(ctx context.Context, q *query, reasons []experiments.DeclineReason, scopes []string, fn func(i int, pred model.Prediction, err error)) {
+	var idx, cores []int
+	for i, n := range q.cores {
+		if reasons[i] != "" && scopes[i] == "" {
+			idx = append(idx, i)
+			cores = append(cores, n)
+		}
+	}
+	tenant, start := q.tenant, time.Now()
+	s.pred.PredictStream(ctx, q.spec, q.program, q.class, cores, func(j int, pred model.Prediction, err error) {
+		s.release(tenant)
+		if err == nil {
+			s.observeSimLatency(time.Since(start))
+		}
+		fn(idx[j], pred, err)
+	})
 }
 
 // release returns the tenant's admission token.
@@ -389,7 +469,6 @@ func (s *Server) respond(w http.ResponseWriter, rt *requestTrace, pred model.Pre
 	case model.TierSimulation:
 		s.metrics.Counter("simserved_simulation_total").Inc()
 		s.metrics.Histogram("simserved_simulate_ms", simulateBounds...).ObserveExemplar(ms, trace)
-		s.observeSimLatency(elapsed)
 	}
 	s.predictMs.ObserveExemplar(ms, trace)
 	if s.tracer.Enabled() {
@@ -419,16 +498,18 @@ func (s *Server) respond(w http.ResponseWriter, rt *requestTrace, pred model.Pre
 }
 
 // fitBody converts a model fit summary to its wire form (nil for nil).
+// A fit that never saturates has an infinite μ/L, which JSON cannot
+// carry, so its saturation_cores is omitted.
 func fitBody(fi *experiments.Fit) *api.Fit {
 	if fi == nil {
 		return nil
 	}
-	return &api.Fit{
-		Anchors:         fi.Anchors,
-		R2:              fi.R2,
-		Residual:        fi.Residual,
-		SaturationCores: fi.SaturationCores,
+	body := &api.Fit{Anchors: fi.Anchors, R2: fi.R2, Residual: fi.Residual}
+	if !math.IsInf(fi.SaturationCores, 0) && !math.IsNaN(fi.SaturationCores) {
+		// The fit is shared and read-only, so the body points into it.
+		body.SaturationCores = &fi.SaturationCores
 	}
+	return body
 }
 
 // validateWorkload checks program and class against the registry without

@@ -1,9 +1,11 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -341,5 +343,88 @@ func TestConcurrentClients(t *testing.T) {
 	close(errs)
 	for err := range errs {
 		t.Error(err)
+	}
+}
+
+// TestPredictCountsOneDecline checks that a simulated query counts its
+// analytical refusal once: one cold predict raises model_declines_total
+// by exactly 1 and emits one model.decline event, and so does a cold
+// one-point curve, because both ask the model once and then simulate.
+func TestPredictCountsOneDecline(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs simulations")
+	}
+	var trace bytes.Buffer
+	tr := telemetry.NewTracer(&trace)
+	reg := telemetry.NewRegistry()
+	p := model.New(experiments.NewRunner(workload.Tuning{RefScale: 0.05}))
+	p.Metrics, p.Tracer = reg, tr
+	h := New(Config{Predictor: p, Metrics: reg, Tracer: tr}).Handler()
+
+	declines := func() (counted uint64, events int) {
+		for _, line := range strings.Split(trace.String(), "\n") {
+			if strings.Contains(line, `"event":"model.decline"`) {
+				events++
+			}
+		}
+		return reg.Counter("model_declines_total").Value(), events
+	}
+	w := postPredict(t, h, `{"machine":"IntelUMA8","program":"EP","class":"W","cores":2}`)
+	if w.Code != http.StatusOK || w.Header().Get(api.HeaderTier) != api.TierSimulation {
+		t.Fatalf("cold predict: status %d tier %q: %s", w.Code, w.Header().Get(api.HeaderTier), w.Body.String())
+	}
+	if counted, events := declines(); counted != 1 || events != 1 {
+		t.Errorf("after one simulated predict: model_declines_total %d, model.decline events %d, want 1 and 1", counted, events)
+	}
+	w = postCurve(t, h, `{"machine":"IntelUMA8","program":"EP","class":"W","cores":[3]}`)
+	if resp := decodeCurve(t, w); w.Code != http.StatusOK || resp.Summary.Simulation != 1 {
+		t.Fatalf("cold curve: status %d summary %+v", w.Code, resp.Summary)
+	}
+	if counted, events := declines(); counted != 2 || events != 2 {
+		t.Errorf("after a simulated one-point curve: model_declines_total %d, model.decline events %d, want 2 and 2", counted, events)
+	}
+}
+
+// TestPredictFitNeverSaturates serves an analytical answer whose fit never
+// saturates (μ/L = +Inf, as when the fitted L/r is not positive) on both
+// endpoints: the body is whole JSON and omits saturation_cores, which
+// JSON cannot carry as infinity.
+func TestPredictFitNeverSaturates(t *testing.T) {
+	stub := &stubPredictor{fit: &experiments.Fit{
+		Anchors: []int{1, 4, 5}, R2: 1, Residual: 0.0002, SaturationCores: math.Inf(1),
+	}}
+	h := newStubServer(stub, 4).Handler()
+	for _, c := range []struct {
+		name string
+		w    *httptest.ResponseRecorder
+		fit  func([]byte) (*api.Fit, error)
+	}{
+		{"predict", postPredict(t, h, `{"machine":"IntelUMA8","program":"CG","class":"W","cores":3}`),
+			func(b []byte) (*api.Fit, error) {
+				var resp api.PredictResponse
+				return resp.Fit, json.Unmarshal(b, &resp)
+			}},
+		{"curve", postCurve(t, h, `{"machine":"IntelUMA8","program":"CG","class":"W","cores":[3]}`),
+			func(b []byte) (*api.Fit, error) {
+				var resp api.CurveResponse
+				return resp.Summary.Fit, json.Unmarshal(b, &resp)
+			}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			body := c.w.Body.Bytes()
+			if c.w.Code != http.StatusOK {
+				t.Fatalf("status %d: %s", c.w.Code, body)
+			}
+			fit, err := c.fit(body)
+			if err != nil {
+				t.Fatalf("body %q does not decode: %v", body, err)
+			}
+			if fit == nil || len(fit.Anchors) != 3 {
+				t.Fatalf("fit = %+v, want the stub's fit", fit)
+			}
+			if fit.SaturationCores != nil || bytes.Contains(body, []byte("saturation_cores")) {
+				t.Errorf("saturation_cores present for a fit that never saturates: %s", body)
+			}
+		})
 	}
 }

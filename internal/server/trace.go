@@ -26,30 +26,22 @@ type requestTrace struct {
 	child  telemetry.Span
 }
 
-// startTrace opens the request's root span ("server.request"), joined to
-// the client's traceparent when present, and echoes the trace ID in the
-// response headers. It returns nil when tracing is off.
-func (s *Server) startTrace(w http.ResponseWriter, r *http.Request) *requestTrace {
+// startTrace opens the request's root span — "server.curve" for a
+// curve, "server.request" otherwise, so traceview can tell a one-point
+// request from a whole-curve request — joined to the client's
+// traceparent when present, and echoes the trace ID in the response
+// headers. It returns nil when tracing is off.
+func (s *Server) startTrace(w http.ResponseWriter, r *http.Request, curve bool) *requestTrace {
 	if !s.tracer.Enabled() {
 		return nil
 	}
 	parent, _ := telemetry.ParseTraceparent(r.Header.Get(api.HeaderTraceparent))
 	rt := &requestTrace{tracer: s.tracer}
-	rt.root = s.tracer.StartSpan(parent, "server.request")
-	w.Header().Set(api.HeaderTrace, rt.root.Context().Trace.String())
-	return rt
-}
-
-// startCurveTrace is startTrace for the curve handler: same join and
-// echo semantics, but the root span is "server.curve" so traceview can
-// tell a one-point request from a whole-curve request.
-func (s *Server) startCurveTrace(w http.ResponseWriter, r *http.Request) *requestTrace {
-	if !s.tracer.Enabled() {
-		return nil
+	if curve {
+		rt.root = s.tracer.StartSpan(parent, "server.curve")
+	} else {
+		rt.root = s.tracer.StartSpan(parent, "server.request")
 	}
-	parent, _ := telemetry.ParseTraceparent(r.Header.Get(api.HeaderTraceparent))
-	rt := &requestTrace{tracer: s.tracer}
-	rt.root = s.tracer.StartSpan(parent, "server.curve")
 	w.Header().Set(api.HeaderTrace, rt.root.Context().Trace.String())
 	return rt
 }

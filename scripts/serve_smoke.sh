@@ -60,6 +60,10 @@ OUT=$(predict '{"machine":"IntelUMA8","program":"EP","class":"W","cores":4}')
 echo "$OUT" | grep -i '^X-Simserved-Tier:' | grep -q simulation || {
   echo "FAIL: expected simulation tier, got:" >&2; echo "$OUT" >&2; exit 1; }
 
+echo "== the cold predict's analytical refusal is counted once"
+curl -sf "http://$ADDR/metrics" | grep -q '^model_declines_total 1$' || {
+  echo "FAIL: expected model_declines_total 1 after one simulated predict" >&2; exit 1; }
+
 echo "== invalid request must 400"
 predict '{"machine":"IntelUMA8","program":"CG","class":"W","cores":99}' \
   | head -1 | grep -q ' 400 '
