@@ -203,7 +203,7 @@ func TestClaimMM1QueueOccupancy(t *testing.T) {
 		rng := rand.New(rand.NewSource(7))
 		lambda := rho / meanSvc
 		row := uint64(0)
-		done := func(bool) {}
+		done := func() {}
 		var arrive func()
 		arrive = func() {
 			if q.Now() >= horizon {

@@ -75,12 +75,13 @@ func main() {
 	if nCores == 0 {
 		nCores = spec.TotalCores()
 	}
-	opts := []sim.Option{
-		sim.WithThreads(nThreads),
-		sim.WithCores(nCores),
-		sim.WithPlacement(place),
-		sim.WithCoherence(*coherence),
+	// Check the counts before building streams, which a negative thread
+	// count cannot size; sim.Run checks the whole Config again.
+	if nThreads < 1 || nCores < 1 || nCores > spec.TotalCores() {
+		fatal(fmt.Errorf("-threads %d -cores %d: want threads >= 1 and cores in 1..%d",
+			nThreads, nCores, spec.TotalCores()))
 	}
+	cfg := sim.Config{Spec: spec, Threads: nThreads, Cores: nCores, Placement: place, Coherence: *coherence}
 
 	var reg *telemetry.Registry
 	if *telemDir != "" {
@@ -93,16 +94,11 @@ func main() {
 		}
 		defer traceFile.Close()
 		reg = telemetry.NewRegistry()
-		opts = append(opts, sim.WithObserve(&sim.ObserveConfig{
+		cfg.Observe = &sim.ObserveConfig{
 			Interval: *interval,
 			Tracer:   telemetry.NewTracer(traceFile),
 			Registry: reg,
-		}))
-	}
-
-	cfg, err := sim.NewConfig(spec, opts...)
-	if err != nil {
-		fatal(err)
+		}
 	}
 
 	ctx, stopSignals := cli.SignalContext(context.Background())

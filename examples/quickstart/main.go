@@ -32,15 +32,9 @@ func main() {
 	// (fill-processor-first, threads pinned).
 	threads := spec.TotalCores()
 	measure := func(cores int) sim.Result {
-		// Configs are built with functional options; NewConfig validates
-		// every field and reports all problems at once.
-		cfg, err := sim.NewConfig(spec,
-			sim.WithThreads(threads),
-			sim.WithCores(cores),
-		)
-		if err != nil {
-			log.Fatal(err)
-		}
+		// Run validates every Config field and reports all problems at
+		// once.
+		cfg := sim.Config{Spec: spec, Threads: threads, Cores: cores}
 		res, err := sim.Run(context.Background(), cfg, wl.Streams(threads))
 		if err != nil {
 			log.Fatal(err)

@@ -193,10 +193,7 @@ func TestGoldenSimCountersAMDNUMA48(t *testing.T) {
 	fmt.Fprintf(&buf, "# %s %s.%s at scale %g, %d threads\n",
 		spec.Name, wl.Name(), wl.Class(), amdTune.RefScale, spec.TotalCores())
 	for _, p := range points {
-		cfg, err := sim.NewConfig(spec, sim.WithCores(p.cores), sim.WithPlacement(p.placement))
-		if err != nil {
-			t.Fatal(err)
-		}
+		cfg := sim.Config{Spec: spec, Cores: p.cores, Placement: p.placement}
 		res, err := sim.Run(context.Background(), cfg, wl.Streams(spec.TotalCores()))
 		if err != nil {
 			t.Fatal(err)

@@ -11,15 +11,15 @@ var benchPatterns = []struct {
 	// The working set is half the capacity: after the first sweep every
 	// access hits, so this times the lookup alone.
 	{"hit", 2048},
-	// A sweep 24x the capacity: under LRU every access misses and evicts,
+	// A sweep 24x the capacity: every access misses and evicts,
 	// so this times the lookup plus the fill.
 	{"thrash", 100000},
 }
 
-func benchCache(b *testing.B, policy Policy) {
+func BenchmarkAccessLRU(b *testing.B) {
 	for _, p := range benchPatterns {
 		b.Run(p.name, func(b *testing.B) {
-			c, err := New(Config{Name: "b", Size: 256 << 10, Line: 64, Ways: 8, Latency: 10, Policy: policy})
+			c, err := New(Config{Name: "b", Size: 256 << 10, Line: 64, Ways: 8, Latency: 10})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -31,10 +31,6 @@ func benchCache(b *testing.B, policy Policy) {
 		})
 	}
 }
-
-func BenchmarkAccessLRU(b *testing.B)    { benchCache(b, LRU) }
-func BenchmarkAccessPLRU(b *testing.B)   { benchCache(b, PLRU) }
-func BenchmarkAccessRandom(b *testing.B) { benchCache(b, Random) }
 
 func BenchmarkHierarchyAccess(b *testing.B) {
 	l1, _ := New(Config{Name: "L1", Size: 2 << 10, Line: 64, Ways: 8, Latency: 4})

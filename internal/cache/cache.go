@@ -13,37 +13,8 @@ package cache
 import (
 	"fmt"
 	"math/bits"
-	"math/rand"
 	"slices"
 )
-
-// Policy selects a replacement policy.
-type Policy uint8
-
-const (
-	// LRU evicts the least-recently-used way (exact: each set is kept in
-	// recency order).
-	LRU Policy = iota
-	// PLRU evicts following a tree-based pseudo-LRU (requires power-of-two
-	// associativity).
-	PLRU
-	// Random evicts a uniformly random way (deterministic per seed).
-	Random
-)
-
-// String implements fmt.Stringer.
-func (p Policy) String() string {
-	switch p {
-	case LRU:
-		return "lru"
-	case PLRU:
-		return "plru"
-	case Random:
-		return "random"
-	default:
-		return "unknown"
-	}
-}
 
 // Config describes one cache level.
 type Config struct {
@@ -57,10 +28,6 @@ type Config struct {
 	Ways int
 	// Latency is the hit latency in cycles.
 	Latency uint64
-	// Policy selects the replacement policy (default LRU).
-	Policy Policy
-	// Seed seeds the Random policy.
-	Seed int64
 	// NextLinePrefetch, when set, inserts line+1 on every demand miss,
 	// modeling a simple hardware prefetcher.
 	NextLinePrefetch bool
@@ -74,22 +41,20 @@ type Stats struct {
 	Prefetches uint64
 }
 
-// Cache is one set-associative cache level.
+// Cache is one set-associative cache level with exact LRU replacement.
 //
 // Each way is one slot of tags, sets*ways long. A slot holds the resident
 // line plus one, so 0 marks an invalid way and a lookup reads one array.
-// Under LRU, each set's slots are kept in recency order: the most recently
-// used line at index 0, then older lines, then the invalid ways. Invalidate
-// must keep the invalid ways at the end: a miss then evicts the last slot,
-// which is an invalid way while there is one and the least recently used
-// line otherwise. PLRU and Random sets keep lines in fixed slots.
+// Each set's slots are kept in recency order: the most recently used line
+// at index 0, then older lines, then the invalid ways. Invalidate must keep
+// the invalid ways at the end: a miss then evicts the last slot, which is
+// an invalid way while there is one and the least recently used line
+// otherwise.
 type Cache struct {
 	cfg      Config
 	setMask  uint64
 	lineBits uint
 	tags     []uint64 // line+1 per way; 0 is an invalid way
-	plru     []uint64 // per-set PLRU tree bits
-	rng      *rand.Rand
 	stats    Stats
 }
 
@@ -110,29 +75,13 @@ func New(cfg Config) (*Cache, error) {
 	if bits.OnesCount64(sets) != 1 {
 		return nil, fmt.Errorf("cache %s: set count %d must be a power of two", cfg.Name, sets)
 	}
-	if cfg.Policy == PLRU && bits.OnesCount(uint(cfg.Ways)) != 1 {
-		return nil, fmt.Errorf("cache %s: PLRU requires power-of-two ways, got %d", cfg.Name, cfg.Ways)
-	}
-	c := &Cache{
+	return &Cache{
 		cfg:      cfg,
 		setMask:  sets - 1,
 		lineBits: uint(bits.TrailingZeros64(cfg.Line)),
 		tags:     make([]uint64, int(sets)*cfg.Ways),
-	}
-	switch cfg.Policy {
-	case LRU: // the order of tags is its whole state
-	case PLRU:
-		c.plru = make([]uint64, sets)
-	case Random:
-		c.rng = rand.New(rand.NewSource(cfg.Seed))
-	default:
-		return nil, fmt.Errorf("cache %s: unknown policy %d", cfg.Name, cfg.Policy)
-	}
-	return c, nil
+	}, nil
 }
-
-// Config returns the configuration the cache was built with.
-func (c *Cache) Config() Config { return c.cfg }
 
 // Stats returns a copy of the access counters.
 func (c *Cache) Stats() Stats { return c.stats }
@@ -158,8 +107,7 @@ func (c *Cache) Access(addr uint64) bool {
 func (c *Cache) touch(addr uint64, prefetch bool) bool {
 	line := c.lineOf(addr)
 	tag := line + 1
-	set := int(line & c.setMask)
-	base := set * c.cfg.Ways
+	base := int(line&c.setMask) * c.cfg.Ways
 	tags := c.tags[base : base+c.cfg.Ways]
 	if !prefetch {
 		c.stats.Accesses++
@@ -167,48 +115,22 @@ func (c *Cache) touch(addr uint64, prefetch bool) bool {
 		c.stats.Prefetches++
 	}
 
-	if c.cfg.Policy == LRU {
-		// One pass shifts each slot down by one until the line is found,
-		// with the line itself entering at the front: a hit moves its line
-		// to the front, and a miss shifts the whole set, dropping the last
-		// slot.
-		prev := tag
-		for w, t := range tags {
-			tags[w] = prev
-			if t == tag {
-				return true
-			}
-			prev = t
-		}
-		if !prefetch {
-			c.stats.Misses++
-		}
-		if prev != 0 {
-			c.stats.Evictions++
-		}
-		return false
-	}
-
+	// One pass shifts each slot down by one until the line is found, with
+	// the line itself entering at the front: a hit moves its line to the
+	// front, and a miss shifts the whole set, dropping the last slot.
+	prev := tag
 	for w, t := range tags {
+		tags[w] = prev
 		if t == tag {
-			if c.cfg.Policy == PLRU {
-				c.plru[set] = plruTouch(c.plru[set], c.cfg.Ways, w)
-			}
 			return true
 		}
+		prev = t
 	}
 	if !prefetch {
 		c.stats.Misses++
 	}
-	// Fill: pick an invalid way first, else evict per policy.
-	victim := slices.Index(tags, 0)
-	if victim < 0 {
-		victim = c.victim(set)
+	if prev != 0 {
 		c.stats.Evictions++
-	}
-	tags[victim] = tag
-	if c.cfg.Policy == PLRU {
-		c.plru[set] = plruTouch(c.plru[set], c.cfg.Ways, victim)
 	}
 	return false
 }
@@ -231,73 +153,16 @@ func (c *Cache) way(addr uint64) int {
 
 // Invalidate removes addr's line from the cache if present, returning
 // whether a copy was dropped. Used by the coherence directory to model
-// cross-socket invalidations; counters are not affected. Under LRU the
-// older lines of the set shift up one slot, so the freed way joins the
-// invalid ways at the end.
+// cross-socket invalidations; counters are not affected. The older lines
+// of the set shift up one slot, so the freed way joins the invalid ways at
+// the end.
 func (c *Cache) Invalidate(addr uint64) bool {
 	i := c.way(addr)
 	if i < 0 {
 		return false
 	}
-	if c.cfg.Policy == LRU {
-		end := i - i%c.cfg.Ways + c.cfg.Ways
-		copy(c.tags[i:end-1], c.tags[i+1:end])
-		i = end - 1
-	}
-	c.tags[i] = 0
+	end := i - i%c.cfg.Ways + c.cfg.Ways
+	copy(c.tags[i:end-1], c.tags[i+1:end])
+	c.tags[end-1] = 0
 	return true
-}
-
-// Flush invalidates the whole cache, leaving counters intact.
-func (c *Cache) Flush() { clear(c.tags) }
-
-// ResetStats zeroes the access counters.
-func (c *Cache) ResetStats() { c.stats = Stats{} }
-
-// victim selects the way to evict from a full set under PLRU or Random;
-// LRU picks its victim inside touch.
-func (c *Cache) victim(set int) int {
-	if c.cfg.Policy == PLRU {
-		return plruVictim(c.plru[set], c.cfg.Ways)
-	}
-	return c.rng.Intn(c.cfg.Ways)
-}
-
-// plruTouch returns the tree bits of a set of ways after way w was
-// referenced: every bit on the path to w points away from it.
-func plruTouch(state uint64, ways, w int) uint64 {
-	node := 0 // root of implicit binary tree over ways
-	lo, hi := 0, ways
-	for hi-lo > 1 {
-		mid := (lo + hi) / 2
-		if w < mid {
-			// Went left: point the bit right (away from w).
-			state |= 1 << uint(node)
-			node = 2*node + 1
-			hi = mid
-		} else {
-			state &^= 1 << uint(node)
-			node = 2*node + 2
-			lo = mid
-		}
-	}
-	return state
-}
-
-// plruVictim follows the tree bits of a set of ways to the pseudo-LRU way.
-func plruVictim(state uint64, ways int) int {
-	node := 0
-	lo, hi := 0, ways
-	for hi-lo > 1 {
-		mid := (lo + hi) / 2
-		if state&(1<<uint(node)) != 0 {
-			// Bit points right.
-			node = 2*node + 2
-			lo = mid
-		} else {
-			node = 2*node + 1
-			hi = mid
-		}
-	}
-	return lo
 }

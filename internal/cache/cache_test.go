@@ -16,34 +16,33 @@ func mustNew(t *testing.T, cfg Config) *Cache {
 	return c
 }
 
-func small(t *testing.T, policy Policy) *Cache {
+func small(t *testing.T) *Cache {
 	// 4 sets x 2 ways x 64B lines = 512B.
-	return mustNew(t, Config{Name: "t", Size: 512, Line: 64, Ways: 2, Latency: 1, Policy: policy})
+	return mustNew(t, Config{Name: "t", Size: 512, Line: 64, Ways: 2, Latency: 1})
 }
 
 func TestNewValidation(t *testing.T) {
 	bad := []Config{
-		{Size: 512, Line: 0, Ways: 2},                       // zero line
-		{Size: 512, Line: 1, Ways: 2},                       // 1-byte line
-		{Size: 512, Line: 48, Ways: 2},                      // non-pow2 line
-		{Size: 512, Line: 64, Ways: 0},                      // zero ways
-		{Size: 500, Line: 64, Ways: 2},                      // size not divisible
-		{Size: 64 * 3 * 2, Line: 64, Ways: 2},               // 3 sets, not pow2
-		{Size: 64 * 4 * 3, Line: 64, Ways: 3, Policy: PLRU}, // PLRU non-pow2 ways
+		{Size: 512, Line: 0, Ways: 2},         // zero line
+		{Size: 512, Line: 1, Ways: 2},         // 1-byte line
+		{Size: 512, Line: 48, Ways: 2},        // non-pow2 line
+		{Size: 512, Line: 64, Ways: 0},        // zero ways
+		{Size: 500, Line: 64, Ways: 2},        // size not divisible
+		{Size: 64 * 3 * 2, Line: 64, Ways: 2}, // 3 sets, not pow2
 	}
 	for i, cfg := range bad {
 		if _, err := New(cfg); err == nil {
 			t.Errorf("case %d: expected error for %+v", i, cfg)
 		}
 	}
-	// 3-way LRU is fine (only PLRU needs pow2 ways).
+	// Only the set count must be a power of two, not the ways.
 	if _, err := New(Config{Size: 64 * 4 * 3, Line: 64, Ways: 3}); err != nil {
-		t.Errorf("3-way LRU rejected: %v", err)
+		t.Errorf("3-way cache rejected: %v", err)
 	}
 }
 
 func TestColdMissThenHit(t *testing.T) {
-	c := small(t, LRU)
+	c := small(t)
 	if c.Access(0) {
 		t.Error("cold access hit")
 	}
@@ -63,7 +62,7 @@ func TestColdMissThenHit(t *testing.T) {
 }
 
 func TestLRUEviction(t *testing.T) {
-	c := small(t, LRU) // 4 sets, 2 ways; addresses mapping to set 0: multiples of 4*64=256.
+	c := small(t) // 4 sets, 2 ways; addresses mapping to set 0: multiples of 4*64=256.
 	a, b, d := uint64(0), uint64(256), uint64(512)
 	c.Access(a) // miss, fill
 	c.Access(b) // miss, fill -> set full
@@ -84,7 +83,7 @@ func TestLRUEviction(t *testing.T) {
 }
 
 func TestContainsDoesNotPerturb(t *testing.T) {
-	c := small(t, LRU)
+	c := small(t)
 	c.Access(0)
 	c.Access(256)
 	before := c.Stats()
@@ -95,37 +94,13 @@ func TestContainsDoesNotPerturb(t *testing.T) {
 	}
 	// Contains must not refresh LRU: touch b, then query a via Contains,
 	// then fill; a must still be the LRU victim.
-	c2 := small(t, LRU)
+	c2 := small(t)
 	c2.Access(0)   // a
 	c2.Access(256) // b  (a is LRU)
 	c2.Contains(0) // must NOT refresh a
 	c2.Access(512) // evict LRU = a
 	if c2.Contains(0) {
 		t.Error("Contains refreshed LRU state")
-	}
-}
-
-func TestFlush(t *testing.T) {
-	c := small(t, LRU)
-	c.Access(0)
-	c.Flush()
-	if c.Contains(0) {
-		t.Error("line survived flush")
-	}
-	if c.Access(0) {
-		t.Error("post-flush access should miss")
-	}
-}
-
-func TestResetStats(t *testing.T) {
-	c := small(t, LRU)
-	c.Access(0)
-	c.ResetStats()
-	if s := c.Stats(); s.Accesses != 0 || s.Misses != 0 {
-		t.Errorf("stats after reset = %+v", s)
-	}
-	if !c.Contains(0) {
-		t.Error("ResetStats should not invalidate contents")
 	}
 }
 
@@ -145,7 +120,7 @@ func TestWorkingSetFitsNoCapacityMisses(t *testing.T) {
 func TestWorkingSetExceedsCapacityThrashes(t *testing.T) {
 	// 512B cache (8 lines), 4 KB cyclic sweep with LRU: every access misses
 	// (classic LRU worst case for a cyclic pattern larger than capacity).
-	c := small(t, LRU)
+	c := small(t)
 	total := 0
 	for round := 0; round < 5; round++ {
 		for addr := uint64(0); addr < 4096; addr += 64 {
@@ -155,64 +130,6 @@ func TestWorkingSetExceedsCapacityThrashes(t *testing.T) {
 	}
 	if m := c.Stats().Misses; m != uint64(total) {
 		t.Errorf("misses = %d, want %d (full thrash)", m, total)
-	}
-}
-
-func TestPLRUBasic(t *testing.T) {
-	c := mustNew(t, Config{Name: "t", Size: 1024, Line: 64, Ways: 4, Latency: 1, Policy: PLRU})
-	// 4 sets. Set 0 addresses: multiples of 4*64 = 256.
-	addrs := []uint64{0, 256, 512, 768}
-	for _, a := range addrs {
-		c.Access(a)
-	}
-	for _, a := range addrs {
-		if !c.Contains(a) {
-			t.Errorf("addr %d missing after fill", a)
-		}
-	}
-	// Fill a 5th line: some line must be evicted, set stays at 4 lines.
-	c.Access(1024)
-	resident := 0
-	for _, a := range append(addrs, 1024) {
-		if c.Contains(a) {
-			resident++
-		}
-	}
-	if resident != 4 {
-		t.Errorf("resident = %d, want 4", resident)
-	}
-	if !c.Contains(1024) {
-		t.Error("newly filled line must be resident")
-	}
-}
-
-func TestPLRUVictimIsNotMostRecent(t *testing.T) {
-	c := mustNew(t, Config{Name: "t", Size: 512, Line: 64, Ways: 8, Latency: 1, Policy: PLRU})
-	// Single set (512/(64*8) = 1). Fill 8 ways, touch way of addr 0 last.
-	for i := uint64(0); i < 8; i++ {
-		c.Access(i * 64)
-	}
-	c.Access(0) // most recently used
-	c.Access(8 * 64)
-	if !c.Contains(0) {
-		t.Error("PLRU evicted the most recently used line")
-	}
-}
-
-func TestRandomPolicyDeterministicPerSeed(t *testing.T) {
-	run := func(seed int64) []bool {
-		c := mustNew(t, Config{Name: "t", Size: 512, Line: 64, Ways: 2, Latency: 1, Policy: Random, Seed: seed})
-		var hits []bool
-		for i := 0; i < 200; i++ {
-			hits = append(hits, c.Access(uint64(i%6)*256))
-		}
-		return hits
-	}
-	a1, a2 := run(1), run(1)
-	for i := range a1 {
-		if a1[i] != a2[i] {
-			t.Fatal("same seed produced different behavior")
-		}
 	}
 }
 
@@ -267,12 +184,13 @@ func TestHierarchyAccessPath(t *testing.T) {
 	if r.Miss || r.HitLevel != 1 || r.Latency != 12 {
 		t.Errorf("L2 hit = %+v", r)
 	}
-	st := h.Stats()
-	if st.Accesses != 5 {
-		t.Errorf("hierarchy accesses = %d", st.Accesses)
+	// The first level counts every hierarchy access, the last level's
+	// misses are the off-chip requests.
+	if got := l1.Stats().Accesses; got != 5 {
+		t.Errorf("hierarchy accesses = %d", got)
 	}
-	if st.LLCMisses != 3 {
-		t.Errorf("LLC misses = %d, want 3 (cold 0, cold 256, cold 512)", st.LLCMisses)
+	if got := h.LLC().Stats().Misses; got != 3 {
+		t.Errorf("LLC misses = %d, want 3 (cold 0, cold 256, cold 512)", got)
 	}
 }
 
@@ -290,20 +208,6 @@ func TestHierarchySharedLevel(t *testing.T) {
 	}
 }
 
-func TestHierarchyFlushAndReset(t *testing.T) {
-	l1 := mustNew(t, Config{Name: "L1", Size: 512, Line: 64, Ways: 2, Latency: 1})
-	h := NewHierarchy(l1)
-	h.Access(0)
-	h.Flush()
-	if l1.Contains(0) {
-		t.Error("flush did not propagate")
-	}
-	h.ResetStats()
-	if h.Stats().Accesses != 0 || l1.Stats().Accesses != 0 {
-		t.Error("reset did not propagate")
-	}
-}
-
 func TestEmptyHierarchy(t *testing.T) {
 	h := NewHierarchy()
 	if h.LLC() != nil {
@@ -318,9 +222,8 @@ func TestEmptyHierarchy(t *testing.T) {
 // Property: for any address sequence, hits+misses == accesses and the cache
 // never reports more resident lines than its capacity.
 func TestCacheInvariantsProperty(t *testing.T) {
-	f := func(addrs []uint16, policySel uint8) bool {
-		pol := Policy(policySel % 3)
-		c, err := New(Config{Name: "p", Size: 2048, Line: 64, Ways: 4, Latency: 1, Policy: pol, Seed: 42})
+	f := func(addrs []uint16) bool {
+		c, err := New(Config{Name: "p", Size: 2048, Line: 64, Ways: 4, Latency: 1})
 		if err != nil {
 			return false
 		}
@@ -348,12 +251,10 @@ func TestCacheInvariantsProperty(t *testing.T) {
 	}
 }
 
-// Property: immediately re-accessing any address is always a hit, for every
-// policy.
+// Property: immediately re-accessing any address is always a hit.
 func TestRehitProperty(t *testing.T) {
-	f := func(addrs []uint32, policySel uint8) bool {
-		pol := Policy(policySel % 3)
-		c, err := New(Config{Name: "p", Size: 4096, Line: 64, Ways: 4, Latency: 1, Policy: pol, Seed: 7})
+	f := func(addrs []uint32) bool {
+		c, err := New(Config{Name: "p", Size: 4096, Line: 64, Ways: 4, Latency: 1})
 		if err != nil {
 			return false
 		}
@@ -370,17 +271,8 @@ func TestRehitProperty(t *testing.T) {
 	}
 }
 
-func TestPolicyString(t *testing.T) {
-	if LRU.String() != "lru" || PLRU.String() != "plru" || Random.String() != "random" {
-		t.Error("policy strings wrong")
-	}
-	if Policy(9).String() != "unknown" {
-		t.Error("unknown policy string")
-	}
-}
-
 func TestInvalidate(t *testing.T) {
-	c := small(t, LRU)
+	c := small(t)
 	c.Access(0)
 	if !c.Invalidate(32) { // same line as 0
 		t.Error("Invalidate missed a resident line")
@@ -465,9 +357,7 @@ type refCache struct {
 	tags     []uint64
 	valid    []bool
 	lastUse  []uint64
-	plru     []uint64
 	tick     uint64
-	rng      *rand.Rand
 	stats    Stats
 }
 
@@ -481,8 +371,6 @@ func newRefCache(cfg Config) *refCache {
 		tags:     make([]uint64, n),
 		valid:    make([]bool, n),
 		lastUse:  make([]uint64, n),
-		plru:     make([]uint64, sets),
-		rng:      rand.New(rand.NewSource(cfg.Seed)),
 	}
 }
 
@@ -506,7 +394,7 @@ func (m *refCache) touch(addr uint64, prefetch bool) bool {
 	m.tick++
 	for w := 0; w < m.cfg.Ways; w++ {
 		if m.valid[base+w] && m.tags[base+w] == line {
-			m.noteUse(set, w)
+			m.lastUse[base+w] = m.tick
 			return true
 		}
 	}
@@ -526,34 +414,20 @@ func (m *refCache) touch(addr uint64, prefetch bool) bool {
 	}
 	m.tags[base+victim] = line
 	m.valid[base+victim] = true
-	m.noteUse(set, victim)
+	m.lastUse[base+victim] = m.tick
 	return false
 }
 
-func (m *refCache) noteUse(set, w int) {
-	switch m.cfg.Policy {
-	case LRU:
-		m.lastUse[set*m.cfg.Ways+w] = m.tick
-	case PLRU:
-		m.plru[set] = plruTouch(m.plru[set], m.cfg.Ways, w)
-	}
-}
-
+// victim scans a full set for its least recently used way.
 func (m *refCache) victim(set int) int {
-	switch m.cfg.Policy {
-	case LRU:
-		base := set * m.cfg.Ways
-		best, bestUse := 0, m.lastUse[base]
-		for w := 1; w < m.cfg.Ways; w++ {
-			if u := m.lastUse[base+w]; u < bestUse {
-				best, bestUse = w, u
-			}
+	base := set * m.cfg.Ways
+	best, bestUse := 0, m.lastUse[base]
+	for w := 1; w < m.cfg.Ways; w++ {
+		if u := m.lastUse[base+w]; u < bestUse {
+			best, bestUse = w, u
 		}
-		return best
-	case PLRU:
-		return plruVictim(m.plru[set], m.cfg.Ways)
 	}
-	return m.rng.Intn(m.cfg.Ways)
+	return best
 }
 
 func (m *refCache) Contains(addr uint64) bool {
@@ -579,26 +453,25 @@ func (m *refCache) Invalidate(addr uint64) bool {
 	return false
 }
 
-func (m *refCache) Flush() { clear(m.valid) }
-
 // diffWays are the associativities FuzzCacheDifferential covers: direct
-// mapped, the smallest set with a choice, a non-power-of-two set (LRU and
-// Random only) and the widest preset's.
+// mapped, the smallest set with a choice, a non-power-of-two set and the
+// widest preset's.
 var diffWays = []int{1, 2, 10, 16}
 
 // FuzzCacheDifferential replays one operation stream against Cache and the
 // reference model and requires the same hit/miss sequence, the same Stats
 // after every operation and the same resident lines. Each operation is 3
-// bytes: a kind (Flush, ResetStats, Invalidate or, mostly, Access) and a
-// little-endian address that wraps over three times the cache's capacity.
+// bytes: a kind (Invalidate below 16, Access otherwise) and a little-endian
+// address that wraps over three times the cache's capacity.
 func FuzzCacheDifferential(f *testing.F) {
 	r := rand.New(rand.NewSource(1))
-	for _, pol := range []Policy{LRU, PLRU, Random} {
+	// Three random streams per geometry.
+	for range 3 {
 		for wi := range diffWays {
 			for _, prefetch := range []bool{false, true} {
 				ops := make([]byte, 3*600)
 				r.Read(ops)
-				f.Add(uint8(pol), uint8(wi), prefetch, r.Int63(), ops)
+				f.Add(uint8(wi), prefetch, ops)
 			}
 		}
 	}
@@ -606,7 +479,7 @@ func FuzzCacheDifferential(f *testing.F) {
 	// accessed one to four operations earlier, so it usually drops a
 	// resident line from the middle of its set and the next misses refill
 	// the invalid ways that leaves.
-	for _, pol := range []Policy{LRU, PLRU, Random} {
+	for range 3 {
 		for wi := range diffWays {
 			for _, prefetch := range []bool{false, true} {
 				ops := make([]byte, 3*600)
@@ -617,47 +490,35 @@ func FuzzCacheDifferential(f *testing.F) {
 						ops[i] |= 16 // an Access
 						continue
 					}
-					ops[i] = 2 + ops[i]%14 // an Invalidate
+					ops[i] %= 16 // an Invalidate
 					j := 3 * (op - 1 - r.Intn(min(op, 4)))
 					ops[i+1], ops[i+2] = ops[j+1], ops[j+2]
 				}
-				f.Add(uint8(pol), uint8(wi), prefetch, r.Int63(), ops)
+				f.Add(uint8(wi), prefetch, ops)
 			}
 		}
 	}
-	f.Fuzz(func(t *testing.T, polSel, waysSel uint8, prefetch bool, seed int64, ops []byte) {
+	f.Fuzz(func(t *testing.T, waysSel uint8, prefetch bool, ops []byte) {
 		const sets, line = 4, 64
 		ways := diffWays[int(waysSel)%len(diffWays)]
 		cfg := Config{
 			Name: "d", Size: sets * line * uint64(ways), Line: line, Ways: ways, Latency: 1,
-			Policy: Policy(polSel % 3), Seed: seed, NextLinePrefetch: prefetch,
+			NextLinePrefetch: prefetch,
 		}
 		c, err := New(cfg)
 		if err != nil {
-			if cfg.Policy == PLRU {
-				return // PLRU rejects non-power-of-two ways
-			}
 			t.Fatal(err)
 		}
 		m := newRefCache(cfg)
 		span := uint64(3 * sets * ways) // lines the addresses cover
 		for i := 0; i+3 <= len(ops); i += 3 {
 			addr := (uint64(ops[i+1]) | uint64(ops[i+2])<<8) % (span * line)
-			switch k := ops[i]; {
-			case k == 0:
-				c.Flush()
-				m.Flush()
-			case k == 1:
-				c.ResetStats()
-				m.stats = Stats{}
-			case k < 16:
+			if ops[i] < 16 {
 				if got, want := c.Invalidate(addr), m.Invalidate(addr); got != want {
 					t.Fatalf("op %d: Invalidate(%d) = %v, model %v", i/3, addr, got, want)
 				}
-			default:
-				if got, want := c.Access(addr), m.Access(addr); got != want {
-					t.Fatalf("op %d: Access(%d) hit = %v, model %v", i/3, addr, got, want)
-				}
+			} else if got, want := c.Access(addr), m.Access(addr); got != want {
+				t.Fatalf("op %d: Access(%d) hit = %v, model %v", i/3, addr, got, want)
 			}
 			if c.Stats() != m.stats {
 				t.Fatalf("op %d: stats %+v, model %+v", i/3, c.Stats(), m.stats)

@@ -3,19 +3,10 @@ package cache
 // Hierarchy is an ordered list of cache levels searched from fastest to
 // slowest. Levels may be shared between several Hierarchy values (e.g. a
 // per-core L1 in front of a socket-shared L3): sharing is expressed simply
-// by placing the same *Cache pointer in several hierarchies.
+// by placing the same *Cache pointer in several hierarchies. Counters live
+// on the caches, so a shared level counts for every hierarchy holding it.
 type Hierarchy struct {
 	levels []*Cache
-	stats  HierarchyStats
-}
-
-// HierarchyStats aggregates per-hierarchy outcomes (the per-level counters
-// live on the individual caches, which may be shared).
-type HierarchyStats struct {
-	Accesses uint64
-	// LLCMisses counts accesses that missed every level — the off-chip
-	// requests.
-	LLCMisses uint64
 }
 
 // Result describes the outcome of one hierarchy access.
@@ -35,12 +26,6 @@ func NewHierarchy(levels ...*Cache) *Hierarchy {
 	return &Hierarchy{levels: append([]*Cache(nil), levels...)}
 }
 
-// Levels returns the cache levels (fastest first).
-func (h *Hierarchy) Levels() []*Cache { return h.levels }
-
-// Stats returns a copy of the per-hierarchy counters.
-func (h *Hierarchy) Stats() HierarchyStats { return h.stats }
-
 // LLC returns the last (slowest, largest) level, or nil for an empty
 // hierarchy.
 func (h *Hierarchy) LLC() *Cache {
@@ -57,7 +42,6 @@ func (h *Hierarchy) LLC() *Cache {
 //
 //simcheck:hotpath
 func (h *Hierarchy) Access(addr uint64) Result {
-	h.stats.Accesses++
 	res := Result{HitLevel: -1}
 	for i, lvl := range h.levels {
 		res.Latency += lvl.cfg.Latency
@@ -67,7 +51,6 @@ func (h *Hierarchy) Access(addr uint64) Result {
 		}
 	}
 	res.Miss = true
-	h.stats.LLCMisses++
 	return res
 }
 
@@ -81,22 +64,4 @@ func (h *Hierarchy) Invalidate(addr uint64) bool {
 		}
 	}
 	return dropped
-}
-
-// Flush invalidates every level.
-func (h *Hierarchy) Flush() {
-	for _, lvl := range h.levels {
-		lvl.Flush()
-	}
-}
-
-// ResetStats zeroes the hierarchy counters and every level's counters.
-// Note that shared levels are reset once per call even if referenced by
-// several hierarchies; callers resetting a machine should reset each
-// distinct cache exactly once (see internal/machine).
-func (h *Hierarchy) ResetStats() {
-	h.stats = HierarchyStats{}
-	for _, lvl := range h.levels {
-		lvl.ResetStats()
-	}
 }

@@ -1,9 +1,9 @@
 // Package interconnect models the memory interconnection networks of
 // multiprocessor systems (paper Fig. 2): the links between memory
 // controllers that remote off-chip requests traverse. A topology is an
-// undirected graph over NUMA nodes; the latency of a remote access is the
-// hop count between the requesting core's node and the memory's home node
-// times the per-hop latency.
+// undirected graph over NUMA nodes; the simulator charges a remote access
+// the hop count between the requesting core's node and the memory's home
+// node times the machine's per-hop latency.
 //
 // The paper's two NUMA machines have, respectively, two directly-connected
 // memory controllers (Intel Xeon X5650: direct and one-hop latencies) and
@@ -18,15 +18,13 @@ import (
 // Topology is an undirected interconnect graph over NUMA nodes with
 // precomputed all-pairs hop counts.
 type Topology struct {
-	name       string
-	hops       [][]int
-	hopLatency uint64
+	hops [][]int
 }
 
 // New builds a topology of n nodes from an undirected link list and
-// computes all-pairs hop distances by BFS. hopLatency is the extra latency
-// in cycles charged per hop. The graph must be connected.
-func New(name string, n int, links [][2]int, hopLatency uint64) (*Topology, error) {
+// computes all-pairs hop distances by BFS. The graph must be connected;
+// name identifies the topology in errors.
+func New(name string, n int, links [][2]int) (*Topology, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("interconnect %s: need at least one node", name)
 	}
@@ -42,8 +40,7 @@ func New(name string, n int, links [][2]int, hopLatency uint64) (*Topology, erro
 		adj[a] = append(adj[a], b)
 		adj[b] = append(adj[b], a)
 	}
-	t := &Topology{name: name, hopLatency: hopLatency}
-	t.hops = make([][]int, n)
+	t := &Topology{hops: make([][]int, n)}
 	for src := 0; src < n; src++ {
 		dist := make([]int, n)
 		for i := range dist {
@@ -72,22 +69,7 @@ func New(name string, n int, links [][2]int, hopLatency uint64) (*Topology, erro
 }
 
 // SingleNode returns the degenerate one-node topology of a UMA system.
-func SingleNode(name string) *Topology {
-	t, _ := New(name, 1, nil, 0)
-	return t
-}
-
-// Name returns the topology name.
-func (t *Topology) Name() string { return t.name }
-
-// HopLatency returns the per-hop latency in cycles.
-func (t *Topology) HopLatency() uint64 { return t.hopLatency }
+func SingleNode() *Topology { return &Topology{hops: [][]int{{0}}} }
 
 // Hops returns the hop distance between nodes a and b (0 for a == b).
 func (t *Topology) Hops(a, b int) int { return t.hops[a][b] }
-
-// Latency returns the one-way interconnect latency between nodes a and b in
-// cycles: Hops(a,b) * HopLatency.
-func (t *Topology) Latency(a, b int) uint64 {
-	return uint64(t.hops[a][b]) * t.hopLatency
-}

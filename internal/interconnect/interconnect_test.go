@@ -25,23 +25,23 @@ func hopClasses(top *Topology, n int) []int {
 }
 
 func TestNewValidation(t *testing.T) {
-	if _, err := New("t", 0, nil, 1); err == nil {
+	if _, err := New("t", 0, nil); err == nil {
 		t.Error("zero nodes accepted")
 	}
-	if _, err := New("t", 2, [][2]int{{0, 2}}, 1); err == nil {
+	if _, err := New("t", 2, [][2]int{{0, 2}}); err == nil {
 		t.Error("out-of-range link accepted")
 	}
-	if _, err := New("t", 2, [][2]int{{1, 1}}, 1); err == nil {
+	if _, err := New("t", 2, [][2]int{{1, 1}}); err == nil {
 		t.Error("self link accepted")
 	}
-	if _, err := New("t", 3, [][2]int{{0, 1}}, 1); err == nil {
+	if _, err := New("t", 3, [][2]int{{0, 1}}); err == nil {
 		t.Error("disconnected graph accepted")
 	}
 }
 
 func TestSingleNode(t *testing.T) {
-	s := SingleNode("uma")
-	if s.Hops(0, 0) != 0 || s.Latency(0, 0) != 0 {
+	s := SingleNode()
+	if s.Hops(0, 0) != 0 {
 		t.Errorf("single node wrong: %+v", s)
 	}
 	classes := hopClasses(s, 1)
@@ -52,18 +52,15 @@ func TestSingleNode(t *testing.T) {
 
 func TestTwoNodeDirect(t *testing.T) {
 	// Intel NUMA: two MCs directly interconnected.
-	top, err := New("intel", 2, [][2]int{{0, 1}}, 100)
+	top, err := New("intel", 2, [][2]int{{0, 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if top.Hops(0, 1) != 1 || top.Hops(1, 0) != 1 {
 		t.Error("hop count wrong")
 	}
-	if top.Latency(0, 1) != 100 {
-		t.Errorf("latency = %d", top.Latency(0, 1))
-	}
-	if top.Latency(0, 0) != 0 {
-		t.Error("local latency must be 0")
+	if top.Hops(0, 0) != 0 {
+		t.Error("local hops must be 0")
 	}
 	classes := hopClasses(top, 2)
 	if len(classes) != 2 || classes[0] != 0 || classes[1] != 1 {
@@ -72,7 +69,7 @@ func TestTwoNodeDirect(t *testing.T) {
 }
 
 func TestFullMesh(t *testing.T) {
-	top, err := New("m", 4, [][2]int{{0, 1}, {0, 2}, {0, 3}, {1, 2}, {1, 3}, {2, 3}}, 50)
+	top, err := New("m", 4, [][2]int{{0, 1}, {0, 2}, {0, 3}, {1, 2}, {1, 3}, {2, 3}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +87,7 @@ func TestFullMesh(t *testing.T) {
 }
 
 func TestRing(t *testing.T) {
-	top, err := New("r", 6, [][2]int{{0, 1}, {1, 2}, {2, 3}, {3, 4}, {4, 5}, {5, 0}}, 10)
+	top, err := New("r", 6, [][2]int{{0, 1}, {1, 2}, {2, 3}, {3, 4}, {4, 5}, {5, 0}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +110,7 @@ func TestCirculantAMDShape(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		links = append(links, [2]int{i, (i + 1) % 8}, [2]int{i, (i + 2) % 8})
 	}
-	top, err := New("amd", 8, links, 80)
+	top, err := New("amd", 8, links)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,17 +127,10 @@ func TestCirculantAMDShape(t *testing.T) {
 	}
 }
 
-func TestAccessors(t *testing.T) {
-	top, _ := New("named", 2, [][2]int{{0, 1}}, 7)
-	if top.Name() != "named" || top.HopLatency() != 7 {
-		t.Error("accessors wrong")
-	}
-}
-
 // Property: hop distances are symmetric, zero on the diagonal, and obey the
 // triangle inequality.
 func TestMetricProperty(t *testing.T) {
-	f := func(linkBits uint16, hopLat uint8) bool {
+	f := func(linkBits uint16) bool {
 		// Build a random graph over 5 nodes from the bits, then force
 		// connectivity with a spine.
 		n := 5
@@ -157,7 +147,7 @@ func TestMetricProperty(t *testing.T) {
 				bit++
 			}
 		}
-		top, err := New("p", n, links, uint64(hopLat))
+		top, err := New("p", n, links)
 		if err != nil {
 			return false
 		}

@@ -1,8 +1,8 @@
 // Package machine describes and instantiates the multicore systems of the
 // paper's testbed (section III-A): an 8-core Intel UMA machine (dual Xeon
-// E5320), a 24-core Intel NUMA machine (dual Xeon X5650, SMT counted as
-// independent cores per the paper) and a 48-core AMD NUMA machine (quad
-// Opteron 6172 with eight memory controllers).
+// E5320), a 24-core Intel NUMA machine (dual Xeon X5650, hyper-threads
+// counted as independent cores per the paper) and a 48-core AMD NUMA
+// machine (quad Opteron 6172 with eight memory controllers).
 //
 // A Spec is a declarative description — sockets, cores, cache levels with
 // per-core or per-socket scope, memory controllers, UMA front-side buses
@@ -97,17 +97,6 @@ type Spec struct {
 	// MSHRs is the number of outstanding off-chip misses a core sustains
 	// before stalling (memory-level parallelism).
 	MSHRs int
-	// SMT is the number of hardware threads per physical core (1 = none,
-	// 2 = HyperThreading). Logical cores are enumerated physical-cores-
-	// first within each socket (Linux convention), so with fill-first
-	// activation the sibling threads activate in the second half of the
-	// socket. Siblings share the physical core's issue bandwidth: while
-	// both are active each retires work at SMTSlowdown times the cost.
-	SMT int
-	// SMTSlowdown is the per-thread work-cycle cost factor while the
-	// sibling hardware thread is active; 0 defaults to 1.55 (two threads
-	// together retire ~1.3x a single thread, each at ~65% speed).
-	SMTSlowdown float64
 }
 
 // MaxMCs is the most memory controllers a machine may have: the
@@ -132,14 +121,6 @@ func (s Spec) Validate() error {
 	if s.MSHRs < 1 {
 		return fmt.Errorf("machine %s: MSHRs must be >= 1", s.Name)
 	}
-	if s.SMT > 1 {
-		if s.SMT != 2 {
-			return fmt.Errorf("machine %s: SMT must be 1 or 2", s.Name)
-		}
-		if s.CoresPerSocket%2 != 0 {
-			return fmt.Errorf("machine %s: SMT=2 needs an even logical core count per socket", s.Name)
-		}
-	}
 	if err := s.MC.Validate(); err != nil {
 		return err
 	}
@@ -157,8 +138,7 @@ func (s Spec) Equal(o Spec) bool {
 		s.MCsPerSocket == o.MCsPerSocket && s.MC == o.MC &&
 		(s.Bus == o.Bus || s.Bus != nil && o.Bus != nil && *s.Bus == *o.Bus) &&
 		s.HopLatency == o.HopLatency && s.LinkOccupancy == o.LinkOccupancy &&
-		slices.Equal(s.Links, o.Links) && s.MSHRs == o.MSHRs && s.SMT == o.SMT &&
-		s.SMTSlowdown == o.SMTSlowdown
+		slices.Equal(s.Links, o.Links) && s.MSHRs == o.MSHRs
 }
 
 // UMA reports whether the machine has a single shared memory controller.
@@ -193,33 +173,6 @@ func (s Spec) LocalMCs(socket int) []int {
 	return mcs
 }
 
-// SMTSibling returns the logical core sharing a physical core with the
-// given core, or -1 when the machine has no SMT. With physical-cores-first
-// enumeration, local id i pairs with i +/- CoresPerSocket/2.
-func (s Spec) SMTSibling(core int) int {
-	if s.SMT < 2 {
-		return -1
-	}
-	sock := s.SocketOf(core)
-	local := core - sock*s.CoresPerSocket
-	half := s.CoresPerSocket / 2
-	var sibling int
-	if local < half {
-		sibling = local + half
-	} else {
-		sibling = local - half
-	}
-	return sock*s.CoresPerSocket + sibling
-}
-
-// SMTSlowdownFactor returns the effective slowdown while siblings share.
-func (s Spec) SMTSlowdownFactor() float64 {
-	if s.SMTSlowdown > 0 {
-		return s.SMTSlowdown
-	}
-	return 1.55
-}
-
 // Machine is an instantiated system: per-core cache hierarchies wired to
 // shared levels, memory controllers, optional UMA buses and the NUMA
 // topology.
@@ -227,15 +180,14 @@ type Machine struct {
 	Spec Spec
 	// Hierarchies has one entry per core.
 	Hierarchies []*cache.Hierarchy
-	// Caches lists each distinct cache exactly once (for stats reset).
-	Caches []*cache.Cache
 	// MCs lists the memory controllers, indexed by MC/NUMA node id.
 	MCs []*memctrl.Controller
 	// Buses lists the per-socket UMA buses (nil entries for NUMA machines).
 	Buses []*memctrl.Controller
 	// LinkServers lists the per-socket interconnect link servers (empty
-	// when LinkOccupancy is 0 or the machine is UMA). Each is a two-channel
-	// queue approximating a full-duplex QPI/HT link.
+	// when LinkOccupancy is 0 or the machine is UMA). Each is a two-lane
+	// queue whose lane Submit picks by line address, so a remote request
+	// occupies one lane on the way out and the same lane on the way back.
 	LinkServers []*memctrl.Controller
 	// Topo is the interconnect over MC nodes (single node for UMA).
 	Topo *interconnect.Topology
@@ -265,7 +217,6 @@ func Build(spec Spec, q *eventq.Queue) (*Machine, error) {
 				if err != nil {
 					return nil, err
 				}
-				m.Caches = append(m.Caches, c)
 				levels = append(levels, c)
 			case PerSocket:
 				c, ok := sharedBySocket[sock][li]
@@ -278,7 +229,6 @@ func Build(spec Spec, q *eventq.Queue) (*Machine, error) {
 						return nil, err
 					}
 					sharedBySocket[sock][li] = c
-					m.Caches = append(m.Caches, c)
 				}
 				levels = append(levels, c)
 			default:
@@ -325,7 +275,7 @@ func Build(spec Spec, q *eventq.Queue) (*Machine, error) {
 		for sock := 0; sock < spec.Sockets; sock++ {
 			cfg := memctrl.Config{
 				Name:        fmt.Sprintf("link%d", sock),
-				Channels:    2, // full duplex
+				Channels:    2, // two lanes, picked by line address
 				Banks:       1,
 				RowBytes:    1 << 30, // constant occupancy
 				LineBytes:   spec.MC.LineBytes,
@@ -344,9 +294,9 @@ func Build(spec Spec, q *eventq.Queue) (*Machine, error) {
 	// Interconnect.
 	var err error
 	if spec.UMA() {
-		m.Topo = interconnect.SingleNode(spec.Name)
+		m.Topo = interconnect.SingleNode()
 	} else {
-		m.Topo, err = interconnect.New(spec.Name, spec.NumMCs(), spec.Links, spec.HopLatency)
+		m.Topo, err = interconnect.New(spec.Name, spec.NumMCs(), spec.Links)
 		if err != nil {
 			return nil, err
 		}
@@ -371,22 +321,4 @@ func (m *Machine) LLCMisses() uint64 {
 		}
 	}
 	return total
-}
-
-// ResetStats zeroes every cache, controller and bus counter.
-func (m *Machine) ResetStats() {
-	// Hierarchy reset also zeroes its levels; shared levels are zeroed more
-	// than once, which is harmless.
-	for _, h := range m.Hierarchies {
-		h.ResetStats()
-	}
-	for _, mc := range m.MCs {
-		mc.ResetStats()
-	}
-	for _, b := range m.Buses {
-		b.ResetStats()
-	}
-	for _, l := range m.LinkServers {
-		l.ResetStats()
-	}
 }

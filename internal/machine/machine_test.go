@@ -95,10 +95,6 @@ func TestBuildNUMAStructure(t *testing.T) {
 	if len(m.Hierarchies) != 4 {
 		t.Fatalf("hierarchies = %d", len(m.Hierarchies))
 	}
-	// 4 private L1s + 2 shared L2s.
-	if len(m.Caches) != 6 {
-		t.Errorf("distinct caches = %d, want 6", len(m.Caches))
-	}
 	if len(m.MCs) != 2 {
 		t.Errorf("MCs = %d", len(m.MCs))
 	}
@@ -132,9 +128,16 @@ func TestBuildUMAStructure(t *testing.T) {
 	if m.Topo == nil || m.Topo.Hops(0, 0) != 0 {
 		t.Error("UMA topology wrong")
 	}
-	// 8 L1 + 2 L2 = 10 distinct caches.
-	if len(m.Caches) != 10 {
-		t.Errorf("distinct caches = %d, want 10", len(m.Caches))
+	// 8 private L1s in front of 2 L2s, one per socket, shared by pointer.
+	llcs := map[*cache.Cache]bool{}
+	for core := range m.Hierarchies {
+		llcs[m.LLCOf(core)] = true
+		if m.LLCOf(core) != m.LLCOf(m.Spec.SocketOf(core)*m.Spec.CoresPerSocket) {
+			t.Errorf("core %d does not share its socket's L2", core)
+		}
+	}
+	if len(llcs) != 2 {
+		t.Errorf("distinct L2s = %d, want 2", len(llcs))
 	}
 }
 
@@ -174,10 +177,6 @@ func TestLLCMissesAggregation(t *testing.T) {
 	m.Hierarchies[1].Access(0)
 	if got := m.LLCMisses(); got != 3 {
 		t.Errorf("LLC misses after shared hit = %d, want 3", got)
-	}
-	m.ResetStats()
-	if got := m.LLCMisses(); got != 0 {
-		t.Errorf("LLC misses after reset = %d", got)
 	}
 }
 
@@ -303,19 +302,5 @@ func TestLinkServersBuilt(t *testing.T) {
 	}
 	if len(m2.LinkServers) != 0 {
 		t.Errorf("disabled link servers = %d, want 0", len(m2.LinkServers))
-	}
-}
-
-func TestResetStatsCoversLinks(t *testing.T) {
-	var q eventq.Queue
-	m, err := Build(IntelNUMA24(), &q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m.LinkServers[0].Submit(0, func(bool) {})
-	q.Run()
-	m.ResetStats()
-	if m.LinkServers[0].Stats().Requests != 0 {
-		t.Error("link stats not reset")
 	}
 }

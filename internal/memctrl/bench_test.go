@@ -15,12 +15,12 @@ func benchController(b *testing.B, disc Discipline) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	noop := func(bool) {}
+	noop := func() {}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		c.Submit(uint64(i)*64, noop)
-		if c.QueueLen() > 256 {
+		if c.Occupancy() > 256 {
 			q.RunUntil(q.Now() + 10000)
 		}
 	}

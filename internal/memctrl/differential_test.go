@@ -21,7 +21,7 @@ type refController struct {
 type refRequest struct {
 	addr    uint64
 	arrival uint64
-	done    func(rowHit bool)
+	done    func()
 }
 
 type refChannel struct {
@@ -49,13 +49,10 @@ func (c *refController) bankOf(addr uint64) int {
 
 func (c *refController) Stats() Stats { return c.stats }
 
-func (c *refController) Submit(addr uint64, done func(rowHit bool)) {
+func (c *refController) Submit(addr uint64, done func()) {
 	chIdx := int((addr / c.cfg.LineBytes) % uint64(c.cfg.Channels))
 	ch := &c.chans[chIdx]
 	ch.queue = append(ch.queue, refRequest{addr: addr, arrival: c.q.Now(), done: done})
-	if len(ch.queue) > c.stats.MaxQueueLen {
-		c.stats.MaxQueueLen = len(ch.queue)
-	}
 	if !ch.busy {
 		c.startNext(chIdx)
 	}
@@ -87,28 +84,28 @@ func (c *refController) startNext(chIdx int) {
 		c.stats.RowHits++
 	}
 	c.stats.TotalWait += c.q.Now() - req.arrival
-	c.stats.TotalService += service
 	c.stats.BusyCycles += service
 	ch.busy = true
 	c.q.After(service, func() {
 		c.stats.Requests++
 		ch.busy = false
-		req.done(rowHit)
+		req.done()
 		c.startNext(chIdx)
 	})
 }
 
 // server is what the schedule drives: Controller or refController.
 type server interface {
-	Submit(addr uint64, done func(rowHit bool))
+	Submit(addr uint64, done func())
 	Stats() Stats
 }
 
-// completion is one finished request as the schedule observed it.
+// completion is one finished request as the schedule observed it: its
+// id, its time and the server's row-hit count when it completed.
 type completion struct {
-	id     int
-	at     uint64
-	rowHit bool
+	id      int
+	at      uint64
+	rowHits uint64
 }
 
 // Geometry choices include non-powers of two so the decode's divisions
@@ -156,8 +153,8 @@ func replay(s server, q *eventq.Queue, ops []byte) []completion {
 	submit = func(addr uint64, chain bool) {
 		id := next
 		next++
-		s.Submit(addr, func(rowHit bool) {
-			out = append(out, completion{id: id, at: q.Now(), rowHit: rowHit})
+		s.Submit(addr, func() {
+			out = append(out, completion{id: id, at: q.Now(), rowHits: s.Stats().RowHits})
 			if chain {
 				submit(addr+uint64(id)*64, false)
 			}
@@ -204,14 +201,14 @@ func diffController(t *testing.T, data []byte) {
 	if c.Stats() != ref.Stats() {
 		t.Fatalf("%+v: stats %+v, reference %+v", cfg, c.Stats(), ref.Stats())
 	}
-	if c.QueueLen() != 0 || c.BusyChannels() != 0 {
-		t.Fatalf("%+v: %d queued, %d busy after drain", cfg, c.QueueLen(), c.BusyChannels())
+	if n := c.Occupancy(); n != 0 {
+		t.Fatalf("%+v: %d requests left after drain", cfg, n)
 	}
 }
 
 // FuzzControllerDifferential replays byte-encoded schedules through
-// Controller and refController and requires the same (id, time, rowHit)
-// completion sequence and equal Stats.
+// Controller and refController and requires the same (id, time, row-hit
+// count) completion sequence and equal Stats.
 func FuzzControllerDifferential(f *testing.F) {
 	// FR-FCFS, 3 channels, 5 banks, 3000-byte rows: a burst over one row,
 	// then interleaved rows with callback follow-ups.

@@ -98,12 +98,9 @@ type Stats struct {
 	RowHits uint64
 	// TotalWait is the sum of queueing delays (arrival to service start).
 	TotalWait uint64
-	// TotalService is the sum of service times.
-	TotalService uint64
-	// BusyCycles accumulates channel busy time (summed over channels).
+	// BusyCycles is the sum of service times: channel busy time summed
+	// over channels.
 	BusyCycles uint64
-	// MaxQueueLen is the high-water mark of any single channel queue.
-	MaxQueueLen int
 }
 
 // AvgWait returns the mean queueing delay per completed request.
@@ -119,7 +116,7 @@ func (s Stats) AvgService() float64 {
 	if s.Requests == 0 {
 		return 0
 	}
-	return float64(s.TotalService) / float64(s.Requests)
+	return float64(s.BusyCycles) / float64(s.Requests)
 }
 
 // RowHitRatio returns the fraction of requests that hit an open row.
@@ -144,7 +141,7 @@ type request struct {
 	bank    int
 	row     int64
 	arrival uint64
-	done    func(rowHit bool)
+	done    func()
 }
 
 // reqRing is a growable power-of-two ring buffer of requests. Popping the
@@ -204,12 +201,11 @@ type channel struct {
 	busy bool
 	q    reqRing
 	rows []int64 // open row per bank; -1 = closed
-	// inService is the request currently occupying the channel, kept here
-	// (with its row-hit flag) so the prebuilt finish callback needs no
+	// done is the completion callback of the request occupying the
+	// channel, kept here so the prebuilt finish callback needs no
 	// per-service closure.
-	inService  request
-	serviceHit bool
-	finishFn   func()
+	done     func()
+	finishFn func()
 }
 
 // Controller is one memory controller instance.
@@ -283,23 +279,13 @@ func (c *Controller) Config() Config { return c.cfg }
 // Stats returns a copy of the counters.
 func (c *Controller) Stats() Stats { return c.stats }
 
-// ResetStats zeroes the counters without disturbing in-flight requests.
-func (c *Controller) ResetStats() { c.stats = Stats{} }
-
-// QueueLen returns the current number of queued (not in-service) requests
-// across all channels.
-func (c *Controller) QueueLen() int {
+// Occupancy returns the instantaneous number of requests in the system —
+// queued plus in service — the quantity the telemetry sampler records and
+// the M/M/1 model predicts as rho/(1-rho) in steady state.
+func (c *Controller) Occupancy() int {
 	n := 0
 	for i := range c.chans {
 		n += c.chans[i].q.len()
-	}
-	return n
-}
-
-// BusyChannels returns the number of channels currently serving a request.
-func (c *Controller) BusyChannels() int {
-	n := 0
-	for i := range c.chans {
 		if c.chans[i].busy {
 			n++
 		}
@@ -307,17 +293,12 @@ func (c *Controller) BusyChannels() int {
 	return n
 }
 
-// Occupancy returns the instantaneous number of requests in the system —
-// queued plus in service — the quantity the telemetry sampler records and
-// the M/M/1 model predicts as rho/(1-rho) in steady state.
-func (c *Controller) Occupancy() int { return c.QueueLen() + c.BusyChannels() }
-
 // Submit enqueues a request for addr at the current simulated time. done is
-// invoked exactly once, at the simulated completion time, with whether the
-// request was serviced from an open row.
+// invoked exactly once, at the simulated completion time; Stats().RowHits
+// counts the requests served from an open row.
 //
 //simcheck:hotpath
-func (c *Controller) Submit(addr uint64, done func(rowHit bool)) {
+func (c *Controller) Submit(addr uint64, done func()) {
 	chIdx := int(c.channels.mod(c.line.div(addr)))
 	row := c.row.div(addr)
 	ch := &c.chans[chIdx]
@@ -327,9 +308,6 @@ func (c *Controller) Submit(addr uint64, done func(rowHit bool)) {
 		arrival: c.q.Now(),
 		done:    done,
 	})
-	if ch.q.len() > c.stats.MaxQueueLen {
-		c.stats.MaxQueueLen = ch.q.len()
-	}
 	if !ch.busy {
 		c.startNext(chIdx)
 	}
@@ -367,14 +345,12 @@ func (c *Controller) startNext(chIdx int) {
 	}
 	now := c.q.Now()
 	c.stats.TotalWait += now - req.arrival
-	c.stats.TotalService += service
 	c.stats.BusyCycles += service
 	if rowHit {
 		c.stats.RowHits++
 	}
 	ch.busy = true
-	ch.inService = req
-	ch.serviceHit = rowHit
+	ch.done = req.done
 	c.q.After(service, ch.finishFn)
 }
 
@@ -386,8 +362,8 @@ func (c *Controller) finish(chIdx int) {
 	ch := &c.chans[chIdx]
 	c.stats.Requests++
 	ch.busy = false
-	req, rowHit := ch.inService, ch.serviceHit
-	ch.inService = request{} // drop the callback reference while idle
-	req.done(rowHit)
+	done := ch.done
+	ch.done = nil // drop the callback reference while idle
+	done()
 	c.startNext(chIdx)
 }

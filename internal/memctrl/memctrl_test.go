@@ -64,17 +64,16 @@ func TestSingleRequestTiming(t *testing.T) {
 	var q eventq.Queue
 	c := mustNew(t, cfg1(), &q)
 	var doneAt uint64
-	var hit bool
-	c.Submit(0, func(rowHit bool) { doneAt, hit = q.Now(), rowHit })
+	c.Submit(0, func() { doneAt = q.Now() })
 	q.Run()
 	if doneAt != 60 {
 		t.Errorf("done at %d, want 60 (cold row miss)", doneAt)
 	}
-	if hit {
-		t.Error("cold access reported row hit")
-	}
 	s := c.Stats()
-	if s.Requests != 1 || s.TotalWait != 0 || s.TotalService != 60 {
+	if s.RowHits != 0 {
+		t.Error("cold access counted as a row hit")
+	}
+	if s.Requests != 1 || s.TotalWait != 0 || s.BusyCycles != 60 {
 		t.Errorf("stats = %+v", s)
 	}
 }
@@ -83,12 +82,19 @@ func TestRowBufferHit(t *testing.T) {
 	var q eventq.Queue
 	c := mustNew(t, cfg1(), &q)
 	var times []uint64
-	cb := func(rowHit bool) { times = append(times, q.Now()) }
+	var hits []uint64 // Stats().RowHits as each request completes
+	cb := func() {
+		times = append(times, q.Now())
+		hits = append(hits, c.Stats().RowHits)
+	}
 	c.Submit(0, cb)   // row 0, miss, 60
 	c.Submit(128, cb) // same row, hit, +20
 	q.Run()
 	if len(times) != 2 || times[0] != 60 || times[1] != 80 {
 		t.Errorf("times = %v", times)
+	}
+	if len(hits) != 2 || hits[0] != 0 || hits[1] != 1 {
+		t.Errorf("row hits at each completion = %v, want [0 1]", hits)
 	}
 	if rh := c.Stats().RowHits; rh != 1 {
 		t.Errorf("row hits = %d", rh)
@@ -103,9 +109,7 @@ func TestFCFSQueueing(t *testing.T) {
 		addr := uint64(i) * 8192 // distinct rows -> all misses, same channel? no: route by line
 		// Force same channel by using addresses that are multiples of
 		// LineBytes*Channels; with Channels=1 every address shares channel 0.
-		c.Submit(addr, func(addr uint64) func(bool) {
-			return func(bool) { order = append(order, addr) }
-		}(addr))
+		c.Submit(addr, func() { order = append(order, addr) })
 	}
 	q.Run()
 	if len(order) != 3 || order[0] != 0 || order[1] != 8192 || order[2] != 16384 {
@@ -133,9 +137,9 @@ func TestFRFCFSPrefersRowHit(t *testing.T) {
 	// First request opens row 0. While it is in service, enqueue a
 	// different-row request then a same-row request; FR-FCFS should service
 	// the row hit first.
-	c.Submit(0, func(bool) { order = append(order, "first") })
-	c.Submit(8192, func(bool) { order = append(order, "other-row") })
-	c.Submit(64, func(bool) { order = append(order, "same-row") })
+	c.Submit(0, func() { order = append(order, "first") })
+	c.Submit(8192, func() { order = append(order, "other-row") })
+	c.Submit(64, func() { order = append(order, "same-row") })
 	q.Run()
 	if len(order) != 3 || order[1] != "same-row" || order[2] != "other-row" {
 		t.Errorf("order = %v", order)
@@ -144,9 +148,9 @@ func TestFRFCFSPrefersRowHit(t *testing.T) {
 	var q2 eventq.Queue
 	c2 := mustNew(t, cfg1(), &q2)
 	order = order[:0]
-	c2.Submit(0, func(bool) { order = append(order, "first") })
-	c2.Submit(8192, func(bool) { order = append(order, "other-row") })
-	c2.Submit(64, func(bool) { order = append(order, "same-row") })
+	c2.Submit(0, func() { order = append(order, "first") })
+	c2.Submit(8192, func() { order = append(order, "other-row") })
+	c2.Submit(64, func() { order = append(order, "same-row") })
 	q2.Run()
 	if order[1] != "other-row" {
 		t.Errorf("FCFS order = %v", order)
@@ -160,8 +164,8 @@ func TestChannelInterleaving(t *testing.T) {
 	c := mustNew(t, cfg, &q)
 	var times []uint64
 	// Lines 0 and 1 go to different channels: serviced in parallel.
-	c.Submit(0, func(bool) { times = append(times, q.Now()) })
-	c.Submit(64, func(bool) { times = append(times, q.Now()) })
+	c.Submit(0, func() { times = append(times, q.Now()) })
+	c.Submit(64, func() { times = append(times, q.Now()) })
 	q.Run()
 	if len(times) != 2 || times[0] != 60 || times[1] != 60 {
 		t.Errorf("parallel channels times = %v", times)
@@ -171,31 +175,31 @@ func TestChannelInterleaving(t *testing.T) {
 	}
 }
 
-func TestQueueLenAndHighWater(t *testing.T) {
+func TestOccupancy(t *testing.T) {
 	var q eventq.Queue
-	c := mustNew(t, cfg1(), &q)
-	noop := func(bool) {}
+	cfg := cfg1()
+	cfg.Channels = 2
+	c := mustNew(t, cfg, &q)
+	noop := func() {}
 	for i := 0; i < 5; i++ {
-		c.Submit(uint64(i)*8192, noop)
+		c.Submit(uint64(i)*8192, noop) // all on channel 0
 	}
-	// One in service, four queued.
-	if got := c.QueueLen(); got != 4 {
-		t.Errorf("QueueLen = %d, want 4", got)
+	c.Submit(64, noop) // channel 1
+	// One in service and four queued on channel 0, one in service on 1.
+	if got := c.Occupancy(); got != 6 {
+		t.Errorf("Occupancy = %d, want 6", got)
 	}
 	q.Run()
-	if c.Stats().MaxQueueLen != 4 {
-		t.Errorf("MaxQueueLen = %d, want 4", c.Stats().MaxQueueLen)
-	}
-	if c.QueueLen() != 0 {
-		t.Errorf("queue should drain")
+	if got := c.Occupancy(); got != 0 {
+		t.Errorf("Occupancy = %d after drain, want 0", got)
 	}
 }
 
 func TestUtilization(t *testing.T) {
 	var q eventq.Queue
 	c := mustNew(t, cfg1(), &q)
-	c.Submit(0, func(bool) {})
-	c.Submit(8192, func(bool) {})
+	c.Submit(0, func() {})
+	c.Submit(8192, func() {})
 	q.Run()
 	// 2 misses back-to-back: busy 120 cycles, elapsed 120 -> utilization 1.
 	u := c.Stats().Utilization(q.Now(), 1)
@@ -204,17 +208,6 @@ func TestUtilization(t *testing.T) {
 	}
 	if (Stats{}).Utilization(0, 1) != 0 {
 		t.Error("zero elapsed utilization should be 0")
-	}
-}
-
-func TestResetStats(t *testing.T) {
-	var q eventq.Queue
-	c := mustNew(t, cfg1(), &q)
-	c.Submit(0, func(bool) {})
-	q.Run()
-	c.ResetStats()
-	if s := c.Stats(); s.Requests != 0 || s.BusyCycles != 0 {
-		t.Errorf("stats after reset = %+v", s)
 	}
 }
 
@@ -250,7 +243,7 @@ func TestConservationUnderLoad(t *testing.T) {
 		}
 		submitted++
 		addr := uint64(rng.Intn(1 << 24))
-		c.Submit(addr, func(bool) { completed++ })
+		c.Submit(addr, func() { completed++ })
 		// Next arrival after a small random gap.
 		q.After(uint64(rng.Intn(30)), submit)
 	}
@@ -274,8 +267,8 @@ func TestNoServiceOverlapFromCallbackSubmit(t *testing.T) {
 	// Seed the queue with several requests, then have every completion
 	// submit a fresh one, up to a bound.
 	remaining := 50
-	var onDone func(bool)
-	onDone = func(bool) {
+	var onDone func()
+	onDone = func() {
 		if remaining > 0 {
 			remaining--
 			c.Submit(uint64(remaining)*8192, onDone)
@@ -310,7 +303,7 @@ func TestWaitGrowsWithLoad(t *testing.T) {
 			}
 			submitted++
 			addr := uint64(rng.Intn(1<<28)) &^ 63
-			c.Submit(addr, func(bool) {})
+			c.Submit(addr, func() {})
 			q.After(gap, submit)
 		}
 		submit()

@@ -35,7 +35,7 @@ func poissonDrive(t *testing.T, cfg Config, lambda float64, n int, seed int64) f
 		// Uniformly random addresses: effectively no row hits with a large
 		// address space, so service ~= MissLatency deterministically.
 		addr := uint64(rng.Int63n(1<<40)) &^ 63
-		c.Submit(addr, func(bool) {})
+		c.Submit(addr, func() {})
 		gap := rng.ExpFloat64() / lambda
 		if gap < 1 {
 			gap = 1
@@ -111,7 +111,7 @@ func TestRowBufferLocalityImprovesService(t *testing.T) {
 	}
 	// Sequential: 64 lines per 4 KB row -> 63/64 row hits.
 	for i := 0; i < 6400; i++ {
-		c.Submit(uint64(i)*64, func(bool) {})
+		c.Submit(uint64(i)*64, func() {})
 		q.RunUntil(q.Now() + 100)
 	}
 	q.Run()

@@ -403,11 +403,22 @@ func (p *Predictor) store(spec machine.Spec, program string, class workload.Clas
 		p.Metrics.Counter("model_fits_total").Inc()
 	}
 	if p.Tracer.Enabled() {
-		p.Tracer.Emit("model.fit",
-			"machine", spec.Name, "program", program, "class", string(class),
-			"anchors", len(fit.Anchors), "r2", fit.R2, "residual", fit.Residual,
-			"saturation_cores", fit.SaturationCores)
+		attrs := []any{"machine", spec.Name, "program", program, "class", string(class),
+			"anchors", len(fit.Anchors), "r2", fit.R2}
+		// JSON has no infinity: a fit that never saturates, or one with an
+		// anchor past saturation, omits the field, as api.Fit does.
+		attrs = appendFinite(attrs, "residual", fit.Residual)
+		attrs = appendFinite(attrs, "saturation_cores", fit.SaturationCores)
+		p.Tracer.Emit("model.fit", attrs...)
 	}
+}
+
+// appendFinite appends the key and v to attrs unless v is infinite or NaN.
+func appendFinite(attrs []any, key string, v float64) []any {
+	if math.IsInf(v, 0) || math.IsNaN(v) {
+		return attrs
+	}
+	return append(attrs, key, v)
 }
 
 // analyticalMCUtil derives per-controller utilization from the fitted

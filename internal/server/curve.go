@@ -201,7 +201,6 @@ func (s *Server) handleCurve(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 
-	simulation, failed := 0, 0
 	if granted > 0 {
 		// Point spans open at dispatch and close as each point settles.
 		cores, spans := q.cores, make([]telemetry.Span, len(q.cores))
@@ -212,7 +211,6 @@ func (s *Server) handleCurve(w http.ResponseWriter, r *http.Request) {
 		}
 		s.simulate(rt.context(r.Context()), &q, reasons, scopes, func(i int, pred model.Prediction, err error) {
 			if err != nil {
-				failed++
 				s.metrics.Counter("simserved_curve_failed_points_total").Inc()
 				msg := err.Error()
 				if isCanceled(err) {
@@ -221,7 +219,6 @@ func (s *Server) handleCurve(w http.ResponseWriter, r *http.Request) {
 				rt.failPoint(spans[i], cores[i], msg)
 				points[i] = &api.CurvePoint{Cores: cores[i], Error: msg}
 			} else {
-				simulation++
 				s.metrics.Counter("simserved_curve_simulation_points_total").Inc()
 				rt.endPoint(spans[i], pred.Cores, string(pred.Tier))
 				pt := curvePoint(pred)
@@ -229,6 +226,18 @@ func (s *Server) handleCurve(w http.ResponseWriter, r *http.Request) {
 			}
 			emit(points[i])
 		})
+	}
+	// Count the settled simulation points here rather than in the
+	// callback, so an all-analytical curve moves no counter to the heap.
+	simulation, failed := 0, 0
+	for i, pt := range points {
+		switch {
+		case reasons[i] == "" || scopes[i] != "": // analytical or shed
+		case pt.Error != "":
+			failed++
+		default:
+			simulation++
+		}
 	}
 
 	summary := api.CurveSummary{

@@ -107,28 +107,16 @@ func TestCancellationDoesNotPerturbCounters(t *testing.T) {
 	}
 }
 
-// TestNewConfigOptions verifies the functional-options constructor and
-// that validation reports every invalid field at once.
-func TestNewConfigOptions(t *testing.T) {
+// TestRunReportsEveryConfigField checks that Run's validation reports
+// every invalid field at once.
+func TestRunReportsEveryConfigField(t *testing.T) {
 	spec := testSpec()
-	cfg, err := NewConfig(spec,
-		WithThreads(4), WithCores(2), WithPlacement(Interleave), WithCoherence(true))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cfg.Threads != 4 || cfg.Cores != 2 || cfg.Placement != Interleave || !cfg.Coherence {
-		t.Errorf("options not applied: %+v", cfg)
-	}
-	// Defaults fill untouched fields.
-	if cfg.Quantum != 50000 || cfg.CancelEvery != DefaultCancelEvery {
-		t.Errorf("defaults not applied: %+v", cfg)
-	}
-
-	// Three invalid fields must all be reported together.
-	_, err = NewConfig(spec,
-		WithThreads(-1),
-		WithCores(spec.TotalCores()+5),
-		WithPlacement(Placement(99)))
+	_, err := Run(context.Background(), Config{
+		Spec:      spec,
+		Threads:   -1,
+		Cores:     spec.TotalCores() + 5,
+		Placement: Placement(99),
+	}, nil)
 	if err == nil {
 		t.Fatal("invalid config accepted")
 	}
@@ -139,10 +127,10 @@ func TestNewConfigOptions(t *testing.T) {
 	if !errors.As(err, &ce) {
 		t.Fatalf("err is %T, want *ConfigError", err)
 	}
-	if len(ce.Fields) != 3 {
-		t.Fatalf("reported %d invalid fields, want 3: %v", len(ce.Fields), err)
+	if len(ce.Fields) != 4 {
+		t.Fatalf("reported %d invalid fields, want 4: %v", len(ce.Fields), err)
 	}
-	want := map[string]bool{"Threads": false, "Cores": false, "Placement": false}
+	want := map[string]bool{"Threads": false, "Cores": false, "Placement": false, "Streams": false}
 	for _, f := range ce.Fields {
 		if _, ok := want[f.Field]; !ok {
 			t.Errorf("unexpected field %q in %v", f.Field, err)

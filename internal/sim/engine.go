@@ -38,8 +38,7 @@ type thread struct {
 	blockStart  uint64
 	pending     *memReq // request waiting for an MSHR slot (valid when wantSlot)
 	finished    bool
-	smtCarry    float64 // fractional SMT slowdown cycles carried forward
-	arriveFn    func()  // prebuilt barrier-arrival event callback
+	arriveFn    func() // prebuilt barrier-arrival event callback
 	st          ThreadStats
 }
 
@@ -231,16 +230,6 @@ func (e *engine) step(c *core) {
 	if th == nil || th.blocked {
 		return
 	}
-	// SMT: while the sibling hardware thread is active on the shared
-	// physical core, each work cycle costs SMTSlowdown cycles; the excess
-	// shows up as stall cycles (issue-slot competition), matching how the
-	// paper's per-thread counters see HyperThreading.
-	smtExtra := 0.0
-	if e.cfg.Spec.SMT > 1 {
-		if sib := e.cfg.Spec.SMTSibling(c.id); sib >= 0 && sib < len(e.cores) && e.coreBusy(e.cores[sib]) {
-			smtExtra = e.cfg.Spec.SMTSlowdownFactor() - 1
-		}
-	}
 	var advance uint64
 	refs := 0
 	for {
@@ -266,13 +255,6 @@ func (e *engine) step(c *core) {
 		advance += uint64(ref.Work)
 		th.st.Work += uint64(ref.Work)
 		th.st.Instructions += 1 + uint64(ref.Work)
-		if smtExtra > 0 && ref.Work > 0 {
-			scaled := float64(ref.Work)*smtExtra + th.smtCarry
-			extra := uint64(scaled)
-			th.smtCarry = scaled - float64(extra)
-			advance += extra
-			th.st.Stall += extra
-		}
 
 		if ref.Sync {
 			// Barrier: arrive in a dedicated event at now+advance.
@@ -317,17 +299,6 @@ func (e *engine) step(c *core) {
 		return
 	}
 	e.scheduleStep(c, advance)
-}
-
-// coreBusy reports whether the core has any unfinished thread — the SMT
-// sibling-activity test.
-func (e *engine) coreBusy(c *core) bool {
-	for _, th := range c.threads {
-		if !th.finished {
-			return true
-		}
-	}
-	return false
 }
 
 // chargeQuantum deducts the batch duration from the core's quantum,
@@ -429,7 +400,7 @@ const (
 )
 
 // memReq is one pooled off-chip request. It carries the request through the
-// memory pipeline as a staged state machine; its three callbacks are built
+// memory pipeline as a staged state machine; its two callbacks are built
 // once per object (not per request), which is what makes the dispatch loop
 // allocation-free.
 type memReq struct {
@@ -443,9 +414,8 @@ type memReq struct {
 	home      int
 	dep       bool
 	stage     uint8
-	issueFn   func()     // scheduled at issue time; runs e.issueReq(r)
-	advanceFn func()     // scheduled for latency stages; runs r.advance()
-	doneFn    func(bool) // submitted to controllers/buses/links
+	issueFn   func() // scheduled at issue time; runs e.issueReq(r)
+	advanceFn func() // scheduled for latency stages, submitted to queueing servers; runs r.advance()
 }
 
 // getReq returns a request object from the free list, building its
@@ -460,10 +430,8 @@ func (e *engine) getReq() *memReq {
 		return r
 	}
 	r := &memReq{e: e}
-	//simcheck:allow(hotpath) once-per-object closures: built only on free-list miss (object construction), reused for the object's whole lifetime
+	//simcheck:allow(hotpath) once-per-object closure: built only on free-list miss (object construction), reused for the object's whole lifetime
 	r.issueFn = func() { r.e.issueReq(r) }
-	//simcheck:allow(hotpath) once-per-object closure, same lifetime as issueFn above
-	r.doneFn = func(bool) { r.advance() }
 	r.advanceFn = r.advance
 	return r
 }
@@ -549,7 +517,7 @@ func (r *memReq) advance() {
 			if len(e.m.Buses) > 0 {
 				// UMA: the request occupies the socket's front-side bus on
 				// its way to the shared controller.
-				e.m.Buses[r.c.socket].Submit(r.addr, r.doneFn)
+				e.m.Buses[r.c.socket].Submit(r.addr, r.advanceFn)
 				return
 			}
 		case stLinkOut:
@@ -559,7 +527,7 @@ func (r *memReq) advance() {
 			// bandwidth saturates — the QPI/HT effect that makes remote
 			// accesses increasingly costly as more sockets exchange data.
 			if r.hops > 0 && len(e.m.LinkServers) > 0 {
-				e.m.LinkServers[r.c.socket].Submit(r.addr, r.doneFn)
+				e.m.LinkServers[r.c.socket].Submit(r.addr, r.advanceFn)
 				return
 			}
 		case stHopOut:
@@ -570,13 +538,13 @@ func (r *memReq) advance() {
 			}
 		case stMC:
 			r.stage = stLinkBack
-			e.m.MCs[r.home].Submit(r.addr, r.doneFn)
+			e.m.MCs[r.home].Submit(r.addr, r.advanceFn)
 			return
 		case stLinkBack:
 			r.stage = stHopBack
 			// Return path: link occupancy (the data payload), then hops.
 			if r.hops > 0 && len(e.m.LinkServers) > 0 {
-				e.m.LinkServers[r.c.socket].Submit(r.addr, r.doneFn)
+				e.m.LinkServers[r.c.socket].Submit(r.addr, r.advanceFn)
 				return
 			}
 		case stHopBack:

@@ -51,7 +51,7 @@ func (m *mapHomes) homeMC(addr uint64, c *core) int {
 func homeTestEngine(t *testing.T, cfg Config) *engine {
 	t.Helper()
 	cfg.applyDefaults()
-	if err := cfg.validate(-1); err != nil {
+	if err := cfg.validate(cfg.Threads); err != nil {
 		t.Fatal(err)
 	}
 	q := new(eventq.Queue)

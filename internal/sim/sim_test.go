@@ -612,81 +612,3 @@ func TestPlacementString(t *testing.T) {
 		t.Error("placement strings wrong")
 	}
 }
-
-func TestSMTSiblingSharingSlowsWork(t *testing.T) {
-	// A 1-socket, 4-logical-core machine with SMT=2: logical cores (0,2)
-	// and (1,3) share physical cores. Two compute-bound threads placed on
-	// sibling cores must each accrue ~55% extra cycles as stall.
-	spec := testSpec()
-	spec.Sockets = 1
-	spec.CoresPerSocket = 4
-	spec.MCsPerSocket = 1
-	spec.Links = nil
-	spec.SMT = 2
-
-	workRefs := func(scratch uint64) trace.Stream {
-		var refs []trace.Ref
-		for i := 0; i < 100; i++ {
-			refs = append(refs, trace.Ref{Addr: scratch, Kind: trace.Load, Work: 100})
-		}
-		return trace.FromSlice(refs)
-	}
-
-	// Threads 0 and 2 -> cores 0 and 2 = SMT siblings.
-	res, err := Run(context.Background(), Config{Spec: spec, Threads: 4, Cores: 4}, []trace.Stream{
-		workRefs(0), trace.FromSlice(nil), workRefs(1 << 20), trace.FromSlice(nil),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	th0 := res.PerThread[0]
-	slowdown := float64(th0.Cycles()) / float64(th0.Work)
-	if slowdown < 1.4 || slowdown > 1.7 {
-		t.Errorf("SMT slowdown = %.2f, want ~1.55", slowdown)
-	}
-
-	// Same run with the threads on non-sibling cores 0 and 1: no slowdown.
-	res2, err := Run(context.Background(), Config{Spec: spec, Threads: 4, Cores: 4}, []trace.Stream{
-		workRefs(0), workRefs(1 << 20), trace.FromSlice(nil), trace.FromSlice(nil),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	th0 = res2.PerThread[0]
-	slowdown = float64(th0.Cycles()) / float64(th0.Work)
-	if slowdown > 1.1 {
-		t.Errorf("non-sibling slowdown = %.2f, want ~1", slowdown)
-	}
-}
-
-func TestSMTSiblingPairing(t *testing.T) {
-	spec := testSpec()
-	spec.SMT = 2 // 2 sockets x 2 logical cores: pairs (0,1) and (2,3)
-	if got := spec.SMTSibling(0); got != 1 {
-		t.Errorf("sibling(0) = %d, want 1", got)
-	}
-	if got := spec.SMTSibling(1); got != 0 {
-		t.Errorf("sibling(1) = %d, want 0", got)
-	}
-	if got := spec.SMTSibling(2); got != 3 {
-		t.Errorf("sibling(2) = %d, want 3", got)
-	}
-	spec.SMT = 1
-	if got := spec.SMTSibling(0); got != -1 {
-		t.Errorf("no-SMT sibling = %d, want -1", got)
-	}
-}
-
-func TestSMTValidation(t *testing.T) {
-	spec := testSpec()
-	spec.SMT = 3
-	if _, err := Run(context.Background(), Config{Spec: spec, Threads: 1, Cores: 1}, singleStream(nil)); err == nil {
-		t.Error("SMT=3 accepted")
-	}
-	spec = testSpec()
-	spec.SMT = 2
-	spec.CoresPerSocket = 3
-	if _, err := Run(context.Background(), Config{Spec: spec, Threads: 1, Cores: 1}, singleStream(nil)); err == nil {
-		t.Error("odd logical core count with SMT accepted")
-	}
-}

@@ -9,7 +9,10 @@
 #   3. every `make TARGET` names a target defined in the Makefile;
 #   4. the allow-directive table in docs/ARCHITECTURE.md §8 lists exactly
 #      the sites scripts/lint_allows.sh reports. A comma list such as
-#      `engine.go:463,465,477` stands for one site per line number.
+#      `engine.go:433,445` stands for one site per line number;
+#   5. every backticked `pkg.Name` anywhere in the docs, where internal/pkg
+#      is a directory and Name is exported, names a func, method, type,
+#      const, var or field declared in internal/pkg/*.go.
 #
 # This is deliberately a textual check: it cannot prove an example is
 # correct, but it catches the common staleness — a renamed flag, a
@@ -75,8 +78,25 @@ if [ "$table_sites" != "$allow_sites" ]; then
   FAIL=1
 fi
 
+# Rule 5: `pkg.Name` references resolve to a declaration. Only the first
+# identifier after the package is checked (`experiments.Fit.Gate` checks
+# Fit). A declaration is a func or method, a type, const or var at the
+# start of a line, or an indented name (a field, or an entry of a type,
+# const or var block) followed by its type or a comma.
+refs=$(grep -ohE '`[a-z][a-z0-9]*\.[A-Z][A-Za-z0-9_]*' "${DOCS[@]}" 2>/dev/null | tr -d '`' | LC_ALL=C sort -u)
+for ref in $refs; do
+  pkg=${ref%%.*} name=${ref#*.}
+  [ -d "internal/$pkg" ] || continue
+  decl="^(func (\([^)]*\) )?$name[[(]|(type|const|var) $name[ =[]|[[:space:]]+([A-Za-z_][A-Za-z0-9_]*, *)*$name[ ,	])"
+  if ! grep -qE "$decl" internal/"$pkg"/*.go; then
+    echo "docs: \`$ref\` names nothing declared in internal/$pkg:" >&2
+    grep -nF "\`$ref" "${DOCS[@]}" 2>/dev/null | sed 's/^/  /' >&2
+    FAIL=1
+  fi
+done
+
 if [ "$FAIL" -ne 0 ]; then
   echo "docs-check: FAIL — the docs above reference things that no longer exist or sit elsewhere" >&2
   exit 1
 fi
-echo "docs-check: OK — every ./cmd reference, flag and make target in the docs' sh blocks exists, and the §8 allow table matches make lint-allows"
+echo "docs-check: OK — every ./cmd reference, flag and make target in the docs' sh blocks exists, the §8 allow table matches make lint-allows, and every \`pkg.Name\` reference resolves"
