@@ -51,12 +51,9 @@ func future32(channels int) machine.Spec {
 }
 
 func main() {
-	wl := func() workload.Workload {
-		w, err := workload.NewTuned("SP", workload.C, workload.Tuning{RefScale: 0.25})
-		if err != nil {
-			log.Fatal(err)
-		}
-		return w
+	wl, err := workload.NewTuned("SP", workload.C, workload.Tuning{RefScale: 0.25})
+	if err != nil {
+		log.Fatal(err)
 	}
 
 	fmt.Println("SP.C on a hypothetical 32-core NUMA machine:")
@@ -66,7 +63,7 @@ func main() {
 		threads := spec.TotalCores()
 		measure := func(cores int) sim.Result {
 			res, err := sim.Run(context.Background(), sim.Config{Spec: spec, Threads: threads, Cores: cores},
-				wl().Streams(threads))
+				wl.Streams(threads))
 			if err != nil {
 				log.Fatal(err)
 			}

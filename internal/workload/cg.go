@@ -1,10 +1,6 @@
 package workload
 
-import (
-	"fmt"
-
-	"repro/internal/trace"
-)
+import "repro/internal/trace"
 
 // cgParams sizes the conjugate-gradient solver per class. Rows follow the
 // NPB CG geometry (paper Table III) scaled by machine.CacheScale so the
@@ -24,39 +20,12 @@ var cgClasses = map[Class]cgParams{
 	C: {rows: 131072, nnzPerRow: 14, iterations: 2},
 }
 
-// cg is the sparse linear algebra dwarf: power iteration with a
-// conjugate-gradient style sparse matrix-vector product at its heart. Its
-// memory signature is the paper's "moderate contention" case: streaming
-// reads of the matrix values (independent, high MLP) interleaved with
-// dependent random gathers of the x vector (low MLP), plus streaming vector
-// updates.
-type cg struct {
-	class Class
-	p     cgParams
-	tune  Tuning
-}
-
 func init() {
-	register("CG", "Sparse linear algebra: data with many 0 values",
-		[]Class{S, W, A, B, C},
-		func(class Class, tune Tuning) (Workload, error) {
-			p, ok := cgClasses[class]
-			if !ok {
-				return nil, fmt.Errorf("workload CG: no class %q", class)
-			}
-			return &cg{class: class, p: p, tune: tune}, nil
-		})
-}
-
-func (c *cg) Name() string        { return "CG" }
-func (c *cg) Class() Class        { return c.class }
-func (c *cg) Description() string { return Describe("CG") }
-
-// FootprintBytes covers the CSR matrix (8-byte values, 4-byte column
-// indices) and five N-length solution/direction vectors.
-func (c *cg) FootprintBytes() uint64 {
-	nnz := uint64(c.p.rows) * uint64(c.p.nnzPerRow)
-	return nnz*12 + uint64(c.p.rows)*5*8
+	registry["CG"] = kernel{
+		desc:    "Sparse linear algebra: data with many 0 values",
+		classes: []Class{S, W, A, B, C},
+		build:   buildCG,
+	}
 }
 
 // Array ids within the workload's address space.
@@ -89,77 +58,82 @@ func xorshift64(s uint64) uint64 {
 	return s
 }
 
-// Streams partitions the rows statically across threads (OpenMP static
-// schedule) and replays the CG iteration structure per thread:
+// buildCG builds the sparse linear algebra dwarf: power iteration with a
+// conjugate-gradient style sparse matrix-vector product at its heart. Its
+// memory signature is the paper's "moderate contention" case: streaming
+// reads of the matrix values (independent, high MLP) interleaved with
+// dependent random gathers of the x vector (low MLP), plus streaming vector
+// updates. The footprint covers the CSR matrix (8-byte values, 4-byte
+// column indices) and five N-length solution/direction vectors.
+//
+// The rows are partitioned statically across threads (OpenMP static
+// schedule) and each thread replays the CG iteration structure:
 //
 //	for it in iterations:
 //	  q = A*p        (stream aVal/aCol, gather p[col], store q)
 //	  vector phase   (four streaming sweeps over the thread's slices)
-func (c *cg) Streams(threads int) []trace.Stream {
-	iters := c.tune.scale(c.p.iterations)
-	streams := make([]trace.Stream, threads)
-	for t := 0; t < threads; t++ {
-		tt := t
-		lo, hi := partition(c.p.rows, threads, t)
-		n := uint64(c.p.rows)
-		avg := c.p.nnzPerRow
-		streams[t] = trace.Gen(func(w *trace.Writer) {
-			// Precompute the thread's starting nonzero offset so aVal/aCol
-			// addresses are globally consistent.
-			startNNZ := uint64(0)
-			for r := 0; r < lo; r++ {
-				startNNZ += uint64(cgRowLen(r, avg))
-			}
-			for it := 0; it < iters; it++ {
-				// --- SpMV: q[i] = sum_j A[i,j] * p[col[i,j]] ---
-				k := startNNZ
-				for row := lo; row < hi; row++ {
-					rl := cgRowLen(row, avg)
-					seed := uint64(row)*0xBF58476D1CE4E5B9 + 1
-					for j := 0; j < rl; j++ {
-						// Column index: fixed pseudo-random structure.
-						seed = xorshift64(seed)
-						col := seed % n
-						// Stream the matrix value (independent, 2-cycle FMA).
-						if !w.Emit(trace.Ref{Addr: base(cgAVal) + k*8, Kind: trace.Load, Work: 2}) {
-							return
-						}
-						// Stream the column index (packed int32).
-						if !w.Emit(trace.Ref{Addr: base(cgACol) + k*4, Kind: trace.Load, Work: 0}) {
-							return
-						}
-						// Gather p[col]: address depends on the index load.
-						if !w.Emit(trace.Ref{Addr: base(cgVecP) + col*8, Kind: trace.Load, Dep: true, Work: 0}) {
-							return
-						}
-						k++
-					}
-					// Store the accumulated q[row].
-					if !w.Emit(trace.Ref{Addr: base(cgVecQ) + uint64(row)*8, Kind: trace.Store, Work: 2}) {
+func buildCG(class Class, tune Tuning) (uint64, func(threads, t int, w *trace.Writer)) {
+	p := cgClasses[class]
+	footprint := uint64(p.rows)*uint64(p.nnzPerRow)*12 + uint64(p.rows)*5*8
+	iters := tune.scale(p.iterations)
+	n := uint64(p.rows)
+	avg := p.nnzPerRow
+	return footprint, func(threads, t int, w *trace.Writer) {
+		lo, hi := partition(p.rows, threads, t)
+		// Precompute the thread's starting nonzero offset so aVal/aCol
+		// addresses are globally consistent.
+		startNNZ := uint64(0)
+		for r := 0; r < lo; r++ {
+			startNNZ += uint64(cgRowLen(r, avg))
+		}
+		for it := 0; it < iters; it++ {
+			// --- SpMV: q[i] = sum_j A[i,j] * p[col[i,j]] ---
+			k := startNNZ
+			for row := lo; row < hi; row++ {
+				rl := cgRowLen(row, avg)
+				seed := uint64(row)*0xBF58476D1CE4E5B9 + 1
+				for j := 0; j < rl; j++ {
+					// Column index: fixed pseudo-random structure.
+					seed = xorshift64(seed)
+					col := seed % n
+					// Stream the matrix value (independent, 2-cycle FMA).
+					if !w.Emit(trace.Ref{Addr: base(cgAVal) + k*8, Kind: trace.Load, Work: 2}) {
 						return
 					}
-				}
-				// --- Vector phase: z += alpha p; r -= alpha q; rho = r.r;
-				// p = r + beta p --- four streaming sweeps over the
-				// thread's slice.
-				for _, sweep := range [][2]int{
-					{cgVecZ, cgVecP}, {cgVecR, cgVecQ}, {cgVecR, cgVecR}, {cgVecP, cgVecR},
-				} {
-					for i := lo; i < hi; i++ {
-						if !w.Emit(trace.Ref{Addr: base(sweep[1]) + uint64(i)*8, Kind: trace.Load, Work: 1}) {
-							return
-						}
-						if !w.Emit(trace.Ref{Addr: base(sweep[0]) + uint64(i)*8, Kind: trace.Store, Work: 1}) {
-							return
-						}
+					// Stream the column index (packed int32).
+					if !w.Emit(trace.Ref{Addr: base(cgACol) + k*4, Kind: trace.Load, Work: 0}) {
+						return
 					}
+					// Gather p[col]: address depends on the index load.
+					if !w.Emit(trace.Ref{Addr: base(cgVecP) + col*8, Kind: trace.Load, Dep: true, Work: 0}) {
+						return
+					}
+					k++
 				}
-				// Iteration barrier + dot-product reductions.
-				if !emitBarrier(w, tt, it) {
+				// Store the accumulated q[row].
+				if !w.Emit(trace.Ref{Addr: base(cgVecQ) + uint64(row)*8, Kind: trace.Store, Work: 2}) {
 					return
 				}
 			}
-		})
+			// --- Vector phase: z += alpha p; r -= alpha q; rho = r.r;
+			// p = r + beta p --- four streaming sweeps over the
+			// thread's slice.
+			for _, sweep := range [][2]int{
+				{cgVecZ, cgVecP}, {cgVecR, cgVecQ}, {cgVecR, cgVecR}, {cgVecP, cgVecR},
+			} {
+				for i := lo; i < hi; i++ {
+					if !w.Emit(trace.Ref{Addr: base(sweep[1]) + uint64(i)*8, Kind: trace.Load, Work: 1}) {
+						return
+					}
+					if !w.Emit(trace.Ref{Addr: base(sweep[0]) + uint64(i)*8, Kind: trace.Store, Work: 1}) {
+						return
+					}
+				}
+			}
+			// Iteration barrier + dot-product reductions.
+			if !emitBarrier(w, t, it) {
+				return
+			}
+		}
 	}
-	return streams
 }

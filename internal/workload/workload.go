@@ -81,56 +81,71 @@ func (t Tuning) scale(n int) int {
 }
 
 // Workload produces per-thread reference streams for one program+class.
-type Workload interface {
-	// Name returns the program name ("CG", "SP", "x264", ...).
-	Name() string
-	// Class returns the problem class.
-	Class() Class
-	// Description summarizes the parallel kernel (paper Table I).
-	Description() string
-	// FootprintBytes returns the total data footprint.
-	FootprintBytes() uint64
-	// Streams returns one reference stream per thread. Streams are
-	// deterministic for a given (name, class, threads).
-	Streams(threads int) []trace.Stream
+type Workload struct {
+	name      string
+	class     Class
+	footprint uint64
+	thread    func(threads, t int, w *trace.Writer)
 }
 
-// ctor builds a workload for a class.
-type ctor struct {
-	classes []Class
-	build   func(Class, Tuning) (Workload, error)
+// Name returns the program name ("CG", "SP", "x264", ...).
+func (wl *Workload) Name() string { return wl.name }
+
+// Class returns the problem class.
+func (wl *Workload) Class() Class { return wl.class }
+
+// Description summarizes the parallel kernel (paper Table I).
+func (wl *Workload) Description() string { return Describe(wl.name) }
+
+// FootprintBytes returns the total data footprint.
+func (wl *Workload) FootprintBytes() uint64 { return wl.footprint }
+
+// Streams returns one reference stream per thread, each running the
+// kernel's thread body on its own generator. Streams are deterministic
+// for a given (name, class, threads).
+func (wl *Workload) Streams(threads int) []trace.Stream {
+	streams := make([]trace.Stream, threads)
+	for t := range streams {
+		streams[t] = trace.Gen(func(w *trace.Writer) { wl.thread(threads, t, w) })
+	}
+	return streams
+}
+
+// kernel is one registered program. build sizes a class under a tuning
+// and returns its footprint and its thread body: the loop thread t of
+// threads runs, emitting its references on w.
+type kernel struct {
 	desc    string
+	classes []Class
+	build   func(Class, Tuning) (footprint uint64, thread func(threads, t int, w *trace.Writer))
 }
 
-var registry = map[string]ctor{}
-
-// register is called from each kernel's init.
-func register(name, desc string, classes []Class, build func(Class, Tuning) (Workload, error)) {
-	registry[name] = ctor{classes: classes, build: build, desc: desc}
-}
+// registry holds the kernels; each kernel's init adds itself.
+var registry = map[string]kernel{}
 
 // New constructs a workload by program name and class with default tuning.
-func New(name string, class Class) (Workload, error) {
+func New(name string, class Class) (*Workload, error) {
 	return NewTuned(name, class, Tuning{})
 }
 
 // NewTuned constructs a workload with explicit tuning.
-func NewTuned(name string, class Class, tune Tuning) (Workload, error) {
-	c, ok := registry[name]
+func NewTuned(name string, class Class, tune Tuning) (*Workload, error) {
+	k, ok := registry[name]
 	if !ok {
 		return nil, fmt.Errorf("workload: unknown program %q (have %v)", name, Names())
 	}
 	valid := false
-	for _, cl := range c.classes {
+	for _, cl := range k.classes {
 		if cl == class {
 			valid = true
 			break
 		}
 	}
 	if !valid {
-		return nil, fmt.Errorf("workload: program %s has no class %q (have %v)", name, class, c.classes)
+		return nil, fmt.Errorf("workload: program %s has no class %q (have %v)", name, class, k.classes)
 	}
-	return c.build(class, tune)
+	footprint, thread := k.build(class, tune)
+	return &Workload{name: name, class: class, footprint: footprint, thread: thread}, nil
 }
 
 // Names lists registered program names sorted alphabetically.
@@ -145,11 +160,11 @@ func Names() []string {
 
 // ClassesFor returns the classes supported by a program.
 func ClassesFor(name string) []Class {
-	c, ok := registry[name]
+	k, ok := registry[name]
 	if !ok {
 		return nil
 	}
-	return append([]Class(nil), c.classes...)
+	return append([]Class(nil), k.classes...)
 }
 
 // Describe returns the Table I style one-liner for a program.
