@@ -160,23 +160,25 @@ func (p *Predictor) Analytical(spec machine.Spec, program string, class workload
 		// is simply not answerable.
 		return Prediction{}, experiments.DeclineNoFit
 	}
-	entry, gate := p.lookupFit(spec.Name, program, class)
+	entry, gate := p.lookupFit(&spec, program, class)
 	if gate != "" {
 		return Prediction{}, p.decline(gate, spec, program, class, cores)
 	}
-	return p.answer(entry, &spec, spec.Equal(entry.spec), program, class, cores)
+	return p.answer(entry, &spec, program, class, cores)
 }
 
 // lookupFit resolves the pair's stored fit and applies the fit-level
 // confidence gates: existence here, R² and residual in Fit.Gate. They
 // read MinR2 and MaxResidual on every call, so only fit-invariant
-// content is tabled. An empty reason means the entry is trustworthy;
-// saturation is per point, in answer.
-func (p *Predictor) lookupFit(machineName, program string, class workload.Class) (*fitEntry, experiments.DeclineReason) {
+// content is tabled. Fits are keyed by machine name, so a spec that is
+// not the one the fit was made on (a mutated preset) has no fit. An
+// empty reason means the entry is trustworthy; saturation is per point,
+// in answer. spec is a pointer only to spare the hot path a copy.
+func (p *Predictor) lookupFit(spec *machine.Spec, program string, class workload.Class) (*fitEntry, experiments.DeclineReason) {
 	p.mu.RLock()
-	entry, ok := p.fits[fitKey{machineName, program, class, p.Scale()}]
+	entry, ok := p.fits[fitKey{spec.Name, program, class, p.Scale()}]
 	p.mu.RUnlock()
-	if !ok {
+	if !ok || !spec.Equal(entry.spec) {
 		return nil, experiments.DeclineNoFit
 	}
 	minR2, maxResidual := p.MinR2, p.MaxResidual
@@ -189,20 +191,12 @@ func (p *Predictor) lookupFit(machineName, program string, class workload.Class)
 	return entry, entry.fit.Gate(minR2, maxResidual)
 }
 
-// answer returns an already-gated fit's answer at one core count — the
-// shared tail of Analytical and AnalyticalCurve, so a curve point and a
-// single query at the same coordinate are the same value. tabled says
-// spec equals the spec the fit was made on, so the answer table holds
-// the point; a different spec under the same name (a mutated preset) is
-// computed by analyticalAt, the function that filled the table. spec is
-// a pointer only to spare the hot path a copy.
-func (p *Predictor) answer(entry *fitEntry, spec *machine.Spec, tabled bool, program string, class workload.Class, cores int) (Prediction, experiments.DeclineReason) {
-	var pred Prediction
-	if tabled {
-		pred = entry.answers[cores-1]
-	} else {
-		pred = p.analyticalAt(entry.fit, *spec, program, class, cores)
-	}
+// answer returns an already-gated fit's answer at one core count from
+// its answer table — the shared tail of Analytical and AnalyticalCurve,
+// so a curve point and a single query at the same coordinate are the
+// same value. spec is a pointer only to spare the hot path a copy.
+func (p *Predictor) answer(entry *fitEntry, spec *machine.Spec, program string, class workload.Class, cores int) (Prediction, experiments.DeclineReason) {
+	pred := entry.answers[cores-1]
 	if pred.Tier == "" {
 		return Prediction{}, p.decline(experiments.DeclineSaturated, *spec, program, class, cores)
 	}
@@ -246,8 +240,7 @@ func (p *Predictor) analyticalAt(fit *experiments.Fit, spec machine.Spec, progra
 func (p *Predictor) AnalyticalCurve(spec machine.Spec, program string, class workload.Class, cores []int) ([]Prediction, []experiments.DeclineReason) {
 	preds := make([]Prediction, len(cores))
 	reasons := make([]experiments.DeclineReason, len(cores))
-	entry, gate := p.lookupFit(spec.Name, program, class)
-	tabled := gate == "" && spec.Equal(entry.spec)
+	entry, gate := p.lookupFit(&spec, program, class)
 	for i, n := range cores {
 		if n < 1 || n > spec.TotalCores() {
 			reasons[i] = experiments.DeclineNoFit
@@ -257,7 +250,7 @@ func (p *Predictor) AnalyticalCurve(spec machine.Spec, program string, class wor
 			reasons[i] = p.decline(gate, spec, program, class, n)
 			continue
 		}
-		preds[i], reasons[i] = p.answer(entry, &spec, tabled, program, class, n)
+		preds[i], reasons[i] = p.answer(entry, &spec, program, class, n)
 	}
 	return preds, reasons
 }

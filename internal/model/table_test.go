@@ -119,15 +119,16 @@ func TestAnswerTable(t *testing.T) {
 				t.Errorf("%s: gates relaxed again: declined %q", name, reason)
 			}
 
-			// A mutated spec under the preset's name gets the closed form
-			// on its own spec, not the preset's table row.
+			// A mutated spec under the preset's name was never fitted:
+			// the preset's fit does not answer for it, singly or on a
+			// curve.
 			mutated := spec
 			mutated.MSHRs++
-			pred, reason := p.Analytical(mutated, program, class, 1)
-			want := p.analyticalAt(entry.fit, mutated, program, class, 1)
-			if reason != "" || pred.ConfigHash != want.ConfigHash || pred.ConfigHash == entry.answers[0].ConfigHash {
-				t.Errorf("%s: mutated spec answered (%q, %q), want hash %q apart from the table's %q",
-					name, pred.ConfigHash, reason, want.ConfigHash, entry.answers[0].ConfigHash)
+			if pred, reason := p.Analytical(mutated, program, class, 1); reason != experiments.DeclineNoFit {
+				t.Errorf("%s: mutated spec answered (%q, %q), want %q", name, pred.ConfigHash, reason, experiments.DeclineNoFit)
+			}
+			if _, reasons := p.AnalyticalCurve(mutated, program, class, []int{1, 2}); reasons[0] != experiments.DeclineNoFit || reasons[1] != experiments.DeclineNoFit {
+				t.Errorf("%s: mutated spec's curve declined %v, want %q", name, reasons, experiments.DeclineNoFit)
 			}
 		}
 	}
