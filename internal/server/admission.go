@@ -28,18 +28,12 @@ type admitter struct {
 	inUse map[string]int
 }
 
-// newAdmitter builds an admitter with the given global and per-tenant
-// caps. perTenant is clamped into [1, global].
-func newAdmitter(global, perTenant int) *admitter {
-	if perTenant < 1 {
-		perTenant = 1
-	}
-	if perTenant > global {
-		perTenant = global
-	}
+// newAdmitter builds an admitter with the given global cap (at least 1).
+// Each tenant may hold half of it, rounded up.
+func newAdmitter(global int) *admitter {
 	return &admitter{
 		global:    make(chan struct{}, global),
-		perTenant: perTenant,
+		perTenant: (global + 1) / 2,
 		inUse:     make(map[string]int),
 	}
 }

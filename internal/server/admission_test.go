@@ -35,7 +35,7 @@ func postAs(t testing.TB, h http.Handler, tenant, body string) *httptest.Respons
 // bucket: per-tenant caps bind before the global one, releases restore
 // both levels, and the tenant map stays bounded (entries vanish at zero).
 func TestAdmitterSemantics(t *testing.T) {
-	a := newAdmitter(3, 2)
+	a := newAdmitter(3)
 	if a.Cap() != 3 || a.TenantCap() != 2 {
 		t.Fatalf("caps = %d/%d, want 3/2", a.Cap(), a.TenantCap())
 	}
@@ -69,12 +69,11 @@ func TestAdmitterSemantics(t *testing.T) {
 		t.Fatalf("after draining: depth=%d tenants=%d, want 0/0", a.Depth(), a.Tenants())
 	}
 
-	// perTenant clamps into [1, global].
-	if a := newAdmitter(4, 99); a.TenantCap() != 4 {
-		t.Errorf("oversized per-tenant cap = %d, want clamped to 4", a.TenantCap())
-	}
-	if a := newAdmitter(4, -1); a.TenantCap() != 1 {
-		t.Errorf("negative per-tenant cap = %d, want clamped to 1", a.TenantCap())
+	// The per-tenant cap is half the global one, rounded up.
+	for global, want := range map[int]int{1: 1, 4: 2, 64: 32} {
+		if a := newAdmitter(global); a.TenantCap() != want {
+			t.Errorf("newAdmitter(%d) per-tenant cap = %d, want %d", global, a.TenantCap(), want)
+		}
 	}
 }
 
@@ -96,7 +95,7 @@ func TestTenantFairness(t *testing.T) {
 	p := model.New(r)
 	p.MinR2 = -1
 	p.MaxResidual = 1e9
-	s := New(Config{Predictor: p, MaxQueue: 4, MaxPerTenant: 2, Metrics: telemetry.NewRegistry()})
+	s := New(Config{Predictor: p, MaxQueue: 4, Metrics: telemetry.NewRegistry()})
 	h := s.Handler()
 
 	type result struct {

@@ -70,13 +70,10 @@ type Config struct {
 	// *model.Predictor).
 	Predictor Predictor
 	// MaxQueue bounds simulation-tier admission (queued + running)
-	// instance-wide. Zero means DefaultMaxQueue.
+	// instance-wide. Zero means DefaultMaxQueue. Any one tenant
+	// (api.HeaderTenant) may hold at most half of it at once (rounded
+	// up), so no single tenant can starve the simulation tier.
 	MaxQueue int
-	// MaxPerTenant bounds the admission tokens any one tenant
-	// (api.HeaderTenant) may hold at once. Zero means half of MaxQueue
-	// (rounded up), so no single tenant can starve the simulation tier;
-	// values are clamped into [1, MaxQueue].
-	MaxPerTenant int
 	// Metrics receives request/queue/tier metrics and is served at
 	// /metrics. Nil creates a private registry (still served).
 	Metrics *telemetry.Registry
@@ -122,10 +119,6 @@ func New(cfg Config) *Server {
 	if maxQueue <= 0 {
 		maxQueue = DefaultMaxQueue
 	}
-	perTenant := cfg.MaxPerTenant
-	if perTenant <= 0 {
-		perTenant = (maxQueue + 1) / 2
-	}
 	reg := cfg.Metrics
 	if reg == nil {
 		reg = telemetry.NewRegistry()
@@ -134,7 +127,7 @@ func New(cfg Config) *Server {
 		pred:                  cfg.Predictor,
 		metrics:               reg,
 		tracer:                cfg.Tracer,
-		adm:                   newAdmitter(maxQueue, perTenant),
+		adm:                   newAdmitter(maxQueue),
 		simLatencyS:           1,
 		requests:              reg.Counter("simserved_requests_total"),
 		analytical:            reg.Counter("simserved_analytical_total"),
