@@ -143,14 +143,12 @@ func main() {
 
 	if *perThread {
 		fmt.Println("\n# per-thread")
-		var acc counters.Accumulator
 		for i, th := range res.PerThread {
-			acc.AddThread(th)
 			fmt.Printf("thread %-3d work %12d stall %12d memstall %12d offchip %9d remote %9d\n",
 				i, th.Work, th.Stall, th.MemStall, th.OffChip, th.Remote)
 		}
-		fmt.Printf("\n# per-thread totals (papiex-style, %d threads)\n", acc.Runs())
-		fmt.Print(acc.Set())
+		fmt.Printf("\n# per-thread totals (papiex-style, %d threads)\n", len(res.PerThread))
+		fmt.Print(counters.FromResult(res))
 	}
 }
 

@@ -69,43 +69,3 @@ func (s Set) String() string {
 	}
 	return out
 }
-
-// byIndex lists the paper's events in accumulator slot order.
-var byIndex = [...]Event{TotCyc, TotIns, ResStl, LLCMisses, WorkCyc, MemStl, RemoteReq}
-
-// Accumulator totals many per-thread counter snapshots without the
-// per-update map hashing and allocation a Set would cost: the values live
-// in a fixed array indexed by event slot. Aggregation loops add into an
-// Accumulator and materialize a Set once at the end.
-//
-// The zero value is an empty accumulator.
-type Accumulator struct {
-	v [len(byIndex)]uint64
-	n uint64
-}
-
-// AddThread folds one per-thread counter snapshot into the accumulator.
-//
-//simcheck:hotpath
-func (a *Accumulator) AddThread(t sim.ThreadStats) {
-	a.v[0] += t.Cycles()
-	a.v[1] += t.Instructions
-	a.v[2] += t.Stall
-	a.v[3] += t.OffChip
-	a.v[4] += t.Work
-	a.v[5] += t.MemStall
-	a.v[6] += t.Remote
-	a.n++
-}
-
-// Runs returns how many snapshots were folded in.
-func (a *Accumulator) Runs() uint64 { return a.n }
-
-// Set materializes the accumulated totals as a Set.
-func (a *Accumulator) Set() Set {
-	s := make(Set, len(byIndex))
-	for i, e := range byIndex {
-		s[e] = a.v[i]
-	}
-	return s
-}
