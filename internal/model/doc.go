@@ -18,8 +18,8 @@
 //     fit-level verdict from experiments.Fit.Gate: the query falls through
 //     to simulation when no fit exists yet for that exact spec
 //     (DeclineNoFit: fits are keyed by machine name, so a spec mutated
-//     under a preset's name is not answered from the preset's fit), when R² is
-//     below Predictor.MinR2 (DeclineLowR2), when the fit misses its own
+//     under a preset's name is not answered from the preset's fit), when
+//     R² is below Predictor.MinR2 (DeclineLowR2), when the fit misses its own
 //     anchors by more than Predictor.MaxResidual (DeclineResidual), or
 //     when the core count sits at or past the fitted saturation point μ/L
 //     (DeclineSaturated). The reasons are experiments.DeclineReason values.
