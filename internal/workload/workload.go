@@ -112,8 +112,8 @@ func (wl *Workload) Streams(threads int) []trace.Stream {
 }
 
 // kernel is one registered program. build sizes a class under a tuning
-// and returns its footprint and its thread body: the loop thread t of
-// threads runs, emitting its references on w.
+// and returns its footprint and its thread body: the loop that thread t
+// of threads runs, emitting its references on w.
 type kernel struct {
 	desc    string
 	classes []Class
